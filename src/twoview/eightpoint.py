@@ -2,9 +2,9 @@
 
 The solver builds the weighted 9x9 Gram matrix of per-correspondence
 monomials and recovers Vec(E) as the eigenvector of the smallest
-eigenvalue. A cyclic Jacobi sweep keeps the eigensolver self-contained,
-and the smallest-eigenvector derivative gives an analytic backward pass
-with respect to the weights.
+eigenvalue, taken from LAPACK's symmetric eigensolver (`eigh`). The
+smallest-eigenvector derivative gives an analytic backward pass with
+respect to the weights.
 """
 
 from dataclasses import dataclass
@@ -13,8 +13,6 @@ import numpy as np
 
 from .epipolar import as_correspondences
 
-JACOBI_MAX_SWEEPS = 50
-JACOBI_OFFDIAG_TOL = 1e-13
 EIGENGAP_REL_MIN = 1e-12
 SUPPORT_WEIGHT_MIN = 1e-8
 SYMMETRY_ATOL = 1e-10
@@ -52,139 +50,38 @@ def weighted_gram(X, w):
     return 0.5 * (G + G.T)  # kill rounding asymmetry
 
 
+def _symmetrized(G, stacked):
+    """Check that G (or every matrix of a stack) is symmetric; return 0.5 * (G + G^T)."""
+    G = np.asarray(G, dtype=np.float64)
+    if stacked:
+        if G.ndim != 3 or G.shape[1] != G.shape[2]:
+            raise NotSymmetric(f"expected a (K, n, n) stack, got {G.shape}")
+    elif G.ndim != 2 or G.shape[0] != G.shape[1]:
+        raise NotSymmetric(f"expected a square matrix, got {G.shape}")
+    Gt = np.swapaxes(G, -1, -2)
+    scale = np.maximum(1.0, np.abs(G).max(axis=(-2, -1)))
+    if np.any(np.abs(G - Gt).max(axis=(-2, -1)) > SYMMETRY_ATOL * scale):
+        raise NotSymmetric("a matrix in the stack differs from its transpose beyond 1e-10"
+                           if stacked else "input differs from its transpose beyond 1e-10")
+    return 0.5 * (G + Gt)
+
+
 def symmetric_eig9(G):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a symmetric matrix by LAPACK (`eigh`).
 
     Returns eigenvalues in ascending order and the matching orthonormal
     eigenvectors as columns. Sized for the 9x9 Gram matrix but works for
-    any small symmetric input. The sweep works on Python scalars: at this
-    size that is several times faster than per-rotation numpy slicing.
+    any square symmetric input.
     """
-    G = np.asarray(G, dtype=np.float64)
-    n = G.shape[0]
-    if G.shape != (n, n):
-        raise NotSymmetric(f"expected a square matrix, got {G.shape}")
-    scale = max(1.0, float(np.max(np.abs(G))))
-    if np.max(np.abs(G - G.T)) > SYMMETRY_ATOL * scale:
-        raise NotSymmetric("input differs from its transpose beyond 1e-10")
-    A = (0.5 * (G + G.T)).tolist()
-    V = np.eye(n).tolist()
-    tol = JACOBI_OFFDIAG_TOL * max(float(np.linalg.norm(G)), 1e-300)
-    pivot_tol = tol / (n * n)
-    sqrt = np.sqrt
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off2 = 0.0
-        for i in range(n - 1):
-            row = A[i]
-            for j in range(i + 1, n):
-                off2 += row[j] * row[j]
-        if sqrt(2.0 * off2) <= tol:
-            break
-        # cyclic sweep over the upper triangle; only that triangle stays valid
-        for p in range(n - 1):
-            Ap = A[p]
-            for q in range(p + 1, n):
-                apq = Ap[q]
-                if abs(apq) <= pivot_tol:
-                    continue
-                Aq = A[q]
-                # stable rotation angle (Golub & Van Loan)
-                tau = (Aq[q] - Ap[p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + sqrt(1.0 + tau * tau))
-                c = 1.0 / sqrt(1.0 + t * t)
-                s = t * c
-                Ap[p] -= t * apq
-                Aq[q] += t * apq
-                Ap[q] = 0.0
-                for k in range(p):
-                    Ak = A[k]
-                    akp = Ak[p]
-                    akq = Ak[q]
-                    Ak[p] = c * akp - s * akq
-                    Ak[q] = s * akp + c * akq
-                for k in range(p + 1, q):
-                    akp = Ap[k]
-                    akq = A[k][q]
-                    Ap[k] = c * akp - s * akq
-                    A[k][q] = s * akp + c * akq
-                for k in range(q + 1, n):
-                    akp = Ap[k]
-                    akq = Aq[k]
-                    Ap[k] = c * akp - s * akq
-                    Aq[k] = s * akp + c * akq
-                for Vk in V:
-                    vkp = Vk[p]
-                    vkq = Vk[q]
-                    Vk[p] = c * vkp - s * vkq
-                    Vk[q] = s * vkp + c * vkq
-    lam = np.array([A[i][i] for i in range(n)])
-    V = np.asarray(V)
-    order = np.argsort(lam, kind="stable")
-    return lam[order], V[:, order]
+    return np.linalg.eigh(_symmetrized(G, stacked=False))
 
 
 def symmetric_eig9_batched(G):
-    """Vectorized twin of symmetric_eig9 for a stack of symmetric matrices.
+    """symmetric_eig9 for a (K, n, n) stack, in one LAPACK `eigh` call.
 
-    Applies the same cyclic sweep (pivot order, thresholds, sweep limit)
-    to every matrix at once; matrices whose pivot falls below threshold
-    receive the identity rotation. Agrees with the scalar solver to
-    roundoff. Used to evaluate many minimal-sample hypotheses in parallel.
+    Used to evaluate many minimal-sample hypotheses in parallel.
     """
-    G = np.asarray(G, dtype=np.float64)
-    if G.ndim != 3 or G.shape[1] != G.shape[2]:
-        raise NotSymmetric(f"expected a (K, n, n) stack, got {G.shape}")
-    K, n = G.shape[0], G.shape[1]
-    scale = np.maximum(1.0, np.abs(G).max(axis=(1, 2)))
-    if np.any(np.abs(G - np.swapaxes(G, 1, 2)).max(axis=(1, 2)) > SYMMETRY_ATOL * scale):
-        raise NotSymmetric("a matrix in the stack differs from its transpose beyond 1e-10")
-    A = 0.5 * (G + np.swapaxes(G, 1, 2))
-    V = np.broadcast_to(np.eye(n), (K, n, n)).copy()
-    norms = np.sqrt(np.einsum("kij,kij->k", A, A))
-    tol = JACOBI_OFFDIAG_TOL * np.maximum(norms, 1e-300)
-    pivot_tol = tol / (n * n)
-    iu = np.triu_indices(n, 1)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = np.sqrt(2.0 * np.einsum("ki,ki->k", A[:, iu[0], iu[1]], A[:, iu[0], iu[1]]))
-        if np.all(off <= tol):
-            break
-        active = off > tol
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[:, p, q]
-                rotate = active & (np.abs(apq) > pivot_tol)
-                if not rotate.any():
-                    continue
-                apq_safe = np.where(rotate, apq, 1.0)
-                tau = (A[:, q, q] - A[:, p, p]) / (2.0 * apq_safe)
-                root = np.sqrt(1.0 + tau * tau)
-                # sign form avoids the cancellation-prone branch
-                t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + root)
-                t = np.where(rotate, t, 0.0)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp = A[:, p, :].copy()
-                rq = A[:, q, :].copy()
-                A[:, p, :] = c[:, None] * rp - s[:, None] * rq
-                A[:, q, :] = s[:, None] * rp + c[:, None] * rq
-                cp = A[:, :, p].copy()
-                cq = A[:, :, q].copy()
-                A[:, :, p] = c[:, None] * cp - s[:, None] * cq
-                A[:, :, q] = s[:, None] * cp + c[:, None] * cq
-                A[:, p, q] = np.where(rotate, 0.0, A[:, p, q])
-                A[:, q, p] = np.where(rotate, 0.0, A[:, q, p])
-                vp = V[:, :, p].copy()
-                vq = V[:, :, q].copy()
-                V[:, :, p] = c[:, None] * vp - s[:, None] * vq
-                V[:, :, q] = s[:, None] * vp + c[:, None] * vq
-    lam = np.diagonal(A, axis1=1, axis2=2)
-    order = np.argsort(lam, axis=1, kind="stable")
-    lam_sorted = np.take_along_axis(lam, order, axis=1)
-    V_sorted = np.take_along_axis(V, order[:, None, :], axis=2)
-    return lam_sorted, V_sorted
+    return np.linalg.eigh(_symmetrized(G, stacked=True))
 
 
 @dataclass
@@ -204,6 +101,8 @@ def _solve(C, w):
     w = np.asarray(w, dtype=np.float64).reshape(-1)
     if len(w) != len(C):
         raise ValueError(f"weight length {len(w)} != correspondence count {len(C)}")
+    if not (np.isfinite(C).all() and np.isfinite(w).all()):
+        raise ValueError("correspondences and weights must be finite")
     if np.count_nonzero(w > SUPPORT_WEIGHT_MIN) < 8:
         raise InsufficientSupport("fewer than 8 correspondences with weight above 1e-8")
     X = build_monomial_matrix(C)

@@ -10,16 +10,18 @@ F always equals 2PR/(P+R).
 
 import csv
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import load_checkpoint
 from .config import read_network_config
-from .epipolar import NoValidCandidate, Pose, pose_angular_errors, project_to_essential, recover_pose
+from .epipolar import (NoValidCandidate, RankDeficient, pose_angular_errors, project_to_essential,
+                       recover_pose)
 from .network import Network
-from .ransac import RansacConfig, ransac_essential, ransac_postprocess
+from .ransac import (InsufficientCorrespondences, NoModelFound, RansacConfig, ransac_essential,
+                     ransac_postprocess)
 
 METRICS_HEADER = ["method", "mAP5", "mAP10", "mAP20", "precision", "recall", "fscore",
                   "pairs", "failures"]
@@ -133,7 +135,7 @@ def _ransac_pair_outcome(pair, cfg, weights=None):
         est = recover_pose(res.essential, pair.correspondences, scoring)
         rot, trans = pose_angular_errors(est, pair.pose())
         return PairOutcome(rot, trans, False, res.mask)
-    except Exception:
+    except (InsufficientCorrespondences, NoModelFound, NoValidCandidate, RankDeficient):
         n = len(pair.correspondences)
         return PairOutcome(np.inf, np.inf, True, np.zeros(n, dtype=bool))
 
@@ -146,9 +148,7 @@ def evaluate_method(pairs, method, ransac_cfg: RansacConfig = None, net: Network
     ransac_cfg = ransac_cfg or RansacConfig()
     outcomes = []
     for i, pair in enumerate(pairs):
-        cfg_i = RansacConfig(ransac_cfg.threshold, ransac_cfg.max_iterations,
-                             ransac_cfg.confidence, ransac_cfg.sample_size,
-                             seed=seed + i)
+        cfg_i = replace(ransac_cfg, seed=seed + i)
         if method == "ransac":
             outcomes.append(_ransac_pair_outcome(pair, cfg_i))
         elif method in ("net", "pointcn"):

@@ -113,7 +113,7 @@ def _required_iterations(inlier_ratio, confidence, sample_size):
 
 def _solve_hypotheses(X_octets):
     """Batched minimal solves: models (K, 3, 3) and a validity mask."""
-    G = np.einsum("kia,kib->kab", X_octets, X_octets)
+    G = X_octets.swapaxes(1, 2) @ X_octets
     lam, V = symmetric_eig9_batched(G)
     gaps = lam[:, 1] - lam[:, 0]
     norms = np.sqrt(np.einsum("kab,kab->k", G, G))
@@ -127,12 +127,19 @@ def _solve_hypotheses(X_octets):
     return models, valid
 
 
-def _distances_batch(models, p1, p2):
-    """(K, N) symmetric epipolar distances; degenerate rows become +inf."""
-    Ep1 = np.einsum("kab,nb->kna", models, p1)
-    Etp2 = np.einsum("kab,na->knb", models, p2)
-    residual = np.einsum("na,kna->kn", p2, Ep1)
-    den = Ep1[:, :, 0] ** 2 + Ep1[:, :, 1] ** 2 + Etp2[:, :, 0] ** 2 + Etp2[:, :, 1] ** 2
+def _distances_batch(models, X, p1, p2):
+    """(K, N) symmetric epipolar distances; degenerate rows become +inf.
+
+    X is the (N, 9) monomial matrix of the correspondences, p1 and p2
+    their (N, 3) homogeneous points. The residual p2^T E p1 is the
+    monomial row times vec(E) taken column-major, so it is one GEMM; the
+    epipolar lines E p1 and E^T p2 are two more.
+    """
+    K = len(models)
+    residual = models.swapaxes(1, 2).reshape(K, 9) @ X.T
+    Ep1 = (models[:, :2, :].reshape(2 * K, 3) @ p1.T).reshape(K, 2, -1)
+    Etp2 = (models.swapaxes(1, 2)[:, :2, :].reshape(2 * K, 3) @ p2.T).reshape(K, 2, -1)
+    den = Ep1[:, 0] ** 2 + Ep1[:, 1] ** 2 + Etp2[:, 0] ** 2 + Etp2[:, 1] ** 2
     ok = den >= EPIPOLE_DENOM_MIN
     out = np.full(den.shape, np.inf)
     np.divide(residual ** 2, den, out=out, where=ok)
@@ -146,6 +153,9 @@ def ransac_essential(C, cfg: RansacConfig):
         raise InsufficientCorrespondences(
             f"need at least {cfg.sample_size} correspondences, got {C.shape}")
     C = as_correspondences(C)
+    if not np.isfinite(C).all():
+        # LAPACK fails a whole chunk of hypotheses on one non-finite octet
+        raise ValueError("correspondences must be finite")
     N = len(C)
     rng = np.random.default_rng(cfg.seed)
     X = build_monomial_matrix(C)
@@ -163,7 +173,7 @@ def ransac_essential(C, cfg: RansacConfig):
         octets = np.stack([rng.choice(N, size=cfg.sample_size, replace=False)
                            for _ in range(chunk)])
         models, valid = _solve_hypotheses(X[octets])
-        dists = _distances_batch(models, p1, p2)
+        dists = _distances_batch(models, X, p1, p2)
         counts = (dists < cfg.threshold).sum(axis=1)
         losses = np.minimum(dists, cfg.threshold).sum(axis=1)
         for j in range(chunk):

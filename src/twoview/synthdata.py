@@ -227,6 +227,8 @@ def pair_from_line(line, line_number):
         seed = int(obj["seed"])
     except (KeyError, TypeError, ValueError) as err:
         raise MalformedRecord(line_number, f"bad field: {err}") from None
+    if not np.all(np.isfinite(corr)):
+        raise MalformedRecord(line_number, "correspondences contain non-finite coordinates")
     recomputed = essential_from_pose(r_gt, t_gt)
     if np.max(np.abs(recomputed - e_gt)) > 1e-12:
         raise MalformedRecord(line_number, "stored e_gt does not match essential_from_pose(r_gt, t_gt)")

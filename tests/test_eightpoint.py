@@ -82,6 +82,7 @@ class TestSymmetricEig9:
             e8.symmetric_eig9(M)
 
     def test_batched_matches_scalar(self):
+        # wrapper parity: the stacked and the single-matrix entry points agree
         rng = np.random.default_rng(4)
         Gs = np.stack([(lambda X: X.T @ X)(rng.normal(size=(8, 9))) for _ in range(20)])
         lam_b, V_b = e8.symmetric_eig9_batched(Gs)
@@ -90,6 +91,33 @@ class TestSymmetricEig9:
             scale = max(1.0, np.linalg.norm(Gs[k]))
             assert np.allclose(lam_b[k], lam_s, atol=1e-10 * scale)
             assert np.allclose(V_b[k] @ np.diag(lam_b[k]) @ V_b[k].T, Gs[k], atol=1e-9 * scale)
+
+    def test_batched_one_asymmetric_matrix_rejected(self):
+        rng = np.random.default_rng(9)
+        Gs = np.stack([(lambda X: X.T @ X)(rng.normal(size=(8, 9))) for _ in range(5)])
+        e8.symmetric_eig9_batched(Gs)
+        Gs[3, 2, 7] += 1e-6 * max(1.0, np.abs(Gs[3]).max())
+        with pytest.raises(e8.NotSymmetric):
+            e8.symmetric_eig9_batched(Gs)
+
+    def test_asymmetry_tolerance_scales_with_magnitude(self):
+        G = 1e6 * np.eye(9)
+        G[0, 1] = 1e-6  # below 1e-10 * max|G|
+        lam, _ = e8.symmetric_eig9(G)
+        assert np.allclose(lam, 1e6)
+        G[0, 1] = 1e-3  # above it
+        with pytest.raises(e8.NotSymmetric):
+            e8.symmetric_eig9(G)
+
+    def test_shape_rejected(self):
+        with pytest.raises(e8.NotSymmetric):
+            e8.symmetric_eig9(np.eye(9)[:8])
+        with pytest.raises(e8.NotSymmetric):
+            e8.symmetric_eig9(np.eye(9)[None])
+        with pytest.raises(e8.NotSymmetric):
+            e8.symmetric_eig9_batched(np.eye(9))
+        with pytest.raises(e8.NotSymmetric):
+            e8.symmetric_eig9_batched(np.zeros((2, 9, 8)))
 
 
 class TestWeightedEightpoint:
@@ -156,6 +184,16 @@ class TestWeightedEightpoint:
         w[:7] = 1.0
         with pytest.raises(e8.InsufficientSupport):
             e8.weighted_eightpoint(pair.correspondences, w)
+
+    def test_non_finite_input_rejected(self):
+        pair = toy_scene()
+        C, w = pair.correspondences.copy(), np.ones(len(pair.correspondences))
+        w[3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            e8.weighted_eightpoint(C, w)
+        C[3, 1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            e8.weighted_eightpoint(C, np.ones(len(C)))
 
     def test_eigengap_collapse_on_rank_deficient_support(self):
         # 8 rows with a duplicate leave a 2-dimensional null space

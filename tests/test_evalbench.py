@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from twoview import evalbench
 from twoview.autodiff import save_checkpoint
 from twoview.config import write_network_config
+from twoview.epipolar import NoValidCandidate, RankDeficient
 from twoview.evalbench import (
     EmptyEvaluation,
     MissingCheckpoint,
@@ -17,7 +21,7 @@ from twoview.evalbench import (
     write_responses_csv,
 )
 from twoview.network import Network, desk_config
-from twoview.ransac import RansacConfig
+from twoview.ransac import InsufficientCorrespondences, NoModelFound, RansacConfig
 from twoview.synthdata import SceneConfig, generate_dataset, generate_pair
 
 
@@ -140,6 +144,44 @@ class TestCompareMethods:
                                  6, base_seed=60)
         report = aggregate(evaluate_method(pairs, "ransac", RansacConfig(), seed=0), pairs)
         assert report.map5 <= report.map10 <= report.map20
+
+
+class TestRansacPairOutcome:
+    @pytest.mark.parametrize("error", [InsufficientCorrespondences, NoModelFound,
+                                       NoValidCandidate, RankDeficient])
+    def test_expected_failures_count_as_failed(self, monkeypatch, error):
+        def fail(C, cfg):
+            raise error("by design")
+
+        monkeypatch.setattr(evalbench, "ransac_essential", fail)
+        pairs = easy_pairs(count=2)
+        result = evaluate_method(pairs, "ransac", RansacConfig(), seed=0)
+        for outcome, pair in zip(result.outcomes, pairs):
+            assert outcome.failed
+            assert not outcome.predicted_mask.any()
+            assert len(outcome.predicted_mask) == len(pair.correspondences)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(C, cfg):
+            raise TypeError("a bug, not a pose failure")
+
+        monkeypatch.setattr(evalbench, "ransac_essential", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            evaluate_method(easy_pairs(count=2), "ransac", RansacConfig(), seed=0)
+
+    def test_per_pair_config_keeps_every_field(self, monkeypatch):
+        seen = []
+        real = evalbench.ransac_essential
+
+        def spy(C, cfg):
+            seen.append(cfg)
+            return real(C, cfg)
+
+        monkeypatch.setattr(evalbench, "ransac_essential", spy)
+        base = RansacConfig(threshold=2e-4, max_iterations=300, confidence=0.99,
+                            sample_size=9, seed=99)
+        evaluate_method(easy_pairs(count=3), "ransac", base, seed=5)
+        assert seen == [replace(base, seed=5 + i) for i in range(3)]
 
 
 class TestLoadNetwork:

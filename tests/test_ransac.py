@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from twoview.eightpoint import build_monomial_matrix
 from twoview.epipolar import (
+    _epipolar_terms,
     pose_angular_errors,
     recover_pose,
     symmetric_epipolar_distances,
@@ -9,6 +11,7 @@ from twoview.epipolar import (
 from twoview.ransac import (
     InsufficientCorrespondences,
     RansacConfig,
+    _distances_batch,
     ransac_essential,
     ransac_postprocess,
 )
@@ -36,6 +39,13 @@ class TestRansacEssential:
             assert rot < 1.0 and trans < 1.0
             exact = symmetric_epipolar_distances(pair.essential, pair.correspondences) < 1e-12
             assert np.all(res.mask[exact])  # every true inlier recovered
+
+    def test_non_finite_correspondence_rejected(self):
+        pair = generate_pair(SceneConfig(n=64, outlier_ratio=0.3, pixel_noise=0.5, seed=23))
+        C = pair.correspondences.copy()
+        C[5] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            ransac_essential(C, RansacConfig(seed=0))
 
     def test_too_few_correspondences(self):
         with pytest.raises(InsufficientCorrespondences):
@@ -66,6 +76,42 @@ class TestRansacEssential:
             RansacConfig(threshold=0.0)
         with pytest.raises(ValueError):
             RansacConfig(max_iterations=0)
+
+
+class TestBatchedHypotheses:
+    def test_distances_match_scalar_path(self):
+        pair = generate_pair(SceneConfig(n=64, outlier_ratio=0.3, pixel_noise=0.5, seed=40))
+        E = pair.essential
+        # epipoles: E e1 = 0 and E^T e2 = 0; a row sitting on both has a zero denominator
+        e1 = np.linalg.svd(E)[2][-1]
+        e2 = np.linalg.svd(E.T)[2][-1]
+        e1, e2 = e1 / e1[2], e2 / e2[2]
+        C = pair.correspondences.copy()
+        C[0] = [e1[0], e1[1], e2[0], e2[1]]
+        C[1] = [e1[0], e1[1], C[1, 2], C[1, 3]]  # on the first epipole only: finite
+        rng = np.random.default_rng(41)
+        models = np.stack([E, -2.0 * E, rng.normal(size=(3, 3)), np.zeros((3, 3)),
+                           E.reshape(9)[::-1].reshape(3, 3)])
+        p1, p2 = (np.column_stack([C[:, i], C[:, i + 1], np.ones(len(C))]) for i in (0, 2))
+        batch = _distances_batch(models, build_monomial_matrix(C), p1, p2)
+        assert batch.shape == (len(models), len(C))
+        for k, model in enumerate(models):
+            scalar = symmetric_epipolar_distances(model, C)
+            assert np.array_equal(np.isinf(batch[k]), np.isinf(scalar))
+            finite = np.isfinite(scalar)
+            if not finite.any():
+                continue
+            # A point near its epipolar line has a residual made of rounding in
+            # either evaluation order, so the error is relative to the size of
+            # the terms p2^T E p1 sums, not to the distance itself.
+            _, den = _epipolar_terms(model, C[finite])
+            terms = np.einsum("na,ab,nb->n", np.abs(p2[finite]), np.abs(model), np.abs(p1[finite]))
+            rel = (np.abs(np.sqrt(batch[k, finite]) - np.sqrt(scalar[finite]))
+                   / (terms / np.sqrt(den) + np.sqrt(scalar[finite])))
+            assert np.all(rel < 1e-12)
+        assert np.isinf(batch[0, 0]) and np.isinf(batch[1, 0])
+        assert np.isfinite(batch[0, 1])
+        assert np.isinf(batch[3]).all()
 
 
 class TestRansacPostprocess:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,18 @@ class TestDatasetRoundTrip:
         with pytest.raises(MalformedRecord) as exc:
             read_dataset(path)
         assert "line 1" in str(exc.value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_correspondence_rejected(self, tmp_path, value):
+        pair = generate_pair(SceneConfig(n=16, outlier_ratio=0.4, pixel_noise=1.0, seed=5))
+        row = int(np.flatnonzero(pair.labels == 0)[0])  # an outlier: its label stays 0
+        record = json.loads(pair_to_line(pair))
+        record["correspondences"][4 * row:4 * row + 4] = [value] * 4
+        path = tmp_path / "data.txt"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(MalformedRecord) as exc:
+            read_dataset(path)
+        assert "line 1" in str(exc.value) and "non-finite" in str(exc.value)
 
     def test_empty_dataset(self, tmp_path):
         path = tmp_path / "empty.txt"
