@@ -7,6 +7,8 @@ bookkeeping cost. The module also provides the central finite-difference
 checker, the Adam optimizer, and the binary parameter checkpoint format.
 """
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -22,6 +24,10 @@ class NonScalarLoss(ValueError):
 
 class NotFinite(FloatingPointError):
     """An op produced NaN or Inf."""
+
+
+class CorruptCheckpoint(ValueError):
+    """A checkpoint file is truncated, garbled or not a checkpoint at all."""
 
 
 def _check_finite(data, op):
@@ -471,6 +477,59 @@ def normalize(a, axes, eps=1e-5):
     return _make(out, (a,), "normalize", bwd)
 
 
+def bn_relu_linear(h, gamma, beta, weight, bias, mean, inv, batch_stats):
+    """relu((h - mean) * inv * gamma + beta) @ weight + bias as one graph node.
+
+    h is (B, N, D); mean and inv are the per-channel statistics the batch
+    norm uses. With batch_stats they are h's own mean and 1/sqrt(var + eps)
+    over (B, N), and the backward passes through them; otherwise they are
+    constants (running statistics).
+    """
+    h, gamma, beta, weight, bias = (as_tensor(t) for t in (h, gamma, beta, weight, bias))
+    if h.data.ndim != 3:
+        raise ShapeMismatch(f"bn_relu_linear: expected (B, N, D), got {h.shape}")
+    d = h.shape[2]
+    if weight.data.ndim != 2 or weight.shape[0] != d:
+        raise ShapeMismatch(f"bn_relu_linear: {h.shape} @ {weight.shape}")
+    if bias.shape != (weight.shape[1],) or gamma.shape != (d,) or beta.shape != (d,):
+        raise ShapeMismatch(f"bn_relu_linear: bias {bias.shape}, gamma {gamma.shape}, "
+                            f"beta {beta.shape} do not fit {h.shape} @ {weight.shape}")
+    mean = np.array(mean, dtype=np.float64)  # a copy: running buffers change in place
+    s = inv * gamma.data
+    a = h.data * s
+    a += beta.data - mean * s
+    _check_finite(a, "bn_relu_linear")  # the ReLU would hide a -inf
+    r = np.maximum(a, 0.0, out=a)
+    out = _matmul_data(r, weight.data)
+    out += bias.data
+
+    def bwd(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        r2 = r.reshape(-1, d)
+        if weight.requires_grad:
+            weight._accum(r2.T @ g2, owned=True)
+        if bias.requires_grad:
+            bias._accum(np.einsum("bnk->k", g), owned=True)
+        ga = (g2 @ weight.data.T).reshape(h.shape)
+        np.multiply(ga, r > 0.0, out=ga)  # ReLU mask; r > 0 exactly where a > 0
+        g_beta = np.einsum("bnd->d", ga)
+        g_gamma = inv * (np.einsum("bnd,bnd->d", ga, h.data) - mean * g_beta)
+        if beta.requires_grad:
+            beta._accum(g_beta, owned=True)
+        if gamma.requires_grad:
+            gamma._accum(g_gamma, owned=True)
+        if h.requires_grad:
+            ga *= s
+            if batch_stats:
+                inv_n = 1.0 / (h.shape[0] * h.shape[1])
+                c = s * inv * g_gamma * inv_n
+                ga -= h.data * c
+                ga += mean * c - s * g_beta * inv_n
+            h._accum(ga, owned=True)
+
+    return _make(out, (h, gamma, beta, weight, bias), "bn_relu_linear", bwd)
+
+
 def detach(a):
     """Gradient barrier: same values, no graph history."""
     a = as_tensor(a)
@@ -519,11 +578,6 @@ def backward(loss):
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
-
-
-def backward_grad(loss):
-    """Alias stating the contract: gradients land on every marked tensor's .grad."""
-    backward(loss)
 
 
 def finite_difference_check(f, x, h=1e-5):
@@ -656,48 +710,75 @@ def _write_record(fh, name, array):
 
 
 def save_checkpoint(store: ParameterStore, path):
-    """Binary checkpoint: parameters, buffers, Adam moments, and the step counter."""
+    """Binary checkpoint: parameters, buffers, Adam moments, and the step counter.
+
+    The file is written beside `path` and renamed over it, so a crash never
+    leaves a partial checkpoint under the final name.
+    """
     names = store.names()
     records = [(n, store[n].data) for n in names]
     for n in store.trainable_names():
         records.append((_ADAM_M + n, store._m[n]))
         records.append((_ADAM_V + n, store._v[n]))
     records.append((_STEP_KEY, np.array(float(store.step))))
-    with open(path, "wb") as fh:
+
+    def write(fh):
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
         fh.write(struct.pack("<Q", len(records)))
         for name, arr in records:
             _write_record(fh, name, arr)
 
+    write_atomically(path, write, prefix=".ckpt-")
+
+
+def write_atomically(path, write, prefix):
+    """Run write(fh) on a binary temp file in path's directory, then rename it to path."""
+    directory, name = os.path.split(os.path.abspath(path))
+    # one temp name per process and target; open() keeps the umask's file mode
+    tmp = os.path.join(directory, f"{prefix}{os.getpid()}-{name}")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
 
 def read_checkpoint_arrays(path):
-    """Raw name -> array contents of a checkpoint file."""
+    """Raw name -> array contents of a checkpoint file; CorruptCheckpoint if it does not parse."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != _VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    (count,) = struct.unpack_from("<Q", blob, 8)
-    off = 16
-    out = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off:off + nlen].decode("utf-8")
-        off += nlen
-        (rank,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        shape = struct.unpack_from(f"<{rank}Q", blob, off) if rank else ()
-        off += 8 * rank
-        size = int(np.prod(shape)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=off).reshape(shape)
-        off += 8 * size
-        out[name] = arr.astype(np.float64)
+        raise CorruptCheckpoint(f"{path}: not a checkpoint file")
+    try:
+        (version,) = struct.unpack_from("<I", blob, 4)
+        if version != _VERSION:
+            raise CorruptCheckpoint(f"{path}: unsupported checkpoint version {version}")
+        (count,) = struct.unpack_from("<Q", blob, 8)
+        off = 16
+        out = {}
+        for _ in range(count):
+            (nlen,) = struct.unpack_from("<I", blob, off)
+            off += 4
+            name = blob[off:off + nlen].decode("utf-8")
+            off += nlen
+            (rank,) = struct.unpack_from("<I", blob, off)
+            off += 4
+            shape = struct.unpack_from(f"<{rank}Q", blob, off)
+            off += 8 * rank
+            size = math.prod(shape)
+            if off + 8 * size > len(blob):
+                raise CorruptCheckpoint(f"{path}: record {name!r} runs past the end of the file")
+            arr = np.frombuffer(blob, dtype="<f8", count=size, offset=off).reshape(shape)
+            off += 8 * size
+            out[name] = arr.astype(np.float64)
+    except (struct.error, UnicodeDecodeError) as err:
+        raise CorruptCheckpoint(f"{path}: truncated or garbled ({err})") from None
     if off != len(blob):
-        raise ValueError(f"{path}: {len(blob) - off} trailing bytes")
+        raise CorruptCheckpoint(f"{path}: {len(blob) - off} trailing bytes")
     return out
 
 

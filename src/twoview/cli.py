@@ -1,9 +1,9 @@
 """Command-line interface: gen, train, eval, compare, responses, gradcheck.
 
 Every command requires an explicit --seed; determinism is part of the
-contract. Exit codes: 0 success, 2 configuration/usage error, 3 training
-divergence (non-finite loss), 4 missing checkpoint, 5 gradient check
-failure.
+contract. Exit codes: 0 success, 2 configuration/usage error or a corrupt
+checkpoint, 3 training divergence (non-finite loss), 4 missing checkpoint,
+5 gradient check failure.
 """
 
 import argparse
@@ -12,12 +12,11 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 from dataclasses import replace
 from datetime import datetime, timezone
 
 from . import __version__
-from .autodiff import save_checkpoint
+from .autodiff import save_checkpoint, write_atomically
 from .config import ConfigError, load_run_config, write_network_config
 from .evalbench import (
     MissingCheckpoint,
@@ -46,19 +45,6 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _atomic_write_text(path, text):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".manifest-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_manifest(out_path, command, args, config_echo, started, outputs):
     manifest = {
         "command": command,
@@ -70,7 +56,8 @@ def write_manifest(out_path, command, args, config_echo, started, outputs):
         "version": __version__,
         "outputs": {p: _sha256(p) for p in outputs if os.path.exists(p)},
     }
-    _atomic_write_text(out_path, json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n"
+    write_atomically(out_path, lambda fh: fh.write(text.encode("utf-8")), prefix=".manifest-")
 
 
 def _now():

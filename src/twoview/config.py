@@ -46,21 +46,11 @@ _SCENE_KEYS = {
     "scene.max_rotation_deg": float,
     "scene.pairs": int,
 }
-_NET_KEYS = {
-    "net.channels": int,
-    "net.clusters": int,
-    "net.blocks_before_pool": int,
-    "net.blocks_after_unpool": int,
-    "net.level2_blocks": int,
-    "net.unpool_variant": str,
-    "net.level2_kind": str,
-    "net.use_pool": bool,
-    "net.iterative": bool,
-    "net.block_order": str,
-    "net.pool_softmax": str,
-    "net.unpool_softmax": str,
-    "net.expected_points": int,
-}
+# the NetworkConfig fields and their types; bn_momentum and eps are set
+# only through the checkpoint sidecar, never from a run config
+_NET_FIELDS = {f.name: f.type for f in fields(NetworkConfig)}
+_NET_KEYS = {f"net.{name}": kind for name, kind in _NET_FIELDS.items()
+             if name not in ("bn_momentum", "eps")}
 _LOSS_KEYS = {
     "loss.kind": str,
     "loss.alpha": float,
@@ -204,12 +194,6 @@ def write_network_config(cfg: NetworkConfig, path):
 
 def read_network_config(path):
     values = {}
-    names = {f.name: f.type for f in fields(NetworkConfig)}
-    kinds = {"channels": int, "clusters": int, "blocks_before_pool": int,
-             "blocks_after_unpool": int, "level2_blocks": int, "expected_points": int,
-             "unpool_variant": str, "level2_kind": str, "block_order": str,
-             "pool_softmax": str, "unpool_softmax": str,
-             "use_pool": bool, "iterative": bool, "bn_momentum": float, "eps": float}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -217,7 +201,7 @@ def read_network_config(path):
                 continue
             key, _, raw = stripped.partition("=")
             key = key.strip()
-            if key not in names:
+            if key not in _NET_FIELDS:
                 raise ConfigError(f"unknown network config key {key!r}", line_no)
-            values[key] = _parse_value(raw, kinds[key], key, line_no)
+            values[key] = _parse_value(raw, _NET_FIELDS[key], key, line_no)
     return NetworkConfig(**values).validate()

@@ -18,6 +18,7 @@ from .network import (
     Network,
     OrderAwareBlock,
     PointCNResBlock,
+    PointCNUnit,
     SpatialCorrelationUnit,
     context_norm,
     desk_config,
@@ -99,6 +100,24 @@ def _op_cases(rng):
          lambda t: ad.reduce_sum(ad.normalize(t, axes=(0, 1)) * p253b))
     p3 = _proj(rng, (3,))
     case("mean", rng.normal(size=(3, 4)), lambda t: ad.reduce_sum(ad.mean(t, axis=1) * p3))
+    gamma3, beta3 = rng.normal(1.0, 0.2, 3), rng.normal(0.0, 0.2, 3)
+    w32, b2 = rng.normal(size=(3, 2)), rng.normal(size=2)
+    p252 = _proj(rng, (2, 5, 2))
+    mean3, inv3 = rng.normal(size=3), rng.uniform(0.5, 2.0, 3)
+
+    def bn_relu_linear(t, batch_stats):
+        # batch statistics follow the probe; an offset input keeps their mean away from 0
+        mean, inv = mean3, inv3
+        if batch_stats:
+            mean = t.data.mean(axis=(0, 1))
+            inv = 1.0 / np.sqrt(t.data.var(axis=(0, 1)) + 1e-5)
+        out = ad.bn_relu_linear(t, gamma3, beta3, w32, b2, mean, inv, batch_stats)
+        return ad.reduce_sum(out * p252)
+
+    case("bn_relu_linear(batch stats)", rng.normal(0.7, 1.0, size=(2, 5, 3)),
+         lambda t: bn_relu_linear(t, True))
+    case("bn_relu_linear(fixed stats)", rng.normal(0.7, 1.0, size=(2, 5, 3)),
+         lambda t: bn_relu_linear(t, False))
     return cases
 
 
@@ -170,6 +189,22 @@ def _block_cases(rng):
                        (B, N, D), (B, N, D))
     cases.append(("pointcn_resnet_block", x, fn))
 
+    # the fused BN -> ReLU -> perceptron node, probed through each of its inputs
+    for mode in ("train", "eval"):
+        unit = PointCNUnit(fresh_store(), "unit", D, 5, cfg, np.random.default_rng(6))
+        unit.bn.gamma.data[...] = rng.normal(1.0, 0.2, D)
+        unit.bn.beta.data[...] = rng.normal(0.0, 0.2, D)
+        unit.bn.running_mean.data[...] = rng.normal(0.0, 0.3, D)
+        unit.bn.running_var.data[...] = rng.uniform(0.5, 2.0, D)
+        unit.perceptron.bias.data[...] = rng.normal(size=5)
+        x_unit = rng.normal(size=(B, N, D))
+        cases.append((f"pointcn_unit({mode}, input)", x_unit,
+                      lambda t, unit=unit, mode=mode: ad.reduce_sum(unit(t, mode) * p_bn5)))
+        for owner, attr in ((unit.bn, "gamma"), (unit.bn, "beta"),
+                            (unit.perceptron, "weight"), (unit.perceptron, "bias")):
+            cases.append((f"pointcn_unit({mode}, {attr})", getattr(owner, attr).data.copy(),
+                          _probe_attr(unit, owner, attr, x_unit, mode, p_bn5)))
+
     store = fresh_store()
     pool = DiffPool(store, "pool", D, M, cfg, np.random.default_rng(1))
     p_bmd = _proj(rng, (B, M, D))
@@ -208,6 +243,19 @@ def _block_cases(rng):
                        (B, M, D), (B, M, D))
     cases.append(("order_aware_block", x, fn))
     return cases
+
+
+def _probe_attr(layer, owner, attr, x, mode, proj):
+    """Scalar function of a probe tensor standing in for owner.attr inside layer."""
+    def fn(t):
+        saved = getattr(owner, attr)
+        setattr(owner, attr, t)
+        try:
+            return ad.reduce_sum(layer(x, mode) * proj)
+        finally:
+            setattr(owner, attr, saved)
+
+    return fn
 
 
 def _loss_cases(rng):

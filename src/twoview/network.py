@@ -153,10 +153,24 @@ class PointCNUnit:
 
     def __call__(self, x, mode):
         if self.cfg.block_order == "norm_first":
+            # CN -> BN -> ReLU -> perceptron, the last three as one node
             h = context_norm(x, self.cfg.eps)
-            h = self.bn(h, mode)
-            h = ad.relu(h)
-            return self.perceptron(h)
+            bn, train = self.bn, mode == "train"
+            if train:
+                n = h.shape[0] * h.shape[1]
+                if n < 2:
+                    raise ShapeMismatch("batch_norm: train mode needs batch*points >= 2")
+                mean = np.einsum("bnd->d", h.data) * (1.0 / n)
+                # h has a per-sample mean of ~0, so E[h^2] - mean^2 loses nothing
+                var = np.einsum("bnd,bnd->d", h.data, h.data) * (1.0 / n) - mean * mean
+            else:
+                mean, var = bn.running_mean.data, bn.running_var.data
+            out = ad.bn_relu_linear(h, bn.gamma, bn.beta, self.perceptron.weight, self.perceptron.bias,
+                                    mean, 1.0 / np.sqrt(var + bn.eps), train)
+            if train:
+                bn.running_mean.data[...] = bn.momentum * bn.running_mean.data + (1 - bn.momentum) * mean
+                bn.running_var.data[...] = bn.momentum * bn.running_var.data + (1 - bn.momentum) * var
+            return out
         h = self.perceptron(x)
         h = context_norm(h, self.cfg.eps)
         h = self.bn(h, mode)

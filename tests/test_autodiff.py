@@ -1,9 +1,12 @@
 import os
+import struct
+
 import numpy as np
 import pytest
 
 from twoview import autodiff as ad
 from twoview.autodiff import (
+    CorruptCheckpoint,
     NonScalarLoss,
     NotFinite,
     ParameterStore,
@@ -237,6 +240,54 @@ class TestCheckpoint:
         path.write_bytes(blob[:-5])
         with pytest.raises(ValueError):
             read_checkpoint_arrays(path)
+
+    def test_every_truncation_is_corrupt(self, tmp_path):
+        store = self.build()
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(store, path)
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(CorruptCheckpoint):
+                read_checkpoint_arrays(path)
+
+    def test_garbled_records_are_corrupt(self, tmp_path):
+        store = self.build()
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(store, path)
+        blob = path.read_bytes()
+        # header (16 bytes), then the first record: name length, "layer.weight", rank, dims
+        assert blob[20:32] == b"layer.weight"
+        bad_name = bytearray(blob)
+        bad_name[20] = 0xFF
+        huge_dim = bytearray(blob)
+        struct.pack_into("<Q", huge_dim, 36, 2 ** 62)
+        for garbled in (bytes(bad_name), bytes(huge_dim), blob + b"\0"):
+            path.write_bytes(garbled)
+            with pytest.raises(CorruptCheckpoint):
+                read_checkpoint_arrays(path)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(self.build(), path)
+        before = path.read_bytes()
+
+        def broken(fh, name, array):
+            fh.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(ad, "_write_record", broken)
+        with pytest.raises(OSError):
+            save_checkpoint(self.build(seed=1), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["ckpt.bin"]
+
+    def test_save_keeps_the_umask_file_mode(self, tmp_path):
+        umask = os.umask(0o022)
+        os.umask(umask)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(self.build(), path)
+        assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -115,6 +115,19 @@ class TestEval:
                      "--out", str(tmp_path / "m.csv")])
         assert code == 4
 
+    @pytest.mark.parametrize("cut", [30, 16])
+    def test_truncated_checkpoint_exit_2(self, workspace, tmp_path, capsys, cut):
+        import shutil
+
+        ckpt = tmp_path / "cut.bin"
+        ckpt.write_bytes(workspace["ckpt"].read_bytes()[:cut])
+        shutil.copy(str(workspace["ckpt"]) + ".netconfig", str(ckpt) + ".netconfig")
+        code = main(["eval", "--seed", "3", "--config", str(workspace["cfg"]),
+                     "--dataset", str(workspace["data"]), "--method", "net",
+                     "--checkpoint", str(ckpt), "--out", str(tmp_path / "m.csv")])
+        assert code == 2
+        assert "cut.bin" in capsys.readouterr().err
+
     def test_repeated_eval_identical_csv(self, workspace, tmp_path):
         outs = []
         for name in ("m1.csv", "m2.csv"):

@@ -1,6 +1,7 @@
 import pytest
 
 from twoview.config import (
+    KNOWN_KEYS,
     ConfigError,
     TrainParams,
     load_run_config,
@@ -99,3 +100,22 @@ class TestNetworkConfigSidecar:
         path.write_text("channels=8\nwizardry=9\n")
         with pytest.raises(ConfigError):
             read_network_config(path)
+
+
+class TestNetworkKeys:
+    RUN_CONFIG_KEYS = {"channels", "clusters", "blocks_before_pool", "blocks_after_unpool",
+                       "level2_blocks", "unpool_variant", "level2_kind", "use_pool", "iterative",
+                       "block_order", "pool_softmax", "unpool_softmax", "expected_points"}
+
+    def test_run_config_keys_unchanged(self):
+        assert {k[len("net."):] for k in KNOWN_KEYS if k.startswith("net.")} == self.RUN_CONFIG_KEYS
+
+    @pytest.mark.parametrize("key", ["bn_momentum", "eps"])
+    def test_sidecar_only_keys(self, tmp_path, key):
+        run_cfg = tmp_path / "c.cfg"
+        run_cfg.write_text(f"net.{key} = 0.5\n")
+        with pytest.raises(ConfigError):
+            parse_config_file(run_cfg)
+        sidecar = tmp_path / "model.netconfig"
+        sidecar.write_text(f"{key}=0.5\n")
+        assert getattr(read_network_config(sidecar), key) == 0.5

@@ -10,6 +10,7 @@ from twoview.network import (
     Network,
     OrderAwareBlock,
     PointCNResBlock,
+    PointCNUnit,
     context_norm,
     desk_config,
     paper_config,
@@ -149,6 +150,139 @@ class TestPointCNBlock:
         store = ParameterStore()
         block = PointCNResBlock(store, "blk", D, cfg, np.random.default_rng(3))
         assert block(Tensor(rand((B, N, D))), "train").shape == (B, N, D)
+
+
+def reference_unit(unit, x, mode):
+    """The norm_first unit with one graph node per step: CN -> BN -> ReLU -> perceptron."""
+    h = unit.bn(context_norm(x, unit.cfg.eps), mode)
+    return shared_perceptron(ad.relu(h), unit.perceptron.weight, unit.perceptron.bias)
+
+
+def gradient_gap(store_a, store_b, extra=()):
+    """Largest gradient difference over all parameters, relative to the largest entry."""
+    pairs = [(store_a[n].grad, store_b[n].grad) for n in store_a.trainable_names()]
+    pairs += list(extra)
+    pairs = [(a, b) for a, b in pairs if a is not None or b is not None]
+    assert all(a is not None and b is not None for a, b in pairs)
+    largest = max(np.abs(b).max() for _, b in pairs)
+    assert largest > 0
+    return max(np.abs(a - b).max() for a, b in pairs) / largest
+
+
+def running_gap(store_a, store_b):
+    return max(np.abs(store_a[n].data - store_b[n].data).max()
+               for n in store_a.names() if ".running_" in n)
+
+
+class TestFusedUnit:
+    """The fused BN -> ReLU -> perceptron node against the unfused ops it replaces.
+
+    Gradients are compared over all parameters at once: some perceptron
+    biases (those feeding a context norm, a batch norm or the unpool
+    softmax over nodes) have an analytic gradient of 0, so each path gives
+    them only rounding noise.
+    """
+
+    def make_unit(self):
+        store = ParameterStore()
+        unit = PointCNUnit(store, "unit", D, 5, tiny_config(), np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        unit.bn.gamma.data[...] = rng.normal(1.0, 0.3, D)
+        unit.bn.beta.data[...] = rng.normal(0.0, 0.3, D)
+        unit.bn.running_mean.data[...] = rng.normal(0.0, 0.3, D)
+        unit.bn.running_var.data[...] = rng.uniform(0.5, 2.0, D)
+        unit.perceptron.bias.data[...] = rng.normal(size=5)
+        return store, unit
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_unit_matches_reference(self, mode):
+        x0, proj = rand((B, N, D), seed=40), rand((B, N, 5), seed=41)
+        results = []
+        for call in (PointCNUnit.__call__, reference_unit):
+            store, unit = self.make_unit()
+            x = Tensor(x0, requires_grad=True)
+            out = call(unit, x, mode)
+            ad.backward(ad.reduce_sum(out * proj))
+            results.append((store, out.data, x.grad))
+        (fused, out_f, gx_f), (ref, out_r, gx_r) = results
+        assert np.abs(out_f - out_r).max() <= 1e-12 * np.abs(out_r).max()
+        assert gradient_gap(fused, ref, [(gx_f, gx_r)]) <= 1e-12
+        assert running_gap(fused, ref) <= 1e-12
+
+    def test_no_graph_under_no_grad(self):
+        _, unit = self.make_unit()
+        with ad.no_grad():
+            out = unit(Tensor(rand((B, N, D), seed=42)), "eval")
+        assert out._backward is None and out._parents == ()
+
+    def test_shape_mismatch(self):
+        _, unit = self.make_unit()
+        with pytest.raises(ShapeMismatch):
+            unit(Tensor(rand((B, N, D + 1))), "train")
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_network_step_matches_reference(self, monkeypatch, mode):
+        from twoview.losses import LossConfig, total_loss
+
+        pairs = [generate_pair(SceneConfig(n=N, outlier_ratio=0.25, pixel_noise=0.5, seed=s))
+                 for s in (50, 51)]
+        corr = np.stack([p.correspondences for p in pairs])
+        labels = np.stack([p.labels for p in pairs])
+        egts = np.stack([p.essential for p in pairs])
+        results = []
+        for call in (PointCNUnit.__call__, reference_unit):
+            monkeypatch.setattr(PointCNUnit, "__call__", call)
+            net = Network(tiny_config(), seed=8)
+            rng = np.random.default_rng(9)
+            for name in net.store.names():
+                if name.endswith(".running_mean"):
+                    net.store[name].data[...] = rng.normal(0.0, 0.3, net.store[name].shape)
+                elif name.endswith(".running_var"):
+                    net.store[name].data[...] = rng.uniform(0.5, 2.0, net.store[name].shape)
+            out = net.forward(corr, mode=mode)
+            loss = total_loss(out.logits, labels, out.essentials, egts, corr,
+                              LossConfig(kind="geometry", warmup=0), 0)
+            ad.backward(loss)
+            results.append((net.store, out.logits.data))
+        (fused, z_f), (ref, z_r) = results
+        assert np.abs(z_f - z_r).max() <= 1e-12 * np.abs(z_r).max()
+        assert gradient_gap(fused, ref) <= 1e-12
+        assert running_gap(fused, ref) <= 1e-12
+
+    def test_checkpoint_from_unfused_units_loads(self, monkeypatch, tmp_path):
+        from twoview.autodiff import adam_step, save_checkpoint
+        from twoview.config import write_network_config
+        from twoview.evalbench import load_network
+        from twoview.losses import LossConfig, total_loss
+
+        pair = generate_pair(SceneConfig(n=N, outlier_ratio=0.25, pixel_noise=0.5, seed=52))
+        corr = pair.correspondences[None]
+        fused_call = PointCNUnit.__call__
+        monkeypatch.setattr(PointCNUnit, "__call__", reference_unit)
+        cfg = tiny_config()
+        net = Network(cfg, seed=10)
+        for _ in range(3):
+            out = net.forward(corr, mode="train")
+            loss = total_loss(out.logits, pair.labels[None], out.essentials, pair.essential[None],
+                              corr, LossConfig(kind="geometry", warmup=0), 0)
+            net.store.zero_grad()
+            ad.backward(loss)
+            adam_step(net.store, lr=1e-2)
+        path = tmp_path / "unfused.bin"
+        save_checkpoint(net.store, path)
+        write_network_config(cfg, str(path) + ".netconfig")
+        with ad.no_grad():
+            z_ref = net.forward(corr, mode="eval").logits.data
+        monkeypatch.setattr(PointCNUnit, "__call__", fused_call)
+
+        loaded = load_network(str(path))
+        assert {n for n in loaded.store.names() if n.startswith("net.l1a.0.unit1.")} == {
+            "net.l1a.0.unit1.bn.gamma", "net.l1a.0.unit1.bn.beta",
+            "net.l1a.0.unit1.bn.running_mean", "net.l1a.0.unit1.bn.running_var",
+            "net.l1a.0.unit1.perc.weight", "net.l1a.0.unit1.perc.bias"}
+        with ad.no_grad():
+            z = loaded.forward(corr, mode="eval").logits.data
+        assert np.abs(z - z_ref).max() <= 1e-12 * max(1.0, np.abs(z_ref).max())
 
 
 class TestDiffPool:
