@@ -285,22 +285,16 @@ def minimum_const(a, cap):
 
 
 def _matmul_data(x, y):
-    """Dense product avoiding numpy's slow batched-GEMM paths."""
+    """Dense product; a batch against one shared matrix runs as a single GEMM.
+
+    np.matmul loops over the batch for (B, N, K) @ (K, M), which is slower
+    than one (B*N, K) @ (K, M) GEMM at the spatial-correlation shape.
+    """
     if x.ndim == 3 and y.ndim == 2:
         return (x.reshape(-1, x.shape[-1]) @ y).reshape(x.shape[0], x.shape[1], y.shape[1])
-    if x.ndim == 2 and y.ndim == 3:
-        out = np.empty((y.shape[0], x.shape[0], y.shape[2]))
-        for i in range(y.shape[0]):
-            np.matmul(x, y[i], out=out[i])
-        return out
-    if x.ndim == 3 and y.ndim == 3:
-        if x.shape[0] != y.shape[0]:
-            raise ShapeMismatch(f"matmul: batch dims differ, {x.shape} @ {y.shape}")
-        out = np.empty((x.shape[0], x.shape[1], y.shape[2]))
-        for i in range(x.shape[0]):
-            np.matmul(x[i], y[i], out=out[i])
-        return out
-    return x @ y
+    if x.ndim == 3 and y.ndim == 3 and x.shape[0] != y.shape[0]:
+        raise ShapeMismatch(f"matmul: batch dims differ, {x.shape} @ {y.shape}")
+    return np.matmul(x, y)
 
 
 def matmul(a, b):

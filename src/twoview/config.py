@@ -51,6 +51,10 @@ _SCENE_KEYS = {
 _NET_FIELDS = {f.name: f.type for f in fields(NetworkConfig)}
 _NET_KEYS = {f"net.{name}": kind for name, kind in _NET_FIELDS.items()
              if name not in ("bn_momentum", "eps")}
+# retired network options: sidecars written while they existed still carry
+# them, always at the one value the network keeps
+_RETIRED_NET_VALUES = {"block_order": "norm_first", "pool_softmax": "clusters",
+                       "unpool_softmax": "nodes"}
 _LOSS_KEYS = {
     "loss.kind": str,
     "loss.alpha": float,
@@ -201,6 +205,11 @@ def read_network_config(path):
                 continue
             key, _, raw = stripped.partition("=")
             key = key.strip()
+            if key in _RETIRED_NET_VALUES:
+                if raw.strip() != _RETIRED_NET_VALUES[key]:
+                    raise ConfigError(f"retired network config key {key!r} only accepts "
+                                      f"{_RETIRED_NET_VALUES[key]!r}, got {raw.strip()!r}", line_no)
+                continue
             if key not in _NET_FIELDS:
                 raise ConfigError(f"unknown network config key {key!r}", line_no)
             values[key] = _parse_value(raw, _NET_FIELDS[key], key, line_no)

@@ -145,9 +145,3 @@ def backward_from_context(ctx: EightPointContext, upstream_grad_on_E):
     inv = 1.0 / (lam[0] - lam[1:])
     u = rest @ (inv * (rest.T @ g))
     return (ctx.X @ u) * (ctx.X @ v)
-
-
-def weighted_eightpoint_backward(C, w, upstream_grad_on_E):
-    """Standalone backward pass; re-runs the forward solve to build its cache."""
-    ctx = _solve(C, w)
-    return backward_from_context(ctx, upstream_grad_on_E)

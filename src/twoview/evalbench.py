@@ -76,7 +76,10 @@ def pose_map(errors, max_threshold_deg):
 
 
 def classification_prf(predicted_mask, labels):
-    """Percent precision/recall/F for one pair; zero denominators flag and yield 0."""
+    """Percent precision/recall/F of a mask against its labels; zero denominators flag and yield 0.
+
+    Concatenated masks and labels of many pairs give the micro average.
+    """
     predicted = np.asarray(predicted_mask).astype(bool).reshape(-1)
     truth = np.asarray(labels).astype(bool).reshape(-1)
     if predicted.shape != truth.shape:
@@ -84,10 +87,6 @@ def classification_prf(predicted_mask, labels):
     tp = int(np.count_nonzero(predicted & truth))
     fp = int(np.count_nonzero(predicted & ~truth))
     fn = int(np.count_nonzero(~predicted & truth))
-    return _prf_from_counts(tp, fp, fn)
-
-
-def _prf_from_counts(tp, fp, fn):
     flagged = (tp + fp == 0) or (tp + fn == 0)
     precision = 100.0 * tp / (tp + fp) if tp + fp else 0.0
     recall = 100.0 * tp / (tp + fn) if tp + fn else 0.0
@@ -165,19 +164,16 @@ def evaluate_method(pairs, method, ransac_cfg: RansacConfig = None, net: Network
 def aggregate(result: MethodResult, pairs):
     """Micro-averaged MetricsReport for one method over a dataset."""
     errors = [(o.rotation_error_deg, o.translation_error_deg) for o in result.outcomes]
-    tp = fp = fn = 0
-    for outcome, pair in zip(result.outcomes, pairs):
-        predicted = outcome.predicted_mask.astype(bool)
-        truth = pair.labels.astype(bool)
-        tp += int(np.count_nonzero(predicted & truth))
-        fp += int(np.count_nonzero(predicted & ~truth))
-        fn += int(np.count_nonzero(~predicted & truth))
-    precision, recall, f, flagged = _prf_from_counts(tp, fp, fn)
+    # pose_map raises EmptyEvaluation for no outcomes, before np.concatenate would fail
+    map5, map10, map20 = (pose_map(errors, t) for t in (5, 10, 20))
+    precision, recall, f, flagged = classification_prf(
+        np.concatenate([o.predicted_mask.reshape(-1) for o in result.outcomes]),
+        np.concatenate([p.labels.reshape(-1) for p in pairs]))
     return MetricsReport(
         method=result.method,
-        map5=pose_map(errors, 5),
-        map10=pose_map(errors, 10),
-        map20=pose_map(errors, 20),
+        map5=map5,
+        map10=map10,
+        map20=map20,
         precision=precision,
         recall=recall,
         fscore=f,

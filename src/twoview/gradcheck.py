@@ -71,6 +71,13 @@ def _op_cases(rng):
     p232 = _proj(rng, (2, 3, 2))
     case("matmul(batched)", rng.normal(size=(2, 3, 4)),
          lambda t: ad.reduce_sum(ad.matmul(t, m42) * p232))
+    m242, c234 = rng.normal(size=(2, 4, 2)), rng.normal(size=(2, 3, 4))
+    case("matmul(batch @ batch, lhs)", rng.normal(size=(2, 3, 4)),
+         lambda t: ad.reduce_sum(ad.matmul(t, m242) * p232))
+    case("matmul(batch @ batch, rhs)", rng.normal(size=(2, 4, 2)),
+         lambda t: ad.reduce_sum(ad.matmul(c234, t) * p232))
+    case("matmul(matrix @ batch)", rng.normal(size=(2, 4, 2)),
+         lambda t: ad.reduce_sum(ad.matmul(c34, t) * p232))
     p43 = _proj(rng, (4, 3))
     case("transpose_last2", rng.normal(size=(3, 4)),
          lambda t: ad.reduce_sum(ad.transpose_last2(t) * p43))

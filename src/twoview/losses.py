@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .epipolar import _epipolar_terms, EPIPOLE_DENOM_MIN
+from .epipolar import EPIPOLE_DENOM_MIN
 
 
 class DegenerateLabels(ValueError):
@@ -38,13 +38,6 @@ class LossConfig:
             raise ValueError("alpha must be non-negative")
         if self.clamp <= 0:
             raise ValueError("clamp must be positive")
-
-
-def paper_loss_config(**overrides):
-    cfg = LossConfig(**overrides)
-    if "warmup" not in overrides:
-        cfg.warmup = 20000
-    return cfg
 
 
 def classification_loss(z, labels, balanced=True, counters: LossCounters = None):
@@ -118,8 +111,7 @@ def geometry_loss(e_hat, inlier_corr, clamp=0.1):
     num = residual * residual
     den = ad.reduce_sum(ad.slice_last(ep1, 0, 2) * ad.slice_last(ep1, 0, 2), axis=1) \
         + ad.reduce_sum(ad.slice_last(etp2, 0, 2) * ad.slice_last(etp2, 0, 2), axis=1)
-    _, den_values = _epipolar_terms(e_hat.data, C)
-    degenerate = (den_values < EPIPOLE_DENOM_MIN).astype(np.float64)
+    degenerate = (den.data < EPIPOLE_DENOM_MIN).astype(np.float64)
     good = 1.0 - degenerate
     # degenerate rows: constant clamp contribution, zero gradient
     dist = ad.minimum_const(num / (den + degenerate), clamp) * good + degenerate * clamp

@@ -29,9 +29,6 @@ class NetworkConfig:
     level2_kind: str = "order_aware"      # "order_aware" | "pointcn"
     use_pool: bool = True                 # False: plain PointCN baseline
     iterative: bool = False
-    block_order: str = "norm_first"       # "norm_first" | "perceptron_first"
-    pool_softmax: str = "clusters"        # axis the pool assignment normalizes over
-    unpool_softmax: str = "nodes"         # axis the unpool assignment normalizes over
     expected_points: int = 2000           # needed by the plain unpool head (D -> N)
     bn_momentum: float = 0.9
     eps: float = 1e-5
@@ -41,12 +38,6 @@ class NetworkConfig:
             raise ValueError(f"unknown unpool_variant {self.unpool_variant!r}")
         if self.level2_kind not in ("order_aware", "pointcn"):
             raise ValueError(f"unknown level2_kind {self.level2_kind!r}")
-        if self.block_order not in ("norm_first", "perceptron_first"):
-            raise ValueError(f"unknown block_order {self.block_order!r}")
-        if self.pool_softmax not in ("clusters", "nodes"):
-            raise ValueError(f"unknown pool_softmax {self.pool_softmax!r}")
-        if self.unpool_softmax not in ("clusters", "nodes"):
-            raise ValueError(f"unknown unpool_softmax {self.unpool_softmax!r}")
         for key in ("channels", "clusters", "blocks_before_pool", "blocks_after_unpool",
                     "level2_blocks", "expected_points"):
             if getattr(self, key) < 1:
@@ -143,38 +134,31 @@ class BatchNorm:
 
 
 class PointCNUnit:
-    """One normalization/activation/perceptron unit of a PointCN block."""
+    """One PointCN unit: CN -> BN -> ReLU -> perceptron, the last three as one node."""
 
     def __init__(self, store, name, d_in, d_out, cfg: NetworkConfig, rng):
         self.cfg = cfg
-        bn_channels = d_in if cfg.block_order == "norm_first" else d_out
-        self.bn = BatchNorm(store, f"{name}.bn", bn_channels, cfg.bn_momentum, cfg.eps)
+        self.bn = BatchNorm(store, f"{name}.bn", d_in, cfg.bn_momentum, cfg.eps)
         self.perceptron = Perceptron(store, f"{name}.perc", d_in, d_out, rng)
 
     def __call__(self, x, mode):
-        if self.cfg.block_order == "norm_first":
-            # CN -> BN -> ReLU -> perceptron, the last three as one node
-            h = context_norm(x, self.cfg.eps)
-            bn, train = self.bn, mode == "train"
-            if train:
-                n = h.shape[0] * h.shape[1]
-                if n < 2:
-                    raise ShapeMismatch("batch_norm: train mode needs batch*points >= 2")
-                mean = np.einsum("bnd->d", h.data) * (1.0 / n)
-                # h has a per-sample mean of ~0, so E[h^2] - mean^2 loses nothing
-                var = np.einsum("bnd,bnd->d", h.data, h.data) * (1.0 / n) - mean * mean
-            else:
-                mean, var = bn.running_mean.data, bn.running_var.data
-            out = ad.bn_relu_linear(h, bn.gamma, bn.beta, self.perceptron.weight, self.perceptron.bias,
-                                    mean, 1.0 / np.sqrt(var + bn.eps), train)
-            if train:
-                bn.running_mean.data[...] = bn.momentum * bn.running_mean.data + (1 - bn.momentum) * mean
-                bn.running_var.data[...] = bn.momentum * bn.running_var.data + (1 - bn.momentum) * var
-            return out
-        h = self.perceptron(x)
-        h = context_norm(h, self.cfg.eps)
-        h = self.bn(h, mode)
-        return ad.relu(h)
+        h = context_norm(x, self.cfg.eps)
+        bn, train = self.bn, mode == "train"
+        if train:
+            n = h.shape[0] * h.shape[1]
+            if n < 2:
+                raise ShapeMismatch("batch_norm: train mode needs batch*points >= 2")
+            mean = np.einsum("bnd->d", h.data) * (1.0 / n)
+            # h has a per-sample mean of ~0, so E[h^2] - mean^2 loses nothing
+            var = np.einsum("bnd,bnd->d", h.data, h.data) * (1.0 / n) - mean * mean
+        else:
+            mean, var = bn.running_mean.data, bn.running_var.data
+        out = ad.bn_relu_linear(h, bn.gamma, bn.beta, self.perceptron.weight, self.perceptron.bias,
+                                mean, 1.0 / np.sqrt(var + bn.eps), train)
+        if train:
+            bn.running_mean.data[...] = bn.momentum * bn.running_mean.data + (1 - bn.momentum) * mean
+            bn.running_var.data[...] = bn.momentum * bn.running_var.data + (1 - bn.momentum) * var
+        return out
 
 
 class PointCNResBlock:
@@ -220,16 +204,17 @@ class OrderAwareBlock:
 
 
 class DiffPool:
-    """Soft-assignment pooling of N nodes into a canonical set of clusters."""
+    """Soft-assignment pooling of N nodes into a canonical set of clusters.
+
+    Each node's assignment is a softmax over the clusters.
+    """
 
     def __init__(self, store, name, channels, clusters, cfg, rng):
-        self.cfg = cfg
         self.head = PointCNUnit(store, f"{name}.head", channels, clusters, cfg, rng)
 
     def __call__(self, x, mode):
         logits = self.head(x, mode)                     # (B, N, M)
-        axis = 2 if self.cfg.pool_softmax == "clusters" else 1
-        assign = ad.softmax(logits, axis=axis)
+        assign = ad.softmax(logits, axis=2)
         clusters = ad.matmul(ad.transpose_last2(assign), x)  # (B, M, D)
         return clusters, assign
 
@@ -240,7 +225,8 @@ class DiffUnpool:
     The order-aware variant learns the assignment from the pre-pool
     features, so output rows stay aligned with the input ordering. The
     plain variant learns it from the cluster features alone and cannot
-    recover the input order; it is kept for ablations.
+    recover the input order; it is kept for ablations. Each cluster's
+    assignment is a softmax over the nodes.
     """
 
     def __init__(self, store, name, channels, clusters, cfg, rng):
@@ -258,8 +244,7 @@ class DiffUnpool:
                 raise ShapeMismatch(
                     f"plain unpool is built for N={self.cfg.expected_points}, got N={x_pre.shape[1]}")
             logits = ad.transpose_last2(self.head(clusters, mode))  # (B, N, M)
-        axis = 1 if self.cfg.unpool_softmax == "nodes" else 2
-        assign = ad.softmax(logits, axis=axis)
+        assign = ad.softmax(logits, axis=1)
         return ad.matmul(assign, clusters), assign      # (B, N, D)
 
 

@@ -40,6 +40,25 @@ class TestForwardSemantics:
         with pytest.raises(ShapeMismatch):
             ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
 
+    @pytest.mark.parametrize("shapes", [((2, 3, 4), (2, 4, 5)), ((3, 4), (2, 4, 5)),
+                                        ((8, 64, 16), (8, 16, 8))])
+    def test_batched_matmul_equals_per_sample_loop(self, shapes):
+        """Output and both gradients equal a loop of 2-D products, bit for bit."""
+        rng = np.random.default_rng(3)
+        a, b = (Tensor(rng.normal(size=s), requires_grad=True) for s in shapes)
+        g = rng.normal(size=(shapes[1][0], shapes[0][-2], shapes[1][-1]))
+        out = ad.matmul(a, b)
+        ad.backward(ad.reduce_sum(out * g))
+        a3 = np.broadcast_to(a.data, (len(g),) + a.shape[-2:])
+        assert np.array_equal(out.data, np.stack([x @ y for x, y in zip(a3, b.data)]))
+        ga = np.stack([gi @ y.T for gi, y in zip(g, b.data)])
+        assert np.array_equal(a.grad, ga if a.data.ndim == 3 else ga.sum(axis=0))
+        assert np.array_equal(b.grad, np.stack([x.T @ gi for x, gi in zip(a3, g)]))
+
+    def test_matmul_batch_mismatch(self):
+        with pytest.raises(ShapeMismatch, match="batch dims differ"):
+            ad.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
+
     def test_add_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))

@@ -128,6 +128,19 @@ class TestEval:
         assert code == 2
         assert "cut.bin" in capsys.readouterr().err
 
+    def test_retired_key_at_other_value_exit_2(self, workspace, tmp_path, capsys):
+        import shutil
+
+        ckpt = tmp_path / "legacy.bin"
+        shutil.copy(workspace["ckpt"], ckpt)
+        sidecar = workspace["ckpt"].with_name(workspace["ckpt"].name + ".netconfig").read_text()
+        (tmp_path / "legacy.bin.netconfig").write_text(sidecar + "block_order=perceptron_first\n")
+        code = main(["eval", "--seed", "3", "--config", str(workspace["cfg"]),
+                     "--dataset", str(workspace["data"]), "--method", "net",
+                     "--checkpoint", str(ckpt), "--out", str(tmp_path / "m.csv")])
+        assert code == 2
+        assert "block_order" in capsys.readouterr().err
+
     def test_repeated_eval_identical_csv(self, workspace, tmp_path):
         outs = []
         for name in ("m1.csv", "m2.csv"):

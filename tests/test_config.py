@@ -1,3 +1,6 @@
+import os
+import re
+
 import pytest
 
 from twoview.config import (
@@ -51,6 +54,23 @@ class TestParse:
             parse_config_file(p)
 
 
+class TestDeskConfigFile:
+    PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "configs", "desk.cfg")
+
+    def test_documents_every_known_key(self):
+        """Set and commented-out `# key = value` lines together name exactly KNOWN_KEYS."""
+        with open(self.PATH, encoding="utf-8") as fh:
+            keys = [m.group(1) for m in (re.match(r"#?\s*([\w.]+)\s*=", line.strip()) for line in fh)
+                    if m]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == set(KNOWN_KEYS)
+
+    def test_loads_as_desk_preset(self):
+        run = load_run_config(self.PATH)
+        assert run.network == desk_config()
+
+
 class TestResolve:
     def test_defaults_without_file(self):
         run = load_run_config(None)
@@ -102,10 +122,57 @@ class TestNetworkConfigSidecar:
             read_network_config(path)
 
 
+# a desk sidecar as written while block_order, pool_softmax and unpool_softmax existed
+LEGACY_DESK_SIDECAR = """channels=32
+clusters=128
+blocks_before_pool=2
+blocks_after_unpool=2
+level2_blocks=2
+unpool_variant=order_aware
+level2_kind=order_aware
+use_pool=true
+iterative=false
+block_order=norm_first
+pool_softmax=clusters
+unpool_softmax=nodes
+expected_points=512
+bn_momentum=0.9
+eps=1e-05
+"""
+RETIRED_SIDECAR = {"block_order": ("norm_first", "perceptron_first"),
+                   "pool_softmax": ("clusters", "nodes"),
+                   "unpool_softmax": ("nodes", "clusters")}
+
+
+class TestRetiredNetworkKeys:
+    def test_legacy_sidecar_loads_as_desk(self, tmp_path):
+        path = tmp_path / "model.netconfig"
+        path.write_text(LEGACY_DESK_SIDECAR)
+        assert read_network_config(path) == desk_config()
+
+    @pytest.mark.parametrize("key", sorted(RETIRED_SIDECAR))
+    def test_other_value_rejected_with_key_and_line(self, tmp_path, key):
+        kept, other = RETIRED_SIDECAR[key]
+        path = tmp_path / "model.netconfig"
+        text = LEGACY_DESK_SIDECAR.replace(f"{key}={kept}\n", f"{key}={other}\n")
+        assert text != LEGACY_DESK_SIDECAR
+        path.write_text(text)
+        line = text.splitlines().index(f"{key}={other}") + 1
+        with pytest.raises(ConfigError, match=f"line {line}: .*{key}") as exc:
+            read_network_config(path)
+        assert exc.value.line == line
+
+    def test_not_written(self, tmp_path):
+        path = tmp_path / "model.netconfig"
+        write_network_config(desk_config(), path)
+        keys = [line.partition("=")[0] for line in path.read_text().splitlines()]
+        assert not set(keys) & set(RETIRED_SIDECAR)
+
+
 class TestNetworkKeys:
     RUN_CONFIG_KEYS = {"channels", "clusters", "blocks_before_pool", "blocks_after_unpool",
                        "level2_blocks", "unpool_variant", "level2_kind", "use_pool", "iterative",
-                       "block_order", "pool_softmax", "unpool_softmax", "expected_points"}
+                       "expected_points"}
 
     def test_run_config_keys_unchanged(self):
         assert {k[len("net."):] for k in KNOWN_KEYS if k.startswith("net.")} == self.RUN_CONFIG_KEYS

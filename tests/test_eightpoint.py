@@ -208,7 +208,8 @@ class TestBackward:
     def test_zero_upstream(self):
         pair = toy_scene()
         w = np.ones(len(pair.correspondences))
-        g = e8.weighted_eightpoint_backward(pair.correspondences, w, np.zeros((3, 3)))
+        _, ctx = e8.weighted_eightpoint_with_context(pair.correspondences, w)
+        g = e8.backward_from_context(ctx, np.zeros((3, 3)))
         assert np.array_equal(g, np.zeros_like(w))
 
     def test_matches_finite_differences_20_instances(self):
@@ -240,7 +241,8 @@ class TestBackward:
         C[5] = C[4]
         w = rng.uniform(0.2, 1.0, 24)
         w[5] = w[4]
-        g = e8.weighted_eightpoint_backward(C, w, rng.normal(size=(3, 3)))
+        _, ctx = e8.weighted_eightpoint_with_context(C, w)
+        g = e8.backward_from_context(ctx, rng.normal(size=(3, 3)))
         assert g[4] == g[5]
 
     def test_backward_requires_eigengap(self):
@@ -248,4 +250,4 @@ class TestBackward:
         C = pair.correspondences.copy()
         C[7] = C[6]
         with pytest.raises(e8.EigengapCollapse):
-            e8.weighted_eightpoint_backward(C, np.ones(8), np.ones((3, 3)))
+            e8.weighted_eightpoint_with_context(C, np.ones(8))

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from twoview import autodiff as ad
 from twoview import evalbench
 from twoview.autodiff import save_checkpoint
 from twoview.config import write_network_config
@@ -98,6 +99,19 @@ class TestClassificationPRF:
         perm = rng.permutation(30)
         assert classification_prf(mask, labels) == classification_prf(mask[perm], labels[perm])
 
+    def test_aggregate_micro_averages_over_pairs(self):
+        # tp = 2, fp = 2, fn = 1 summed over both pairs (per-pair precisions are 50 and 50,
+        # recalls 50 and 100)
+        masks = [np.array([1, 0, 1, 0]), np.array([1, 1])]
+        pairs = [replace(easy_pairs(count=1)[0], labels=np.array(labels))
+                 for labels in ([1, 1, 0, 0], [1, 0])]
+        result = evalbench.MethodResult(
+            "net", [evalbench.PairOutcome(1.0, 1.0, False, m.astype(bool)) for m in masks])
+        report = aggregate(result, pairs)
+        assert (report.precision, report.recall) == (50.0, pytest.approx(200.0 / 3))
+        assert report.fscore == pytest.approx(2 * 50.0 * (200.0 / 3) / (50.0 + 200.0 / 3))
+        assert not report.prf_flagged
+
 
 class TestCompareMethods:
     def test_easy_regime_all_methods_near_perfect(self):
@@ -138,6 +152,8 @@ class TestCompareMethods:
     def test_empty_dataset(self):
         with pytest.raises(EmptyEvaluation):
             compare_methods([], ["ransac"], RansacConfig(), {}, seed=0)
+        with pytest.raises(EmptyEvaluation):
+            aggregate(evalbench.MethodResult("ransac", []), [])
 
     def test_map_monotonicity_on_reports(self):
         pairs = generate_dataset(SceneConfig(n=64, outlier_ratio=0.5, pixel_noise=1.5, seed=0),
@@ -194,6 +210,20 @@ class TestLoadNetwork:
         for name in net.store.names():
             assert np.array_equal(net.store[name].data, loaded.store[name].data)
         assert loaded.config == net.config
+
+    def test_sidecar_with_retired_keys_gives_same_logits(self, tmp_path):
+        net = Network(desk_config(), seed=0)
+        ckpt = tmp_path / "model.bin"
+        save_checkpoint(net.store, ckpt)
+        sidecar = str(ckpt) + ".netconfig"
+        write_network_config(net.config, sidecar)
+        with open(sidecar, "a", encoding="utf-8") as fh:
+            fh.write("block_order=norm_first\npool_softmax=clusters\nunpool_softmax=nodes\n")
+        loaded = load_network(str(ckpt))
+        assert loaded.config == desk_config()
+        corr = easy_pairs(count=2)[0].correspondences[None]
+        with ad.no_grad():
+            assert np.array_equal(loaded.forward(corr).logits.data, net.forward(corr).logits.data)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingCheckpoint):

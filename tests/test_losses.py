@@ -13,6 +13,7 @@ from twoview.losses import (
     geometry_loss,
     total_loss,
 )
+from twoview.epipolar import symmetric_epipolar_distances
 from twoview.synthdata import SceneConfig, generate_pair
 
 
@@ -112,6 +113,17 @@ class TestGeometryLoss:
         loss = float(geometry_loss(Tensor(far), inliers, clamp=0.1).data)
         assert loss == pytest.approx(0.1, abs=1e-15)
 
+    def test_rows_at_the_epipoles_contribute_the_clamp(self):
+        pair = scene(seed=12)
+        E = pair.essential
+        e1, e2 = np.linalg.svd(E)[2][2], np.linalg.svd(E.T)[2][2]   # E e1 = 0, E^T e2 = 0
+        at_epipoles = np.r_[e1[:2] / e1[2], e2[:2] / e2[2]]
+        rows = np.vstack([pair.correspondences[pair.labels > 0][:6], at_epipoles])
+        dist = symmetric_epipolar_distances(E, rows)
+        assert np.isinf(dist[-1]) and np.isfinite(dist[:-1]).all()
+        loss = float(geometry_loss(Tensor(E), rows, clamp=0.1).data)
+        assert loss == pytest.approx(np.minimum(dist, 0.1).mean(), rel=1e-12)
+
     def test_scale_invariance(self):
         pair = scene(seed=7)
         inliers = pair.correspondences[pair.labels > 0]
@@ -176,9 +188,4 @@ class TestTotalLoss:
     def test_geometry_kind_default_alpha(self):
         assert LossConfig(kind="geometry").alpha == 0.5
         assert LossConfig(kind="l2").alpha == 0.1
-
-    def test_paper_preset_warmup(self):
-        from twoview.losses import paper_loss_config
-
-        assert paper_loss_config().warmup == 20000
         assert LossConfig().warmup == 500

@@ -145,15 +145,9 @@ class TestPointCNBlock:
         block = PointCNResBlock(store, "blk", D, cfg, np.random.default_rng(2))
         assert block(Tensor(rand((B, N, D))), "train").shape == (B, N, D)
 
-    def test_perceptron_first_order(self):
-        cfg = tiny_config(block_order="perceptron_first")
-        store = ParameterStore()
-        block = PointCNResBlock(store, "blk", D, cfg, np.random.default_rng(3))
-        assert block(Tensor(rand((B, N, D))), "train").shape == (B, N, D)
-
 
 def reference_unit(unit, x, mode):
-    """The norm_first unit with one graph node per step: CN -> BN -> ReLU -> perceptron."""
+    """The unit with one graph node per step: CN -> BN -> ReLU -> perceptron."""
     h = unit.bn(context_norm(x, unit.cfg.eps), mode)
     return shared_perceptron(ad.relu(h), unit.perceptron.weight, unit.perceptron.bias)
 
