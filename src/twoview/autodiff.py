@@ -69,9 +69,6 @@ class Tensor:
     def backward(self):
         backward(self)
 
-    def item(self):
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -409,16 +406,6 @@ def reduce_sum(a, axis=None, keepdims=False):
     return _make(out, (a,), "reduce_sum", bwd)
 
 
-def mean(a, axis=None, keepdims=False):
-    a = as_tensor(a)
-    if axis is None:
-        n = a.data.size
-    else:
-        ax = axis if isinstance(axis, tuple) else (axis,)
-        n = int(np.prod([a.shape[i] for i in ax]))
-    return reduce_sum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
-
-
 def softmax(a, axis):
     a = as_tensor(a)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
@@ -522,12 +509,6 @@ def bn_relu_linear(h, gamma, beta, weight, bias, mean, inv, batch_stats):
             h._accum(ga, owned=True)
 
     return _make(out, (h, gamma, beta, weight, bias), "bn_relu_linear", bwd)
-
-
-def detach(a):
-    """Gradient barrier: same values, no graph history."""
-    a = as_tensor(a)
-    return Tensor(a.data, op="detach")
 
 
 def custom(inputs, out_data, backward_fn, op="custom"):
@@ -642,9 +623,6 @@ class ParameterStore:
     def __getitem__(self, name):
         return self._tensors[name]
 
-    def __contains__(self, name):
-        return name in self._tensors
-
     def names(self):
         return list(self._tensors)
 
@@ -655,15 +633,11 @@ class ParameterStore:
         for t in self._tensors.values():
             t.grad = None
 
-    def parameter_count(self):
-        return sum(self._tensors[n].data.size for n in self.trainable_names())
 
-
-def adam_step(store: ParameterStore, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8, grads=None):
+def adam_step(store: ParameterStore, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
     """One bias-corrected Adam update over every trainable entry of the store.
 
-    Gradients come from each tensor's .grad unless an explicit name->array
-    dict is given. Missing gradients count as zero.
+    Gradients come from each tensor's .grad; missing gradients count as zero.
     """
     store.step += 1
     t = store.step
@@ -671,10 +645,7 @@ def adam_step(store: ParameterStore, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8, 
     bc2 = 1.0 - beta2 ** t
     for name in store.trainable_names():
         p = store[name]
-        if grads is not None:
-            g = grads.get(name)
-        else:
-            g = p.grad
+        g = p.grad
         if g is None:
             g = np.zeros_like(p.data)
         g = np.asarray(g, dtype=np.float64)

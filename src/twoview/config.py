@@ -2,15 +2,19 @@
 
 One file may configure scene generation, the network, the losses,
 training, and the RANSAC baseline; keys are namespaced with a section
-prefix (scene., net., loss., train., ransac.). Unknown keys are an
-error that names the key and line. The same format (with bare keys)
-serializes a network configuration next to its checkpoint.
+prefix (scene., net., loss., train., ransac.) and are the fields of the
+section dataclasses, which also check their ranges. Unknown or repeated
+keys, lines without `=` and out-of-range values are an error that names
+the key and line. The same format (with bare keys) serializes a network
+configuration next to its checkpoint.
 """
 
-from dataclasses import dataclass, fields
+import math
+import re
+from dataclasses import asdict, dataclass, fields
 
 from .losses import LossConfig
-from .network import NetworkConfig, desk_config, paper_config
+from .network import NetworkConfig, desk_config
 from .ransac import RansacConfig
 from .synthdata import SceneConfig
 
@@ -31,52 +35,28 @@ class TrainParams:
     val_pairs: int = 20
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for key in ("steps", "batch_size", "log_every", "val_pairs"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
+        if not self.lr > 0:
+            raise ValueError("lr must be positive")
 
 
-_SCENE_KEYS = {
-    "scene.n": int,
-    "scene.outlier_ratio": float,
-    "scene.pixel_noise": float,
-    "scene.depth_min": float,
-    "scene.depth_max": float,
-    "scene.max_rotation_deg": float,
-    "scene.pairs": int,
+# run-config key prefix -> (RunConfig attribute, section dataclass)
+_SECTIONS = {"scene": ("scene", SceneConfig), "net": ("network", NetworkConfig),
+             "loss": ("loss", LossConfig), "train": ("train", TrainParams),
+             "ransac": ("ransac", RansacConfig)}
+# section fields no run config sets: seeds come from --seed, and the
+# virtual camera is fixed
+_UNSET_FIELDS = {"seed", "image_width", "image_height", "focal"}
+KNOWN_KEYS = {"preset": str, "scene.pairs": int}
+KNOWN_KEYS.update({f"{prefix}.{f.name}": f.type for prefix, (_, cls) in _SECTIONS.items()
+                   for f in fields(cls) if f.name not in _UNSET_FIELDS})
+# preset -> the section defaults it sets over the dataclass defaults
+_PRESETS = {
+    "desk": {"net": asdict(desk_config())},
+    "paper": {"loss": {"warmup": 20000}, "train": {"steps": 500000, "batch_size": 32}},
 }
-# the NetworkConfig fields and their types; bn_momentum and eps are set
-# only through the checkpoint sidecar, never from a run config
-_NET_FIELDS = {f.name: f.type for f in fields(NetworkConfig)}
-_NET_KEYS = {f"net.{name}": kind for name, kind in _NET_FIELDS.items()
-             if name not in ("bn_momentum", "eps")}
-# retired network options: sidecars written while they existed still carry
-# them, always at the one value the network keeps
-_RETIRED_NET_VALUES = {"block_order": "norm_first", "pool_softmax": "clusters",
-                       "unpool_softmax": "nodes"}
-_LOSS_KEYS = {
-    "loss.kind": str,
-    "loss.alpha": float,
-    "loss.warmup": int,
-    "loss.clamp": float,
-    "loss.balanced": bool,
-}
-_TRAIN_KEYS = {
-    "train.steps": int,
-    "train.batch_size": int,
-    "train.lr": float,
-    "train.log_every": int,
-    "train.val_pairs": int,
-}
-_RANSAC_KEYS = {
-    "ransac.threshold": float,
-    "ransac.max_iterations": int,
-    "ransac.confidence": float,
-}
-KNOWN_KEYS = {"preset": str}
-for table in (_SCENE_KEYS, _NET_KEYS, _LOSS_KEYS, _TRAIN_KEYS, _RANSAC_KEYS):
-    KNOWN_KEYS.update(table)
 
 
 def _parse_value(raw, kind, key, line):
@@ -89,13 +69,16 @@ def _parse_value(raw, kind, key, line):
             if low in ("false", "0", "no"):
                 return False
             raise ValueError(f"expected a boolean, got {raw!r}")
-        return kind(raw)
+        value = kind(raw)
+        if kind is float and not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {raw!r}")
+        return value
     except ValueError as err:
         raise ConfigError(f"key {key!r}: {err}", line) from None
 
 
-def parse_config_file(path):
-    """Read a flat key=value file into {key: (typed value, line)}."""
+def parse_config_file(path, kinds=KNOWN_KEYS):
+    """Read a flat key=value file into {key: (typed value, line)}; `kinds` maps key -> type."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -107,12 +90,27 @@ def parse_config_file(path):
             key, _, raw = stripped.partition("=")
             key = key.strip()
             raw = raw.split("#", 1)[0]  # allow trailing comments
-            if key not in KNOWN_KEYS:
+            if key not in kinds:
                 raise ConfigError(f"unknown key {key!r}", line_no)
             if key in out:
                 raise ConfigError(f"duplicate key {key!r}", line_no)
-            out[key] = (_parse_value(raw, KNOWN_KEYS[key], key, line_no), line_no)
+            out[key] = (_parse_value(raw, kinds[key], key, line_no), line_no)
     return out
+
+
+def _build(cls, values, lines, prefix=""):
+    """cls(**values); a failed range check becomes a ConfigError on the key it names.
+
+    The section dataclasses name the offending field in each message; the
+    first field named is reported, with its line when it came from a file.
+    """
+    try:
+        return cls(**values)
+    except ValueError as err:
+        named = [(m.start(), f.name) for f in fields(cls)
+                 if (m := re.search(rf"\b{f.name}\b", str(err)))]
+        key = prefix + min(named)[1] if named else cls.__name__
+        raise ConfigError(f"{key}: {err}", lines.get(key)) from None
 
 
 @dataclass
@@ -130,60 +128,40 @@ class RunConfig:
     def echo(self):
         """Flat dict of the effective configuration (for manifests)."""
         out = {"preset": self.preset, "scene.pairs": self.pairs}
-        for prefix, obj in (
-            ("scene", self.scene),
-            ("net", self.network),
-            ("loss", self.loss),
-            ("train", self.train),
-            ("ransac", self.ransac),
-        ):
-            for f in fields(obj):
-                if f.name == "seed":
-                    continue
-                out[f"{prefix}.{f.name}"] = getattr(obj, f.name)
+        for prefix, (attr, _) in _SECTIONS.items():
+            section = getattr(self, attr)
+            for f in fields(section):
+                if f.name != "seed":
+                    out[f"{prefix}.{f.name}"] = getattr(section, f.name)
         return out
-
-
-def _section(parsed, table, prefix):
-    values = {}
-    for key in table:
-        if key in parsed:
-            values[key[len(prefix):]] = parsed[key][0]
-    return values
 
 
 def resolve_run_config(parsed=None):
     """Apply the preset then any explicit overrides from a parsed config map."""
     parsed = parsed or {}
-    preset = parsed.get("preset", ("desk", 0))[0]
-    if preset not in ("desk", "paper"):
-        raise ConfigError(f"unknown preset {preset!r}", parsed.get("preset", (None, None))[1])
-
-    scene_over = _section(parsed, _SCENE_KEYS, "scene.")
-    pairs = scene_over.pop("pairs", 100)
-    scene = SceneConfig(**scene_over)
-
-    net_over = _section(parsed, _NET_KEYS, "net.")
-    network = desk_config(**net_over) if preset == "desk" else paper_config(**net_over)
-
-    loss_over = _section(parsed, _LOSS_KEYS, "loss.")
-    if preset == "paper" and "warmup" not in loss_over:
-        loss_over["warmup"] = 20000
-    loss = LossConfig(**loss_over)
-
-    train_over = _section(parsed, _TRAIN_KEYS, "train.")
-    if preset == "paper":
-        train_over.setdefault("steps", 500000)
-        train_over.setdefault("batch_size", 32)
-    train = TrainParams(**train_over)
-
-    ransac_over = _section(parsed, _RANSAC_KEYS, "ransac.")
-    ransac = RansacConfig(**ransac_over)
-    return RunConfig(preset, scene, pairs, network, loss, train, ransac)
+    lines = {key: line for key, (_, line) in parsed.items()}
+    preset = parsed.get("preset", ("desk", None))[0]
+    if preset not in _PRESETS:
+        raise ConfigError(f"unknown preset {preset!r}", lines.get("preset"))
+    sections = {}
+    for prefix, (attr, cls) in _SECTIONS.items():
+        values = dict(_PRESETS[preset].get(prefix, {}))
+        values.update((key[len(prefix) + 1:], value) for key, (value, _) in parsed.items()
+                      if key.startswith(prefix + ".") and key != "scene.pairs")
+        sections[attr] = _build(cls, values, lines, prefix + ".")
+    return RunConfig(preset, pairs=parsed.get("scene.pairs", (100, None))[0], **sections)
 
 
 def load_run_config(path=None):
     return resolve_run_config(parse_config_file(path) if path else None)
+
+
+# retired network options: sidecars written while they existed still carry
+# them, always at the one value the network keeps
+_RETIRED_NET_VALUES = {"block_order": "norm_first", "pool_softmax": "clusters",
+                       "unpool_softmax": "nodes", "bn_momentum": 0.9, "eps": 1e-5}
+_SIDECAR_KEYS = {f.name: f.type for f in fields(NetworkConfig)}
+_SIDECAR_KEYS.update({key: type(kept) for key, kept in _RETIRED_NET_VALUES.items()})
 
 
 def write_network_config(cfg: NetworkConfig, path):
@@ -197,20 +175,12 @@ def write_network_config(cfg: NetworkConfig, path):
 
 
 def read_network_config(path):
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if stripped == "" or stripped.startswith("#"):
-                continue
-            key, _, raw = stripped.partition("=")
-            key = key.strip()
-            if key in _RETIRED_NET_VALUES:
-                if raw.strip() != _RETIRED_NET_VALUES[key]:
-                    raise ConfigError(f"retired network config key {key!r} only accepts "
-                                      f"{_RETIRED_NET_VALUES[key]!r}, got {raw.strip()!r}", line_no)
-                continue
-            if key not in _NET_FIELDS:
-                raise ConfigError(f"unknown network config key {key!r}", line_no)
-            values[key] = _parse_value(raw, _NET_FIELDS[key], key, line_no)
-    return NetworkConfig(**values).validate()
+    values, lines = {}, {}
+    for key, (value, line) in parse_config_file(path, _SIDECAR_KEYS).items():
+        lines[key] = line
+        if key not in _RETIRED_NET_VALUES:
+            values[key] = value
+        elif value != _RETIRED_NET_VALUES[key]:
+            raise ConfigError(f"retired network config key {key!r} only accepts "
+                              f"{_RETIRED_NET_VALUES[key]!r}, got {value!r}", line)
+    return _build(NetworkConfig, values, lines)

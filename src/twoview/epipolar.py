@@ -17,10 +17,6 @@ class ZeroTranslation(ValueError):
     """Translation too small to define an essential matrix."""
 
 
-class DegenerateEpipole(ArithmeticError):
-    """Both points sit at the epipoles; the distance ratio is undefined."""
-
-
 class RankDeficient(ValueError):
     """Matrix has no usable pair of leading singular values."""
 
@@ -106,14 +102,6 @@ def symmetric_epipolar_distances(E, C):
     ok = denom >= EPIPOLE_DENOM_MIN
     out[ok] = residual[ok] ** 2 / denom[ok]
     return out
-
-
-def symmetric_epipolar_distance(E, c):
-    """Symmetric epipolar distance of one correspondence (x1, y1, x2, y2)."""
-    residual, denom = _epipolar_terms(E, np.asarray(c, dtype=np.float64).reshape(1, 4))
-    if denom[0] < EPIPOLE_DENOM_MIN:
-        raise DegenerateEpipole(f"denominator {denom[0]:.3e} below {EPIPOLE_DENOM_MIN:.0e}")
-    return float(residual[0] ** 2 / denom[0])
 
 
 def normalize_keypoints(pixels, K: CameraIntrinsics):

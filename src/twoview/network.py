@@ -18,7 +18,7 @@ from . import eightpoint
 from .autodiff import ParameterStore, ShapeMismatch, Tensor
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkConfig:
     channels: int = 128
     clusters: int = 500
@@ -30,10 +30,8 @@ class NetworkConfig:
     use_pool: bool = True                 # False: plain PointCN baseline
     iterative: bool = False
     expected_points: int = 2000           # needed by the plain unpool head (D -> N)
-    bn_momentum: float = 0.9
-    eps: float = 1e-5
 
-    def validate(self):
+    def __post_init__(self):
         if self.unpool_variant not in ("order_aware", "plain"):
             raise ValueError(f"unknown unpool_variant {self.unpool_variant!r}")
         if self.level2_kind not in ("order_aware", "pointcn"):
@@ -42,12 +40,11 @@ class NetworkConfig:
                     "level2_blocks", "expected_points"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be positive")
-        return self
 
 
 def paper_config(**overrides):
     """Full-scale configuration as used for the reported benchmarks."""
-    return replace(NetworkConfig(), **overrides).validate()
+    return NetworkConfig(**overrides)
 
 
 def desk_config(**overrides):
@@ -60,7 +57,7 @@ def desk_config(**overrides):
         level2_blocks=2,
         expected_points=512,
     )
-    return replace(base, **overrides).validate()
+    return replace(base, **overrides)
 
 
 def _init_weight(rng, d_in, d_out):
@@ -136,18 +133,15 @@ class BatchNorm:
 class PointCNUnit:
     """One PointCN unit: CN -> BN -> ReLU -> perceptron, the last three as one node."""
 
-    def __init__(self, store, name, d_in, d_out, cfg: NetworkConfig, rng):
-        self.cfg = cfg
-        self.bn = BatchNorm(store, f"{name}.bn", d_in, cfg.bn_momentum, cfg.eps)
+    def __init__(self, store, name, d_in, d_out, rng):
+        self.bn = BatchNorm(store, f"{name}.bn", d_in)
         self.perceptron = Perceptron(store, f"{name}.perc", d_in, d_out, rng)
 
     def __call__(self, x, mode):
-        h = context_norm(x, self.cfg.eps)
+        h = context_norm(x)
         bn, train = self.bn, mode == "train"
         if train:
             n = h.shape[0] * h.shape[1]
-            if n < 2:
-                raise ShapeMismatch("batch_norm: train mode needs batch*points >= 2")
             mean = np.einsum("bnd->d", h.data) * (1.0 / n)
             # h has a per-sample mean of ~0, so E[h^2] - mean^2 loses nothing
             var = np.einsum("bnd,bnd->d", h.data, h.data) * (1.0 / n) - mean * mean
@@ -164,9 +158,9 @@ class PointCNUnit:
 class PointCNResBlock:
     """Two PointCN units under an identity skip connection."""
 
-    def __init__(self, store, name, d, cfg, rng):
-        self.unit1 = PointCNUnit(store, f"{name}.unit1", d, d, cfg, rng)
-        self.unit2 = PointCNUnit(store, f"{name}.unit2", d, d, cfg, rng)
+    def __init__(self, store, name, d, rng):
+        self.unit1 = PointCNUnit(store, f"{name}.unit1", d, d, rng)
+        self.unit2 = PointCNUnit(store, f"{name}.unit2", d, d, rng)
 
     def __call__(self, x, mode):
         return x + self.unit2(self.unit1(x, mode), mode)
@@ -175,8 +169,8 @@ class PointCNResBlock:
 class SpatialCorrelationUnit:
     """Residual cluster-mixing unit: x + SC(relu(BN(x)))."""
 
-    def __init__(self, store, name, clusters, channels, cfg, rng):
-        self.bn = BatchNorm(store, f"{name}.bn", channels, cfg.bn_momentum, cfg.eps)
+    def __init__(self, store, name, clusters, channels, rng):
+        self.bn = BatchNorm(store, f"{name}.bn", channels)
         self.weight = store.parameter(f"{name}.weight", _init_weight(rng, clusters, clusters))
         self.bias = store.parameter(f"{name}.bias", np.zeros(clusters))
 
@@ -191,10 +185,10 @@ class OrderAwareBlock:
     Only valid after pooling, where the cluster order is canonical.
     """
 
-    def __init__(self, store, name, clusters, channels, cfg, rng):
-        self.half1 = PointCNUnit(store, f"{name}.half1", channels, channels, cfg, rng)
-        self.mix = SpatialCorrelationUnit(store, f"{name}.mix", clusters, channels, cfg, rng)
-        self.half2 = PointCNUnit(store, f"{name}.half2", channels, channels, cfg, rng)
+    def __init__(self, store, name, clusters, channels, rng):
+        self.half1 = PointCNUnit(store, f"{name}.half1", channels, channels, rng)
+        self.mix = SpatialCorrelationUnit(store, f"{name}.mix", clusters, channels, rng)
+        self.half2 = PointCNUnit(store, f"{name}.half2", channels, channels, rng)
 
     def __call__(self, x, mode):
         h = self.half1(x, mode)
@@ -209,8 +203,8 @@ class DiffPool:
     Each node's assignment is a softmax over the clusters.
     """
 
-    def __init__(self, store, name, channels, clusters, cfg, rng):
-        self.head = PointCNUnit(store, f"{name}.head", channels, clusters, cfg, rng)
+    def __init__(self, store, name, channels, clusters, rng):
+        self.head = PointCNUnit(store, f"{name}.head", channels, clusters, rng)
 
     def __call__(self, x, mode):
         logits = self.head(x, mode)                     # (B, N, M)
@@ -232,9 +226,9 @@ class DiffUnpool:
     def __init__(self, store, name, channels, clusters, cfg, rng):
         self.cfg = cfg
         if cfg.unpool_variant == "order_aware":
-            self.head = PointCNUnit(store, f"{name}.head", channels, clusters, cfg, rng)
+            self.head = PointCNUnit(store, f"{name}.head", channels, clusters, rng)
         else:
-            self.head = PointCNUnit(store, f"{name}.head", channels, cfg.expected_points, cfg, rng)
+            self.head = PointCNUnit(store, f"{name}.head", channels, cfg.expected_points, rng)
 
     def __call__(self, x_pre, clusters, mode):
         if self.cfg.unpool_variant == "order_aware":
@@ -264,19 +258,19 @@ class _Stage:
         d, m = cfg.channels, cfg.clusters
         self.cfg = cfg
         self.embed = Perceptron(store, f"{prefix}.embed", in_channels, d, rng)
-        self.before = [PointCNResBlock(store, f"{prefix}.l1a.{i}", d, cfg, rng)
+        self.before = [PointCNResBlock(store, f"{prefix}.l1a.{i}", d, rng)
                        for i in range(cfg.blocks_before_pool)]
         if cfg.use_pool:
-            self.pool = DiffPool(store, f"{prefix}.pool", d, m, cfg, rng)
+            self.pool = DiffPool(store, f"{prefix}.pool", d, m, rng)
             if cfg.level2_kind == "order_aware":
-                self.level2 = [OrderAwareBlock(store, f"{prefix}.l2.{i}", m, d, cfg, rng)
+                self.level2 = [OrderAwareBlock(store, f"{prefix}.l2.{i}", m, d, rng)
                                for i in range(cfg.level2_blocks)]
             else:
-                self.level2 = [PointCNResBlock(store, f"{prefix}.l2.{i}", d, cfg, rng)
+                self.level2 = [PointCNResBlock(store, f"{prefix}.l2.{i}", d, rng)
                                for i in range(cfg.level2_blocks)]
             self.unpool = DiffUnpool(store, f"{prefix}.unpool", d, m, cfg, rng)
             self.fuse = Perceptron(store, f"{prefix}.fuse", 2 * d, d, rng)
-        self.after = [PointCNResBlock(store, f"{prefix}.l1b.{i}", d, cfg, rng)
+        self.after = [PointCNResBlock(store, f"{prefix}.l1b.{i}", d, rng)
                       for i in range(cfg.blocks_after_unpool)]
         self.head = Perceptron(store, f"{prefix}.head", d, 1, rng)
 
@@ -321,7 +315,6 @@ class Network:
     """Full model: one stage, or an initialization + refinement pair."""
 
     def __init__(self, config: NetworkConfig, seed=0, store=None):
-        config.validate()
         self.config = config
         self.store = store if store is not None else ParameterStore()
         rng = np.random.default_rng(seed)

@@ -31,6 +31,7 @@ from .epipolar import (
 )
 
 _CHUNK = 256  # hypotheses solved per batch (keeps scratch arrays small)
+SAMPLE_SIZE = 8  # correspondences per minimal sample (the eight-point solver)
 
 
 class InsufficientCorrespondences(ValueError):
@@ -46,14 +47,15 @@ class RansacConfig:
     threshold: float = 1e-4        # inlier threshold on symmetric epipolar distance
     max_iterations: int = 2000
     confidence: float = 0.999      # early-exit confidence
-    sample_size: int = 8
     seed: int = 0
 
     def __post_init__(self):
         if self.threshold <= 0:
             raise ValueError("threshold must be positive")
         if self.max_iterations < 1:
-            raise ValueError("need at least one iteration")
+            raise ValueError("max_iterations must be >= 1")
+        if not 0.0 < self.confidence < 1.0:
+            raise ValueError("confidence must be in (0, 1)")
 
 
 @dataclass
@@ -62,14 +64,6 @@ class RansacResult:
     mask: np.ndarray        # (N,) bool, distance(E, c_i) < threshold
     iterations: int         # sampling iterations consumed
     fallback: bool = False  # post-processing fell back to the full set
-
-
-def _score(E, C, threshold):
-    d = symmetric_epipolar_distances(E, C)
-    mask = d < threshold
-    count = int(mask.sum())
-    mean_dist = float(d[mask].mean()) if count else np.inf
-    return mask, count, mean_dist
 
 
 def _irls_refit(C, d0, threshold, rounds=3):
@@ -100,12 +94,12 @@ def _irls_refit(C, d0, threshold, rounds=3):
     return E
 
 
-def _required_iterations(inlier_ratio, confidence, sample_size):
+def _required_iterations(inlier_ratio, confidence):
     if inlier_ratio <= 0.0:
         return np.inf
     if inlier_ratio >= 1.0:
         return 1.0
-    p_good = inlier_ratio ** sample_size
+    p_good = inlier_ratio ** SAMPLE_SIZE
     if p_good <= 1e-300:
         return np.inf
     return np.log(max(1.0 - confidence, 1e-300)) / np.log1p(-p_good)
@@ -149,9 +143,9 @@ def _distances_batch(models, X, p1, p2):
 def ransac_essential(C, cfg: RansacConfig):
     """Best essential matrix by inlier count (ties by mean inlier distance)."""
     C = np.asarray(C, dtype=np.float64)
-    if C.ndim != 2 or C.shape[1] != 4 or C.shape[0] < cfg.sample_size:
+    if C.ndim != 2 or C.shape[1] != 4 or C.shape[0] < SAMPLE_SIZE:
         raise InsufficientCorrespondences(
-            f"need at least {cfg.sample_size} correspondences, got {C.shape}")
+            f"need at least {SAMPLE_SIZE} correspondences, got {C.shape}")
     C = as_correspondences(C)
     if not np.isfinite(C).all():
         # LAPACK fails a whole chunk of hypotheses on one non-finite octet
@@ -170,7 +164,7 @@ def ransac_essential(C, cfg: RansacConfig):
     done = False
     while iterations < cfg.max_iterations and not done:
         chunk = min(_CHUNK, cfg.max_iterations - iterations)
-        octets = np.stack([rng.choice(N, size=cfg.sample_size, replace=False)
+        octets = np.stack([rng.choice(N, size=SAMPLE_SIZE, replace=False)
                            for _ in range(chunk)])
         models, valid = _solve_hypotheses(X[octets])
         dists = _distances_batch(models, X, p1, p2)
@@ -184,8 +178,8 @@ def ransac_essential(C, cfg: RansacConfig):
             valid_hypotheses += 1
             if best is None or losses[j] < best[0]:
                 best = (losses[j], int(counts[j]), models[j])
-            if best[1] >= cfg.sample_size:
-                needed = _required_iterations(best[1] / N, cfg.confidence, cfg.sample_size)
+            if best[1] >= SAMPLE_SIZE:
+                needed = _required_iterations(best[1] / N, cfg.confidence)
                 if valid_hypotheses >= needed:
                     done = True
                     break
@@ -201,12 +195,12 @@ def ransac_essential(C, cfg: RansacConfig):
         d_hyp = symmetric_epipolar_distances(E_final, C)
         if np.minimum(d_refit, cfg.threshold).sum() <= np.minimum(d_hyp, cfg.threshold).sum():
             E_final = E_refit
-    mask, _, _ = _score(E_final, C, cfg.threshold)
+    mask = symmetric_epipolar_distances(E_final, C) < cfg.threshold
     return RansacResult(E_final, mask, iterations)
 
 
-def ransac_postprocess(C, w, cfg: RansacConfig, cutoff=0.0, keep_top_k=None):
-    """RANSAC restricted to correspondences the network kept (w > cutoff).
+def ransac_postprocess(C, w, cfg: RansacConfig):
+    """RANSAC restricted to correspondences the network kept (w > 0).
 
     With fewer than eight survivors the full set is used instead and the
     result is flagged. The returned mask is recomputed against the full
@@ -216,14 +210,10 @@ def ransac_postprocess(C, w, cfg: RansacConfig, cutoff=0.0, keep_top_k=None):
     w = np.asarray(w, dtype=np.float64).reshape(-1)
     if len(w) != len(C):
         raise ValueError(f"weight length {len(w)} != correspondence count {len(C)}")
-    if keep_top_k is not None:
-        keep = np.zeros(len(C), dtype=bool)
-        keep[np.argsort(-w, kind="stable")[:keep_top_k]] = True
-    else:
-        keep = w > cutoff
-    if int(keep.sum()) < cfg.sample_size:
+    keep = w > 0.0
+    if int(keep.sum()) < SAMPLE_SIZE:
         result = ransac_essential(C, cfg)
         return RansacResult(result.essential, result.mask, result.iterations, fallback=True)
     sub = ransac_essential(C[keep], cfg)
-    mask, _, _ = _score(sub.essential, C, cfg.threshold)
+    mask = symmetric_epipolar_distances(sub.essential, C) < cfg.threshold
     return RansacResult(sub.essential, mask, sub.iterations)

@@ -54,11 +54,13 @@ class SceneConfig:
 
     def __post_init__(self):
         if self.n < 8:
-            raise ValueError("need at least 8 correspondences per pair")
+            raise ValueError("n must be >= 8 correspondences per pair")
         if not 0.0 <= self.outlier_ratio < 1.0:
-            raise ValueError("outlier ratio must be in [0, 1)")
+            raise ValueError("outlier_ratio must be in [0, 1)")
+        if not self.pixel_noise >= 0.0:
+            raise ValueError("pixel_noise must be >= 0")
         if not 0 < self.depth_min < self.depth_max:
-            raise ValueError("depth range must satisfy 0 < min < max")
+            raise ValueError("depth_min and depth_max must satisfy 0 < depth_min < depth_max")
 
     def intrinsics(self):
         return CameraIntrinsics(self.focal, self.focal,

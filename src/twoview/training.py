@@ -40,7 +40,9 @@ def run_training(pairs, net_cfg: NetworkConfig, loss_cfg: LossConfig, params: Tr
     """Train a network on ScenePairs; returns (network, log rows, loss counters).
 
     All randomness (init, batch order) derives from `seed`. With `resume`
-    the checkpoint is restored first and the step counter continues.
+    the checkpoint is restored first and the step counter continues. Each
+    batch is drawn from (seed, step) alone, so N steps followed by a resume
+    for M more train exactly as N + M steps do.
     """
     if len(pairs) == 0:
         raise ValueError("empty training set")
@@ -51,7 +53,6 @@ def run_training(pairs, net_cfg: NetworkConfig, loss_cfg: LossConfig, params: Tr
     net = Network(net_cfg, seed=seed)
     if resume is not None:
         load_checkpoint(net.store, resume)
-    batch_rng = np.random.default_rng([seed, 1])
 
     corr_all = np.stack([p.correspondences for p in pairs])
     labels_all = np.stack([p.labels for p in pairs])
@@ -62,11 +63,12 @@ def run_training(pairs, net_cfg: NetworkConfig, loss_cfg: LossConfig, params: Tr
     counters = LossCounters()
     n = len(pairs)
     for k in range(params.steps):
+        iteration = net.store.step
+        batch_rng = np.random.default_rng([seed, 1, iteration])
         idx = batch_rng.choice(n, size=params.batch_size, replace=n < params.batch_size)
         corr = corr_all[idx]
         labels = labels_all[idx]
         egts = egt_all[idx]
-        iteration = net.store.step
         needs_essential = loss_cfg.alpha > 0 and iteration >= loss_cfg.warmup
         try:
             out = net.forward(corr, mode="train", solve=needs_essential)

@@ -90,6 +90,27 @@ class TestTrain:
         assert code == 0
         assert int(read_checkpoint_arrays(out)["__step__"]) == 15
 
+    def test_resume_matches_uninterrupted_run(self, workspace, tmp_path):
+        """N steps then --resume for M more give the checkpoint and log rows of N + M steps."""
+        base = ["train", "--seed", "2", "--config", str(workspace["cfg"]),
+                "--dataset", str(workspace["data"])]
+        whole, first, second = tmp_path / "whole.bin", tmp_path / "first.bin", tmp_path / "second.bin"
+        assert main(base + ["--out", str(whole), "--steps", "12"]) == 0
+        assert main(base + ["--out", str(first), "--steps", "7"]) == 0
+        assert main(base + ["--out", str(second), "--steps", "5", "--resume", str(first)]) == 0
+        assert second.read_bytes() == whole.read_bytes()
+
+        def logged(*checkpoints):
+            """Log rows at multiples of log_every; every run also logs its last step."""
+            rows = []
+            for ckpt in checkpoints:
+                lines = ckpt.with_name(ckpt.name + ".trainlog.csv").read_text().splitlines()[1:]
+                rows += [line for line in lines if int(line.split(",")[0]) % 5 == 0]
+            return rows
+
+        assert [row.split(",")[0] for row in logged(whole)] == ["5", "10"]
+        assert logged(first, second) == logged(whole)
+
 
 class TestEval:
     def test_ransac_method_needs_no_checkpoint(self, workspace, tmp_path):
@@ -188,6 +209,31 @@ class TestResponses:
                      "--pair", "99", "--checkpoint", str(workspace["ckpt"]),
                      "--out", str(tmp_path / "r.csv")])
         assert code == 2
+
+
+class TestBadConfigValues:
+    @pytest.mark.parametrize("command, setting", [
+        ("train", "train.log_every = 0"),
+        ("train", "train.lr = -1"),
+        ("train", "train.val_pairs = -1"),
+        ("eval", "ransac.confidence = 2"),
+        ("eval", "ransac.confidence = nan"),
+        ("eval", "ransac.threshold = inf"),
+        ("gen", "scene.pixel_noise = -1"),
+        ("gen", "scene.pixel_noise = nan"),
+    ])
+    def test_rejected_with_key_and_line_exit_2(self, workspace, tmp_path, capsys, command, setting):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"scene.n = 48\n{setting}\n")
+        out = tmp_path / "out"
+        args = {"gen": [],
+                "train": ["--dataset", str(workspace["data"]), "--steps", "2"],
+                "eval": ["--dataset", str(workspace["data"]), "--method", "ransac"]}[command]
+        code = main([command, "--seed", "0", "--config", str(bad), "--out", str(out)] + args)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert setting.split(" =")[0] in err and "line 2" in err
+        assert not out.exists()
 
 
 class TestTrainDivergence:

@@ -15,6 +15,8 @@ from twoview.config import (
 )
 from twoview.network import desk_config, paper_config
 
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
 
 class TestParse:
     def test_basic_types(self, tmp_path):
@@ -44,7 +46,7 @@ class TestParse:
     def test_duplicate_key_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("scene.n = 1\nscene.n = 2\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="line 2: .*scene.n"):
             parse_config_file(p)
 
     def test_missing_equals_rejected(self, tmp_path):
@@ -54,9 +56,36 @@ class TestParse:
             parse_config_file(p)
 
 
+# the effective configuration of the built-in desk preset, as echoed into manifests
+DESK_ECHO = {
+    "preset": "desk",
+    "scene.n": 512, "scene.outlier_ratio": 0.4, "scene.pixel_noise": 0.5, "scene.depth_min": 4.0,
+    "scene.depth_max": 10.0, "scene.max_rotation_deg": 30.0, "scene.image_width": 640,
+    "scene.image_height": 480, "scene.focal": 500.0, "scene.pairs": 100,
+    "net.channels": 32, "net.clusters": 128, "net.blocks_before_pool": 2,
+    "net.blocks_after_unpool": 2, "net.level2_blocks": 2, "net.unpool_variant": "order_aware",
+    "net.level2_kind": "order_aware", "net.use_pool": True, "net.iterative": False,
+    "net.expected_points": 512,
+    "loss.kind": "l2", "loss.alpha": 0.1, "loss.warmup": 500, "loss.clamp": 0.1,
+    "loss.balanced": True,
+    "train.steps": 10000, "train.batch_size": 8, "train.lr": 1e-4, "train.log_every": 100,
+    "train.val_pairs": 20,
+    "ransac.threshold": 1e-4, "ransac.max_iterations": 2000, "ransac.confidence": 0.999,
+}
+SHIPPED_ECHO = {
+    None: DESK_ECHO,
+    "desk.cfg": DESK_ECHO,
+    "hard.cfg": {**DESK_ECHO, "scene.outlier_ratio": 0.6, "scene.pixel_noise": 1.0,
+                 "loss.kind": "geometry", "loss.alpha": 0.5, "train.log_every": 200},
+    "paper.cfg": {**DESK_ECHO, "preset": "paper", "scene.n": 2000, "net.channels": 128,
+                  "net.clusters": 500, "net.blocks_before_pool": 6, "net.blocks_after_unpool": 6,
+                  "net.level2_blocks": 6, "net.expected_points": 2000, "loss.warmup": 20000,
+                  "train.steps": 500000, "train.batch_size": 32},
+}
+
+
 class TestDeskConfigFile:
-    PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "configs", "desk.cfg")
+    PATH = os.path.join(CONFIGS, "desk.cfg")
 
     def test_documents_every_known_key(self):
         """Set and commented-out `# key = value` lines together name exactly KNOWN_KEYS."""
@@ -69,6 +98,14 @@ class TestDeskConfigFile:
     def test_loads_as_desk_preset(self):
         run = load_run_config(self.PATH)
         assert run.network == desk_config()
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_ECHO, key=str))
+    def test_shipped_configs_resolve_unchanged(self, name):
+        """Each shipped config, and no config at all, resolves to the values it always had."""
+        run = load_run_config(os.path.join(CONFIGS, name) if name else None)
+        echo = run.echo()
+        assert echo == SHIPPED_ECHO[name]
+        assert all(type(echo[key]) is type(value) for key, value in SHIPPED_ECHO[name].items())
 
 
 class TestResolve:
@@ -107,6 +144,13 @@ class TestResolve:
         with pytest.raises(ValueError):
             TrainParams(steps=0)
 
+    def test_range_error_names_key_and_line(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("train.steps = 5\ntrain.log_every = 0\n")
+        with pytest.raises(ConfigError, match="line 2: train.log_every: ") as exc:
+            load_run_config(p)
+        assert exc.value.line == 2
+
 
 class TestNetworkConfigSidecar:
     def test_round_trip(self, tmp_path):
@@ -121,8 +165,20 @@ class TestNetworkConfigSidecar:
         with pytest.raises(ConfigError):
             read_network_config(path)
 
+    @pytest.mark.parametrize("text, line, key", [("channels=8\nclusters=4\nchannels=16\n", 3, "channels"),
+                                                 ("channels=8\nclusters 4\n", 2, "clusters")],
+                             ids=["repeated_key", "no_equals"])
+    def test_malformed_line_named(self, tmp_path, text, line, key):
+        """A repeated key or a line without `=` is rejected, as in a run config."""
+        path = tmp_path / "model.netconfig"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"line {line}: .*{key}") as exc:
+            read_network_config(path)
+        assert exc.value.line == line
 
-# a desk sidecar as written while block_order, pool_softmax and unpool_softmax existed
+
+# a desk sidecar as written while block_order, pool_softmax, unpool_softmax,
+# bn_momentum and eps existed
 LEGACY_DESK_SIDECAR = """channels=32
 clusters=128
 blocks_before_pool=2
@@ -141,13 +197,21 @@ eps=1e-05
 """
 RETIRED_SIDECAR = {"block_order": ("norm_first", "perceptron_first"),
                    "pool_softmax": ("clusters", "nodes"),
-                   "unpool_softmax": ("nodes", "clusters")}
+                   "unpool_softmax": ("nodes", "clusters"),
+                   "bn_momentum": ("0.9", "0.5"),
+                   "eps": ("1e-05", "0.5")}
 
 
 class TestRetiredNetworkKeys:
     def test_legacy_sidecar_loads_as_desk(self, tmp_path):
         path = tmp_path / "model.netconfig"
         path.write_text(LEGACY_DESK_SIDECAR)
+        assert read_network_config(path) == desk_config()
+
+    def test_retired_values_compared_as_numbers(self, tmp_path):
+        path = tmp_path / "model.netconfig"
+        path.write_text(LEGACY_DESK_SIDECAR.replace("bn_momentum=0.9\n", "bn_momentum=0.90\n")
+                        .replace("eps=1e-05\n", "eps=0.00001\n"))
         assert read_network_config(path) == desk_config()
 
     @pytest.mark.parametrize("key", sorted(RETIRED_SIDECAR))
@@ -178,11 +242,13 @@ class TestNetworkKeys:
         assert {k[len("net."):] for k in KNOWN_KEYS if k.startswith("net.")} == self.RUN_CONFIG_KEYS
 
     @pytest.mark.parametrize("key", ["bn_momentum", "eps"])
-    def test_sidecar_only_keys(self, tmp_path, key):
+    def test_retired_keys_not_in_run_config(self, tmp_path, key):
         run_cfg = tmp_path / "c.cfg"
-        run_cfg.write_text(f"net.{key} = 0.5\n")
-        with pytest.raises(ConfigError):
+        run_cfg.write_text(f"net.{key} = 0.9\n")
+        with pytest.raises(ConfigError, match=f"line 1: unknown key 'net.{key}'"):
             parse_config_file(run_cfg)
-        sidecar = tmp_path / "model.netconfig"
-        sidecar.write_text(f"{key}=0.5\n")
-        assert getattr(read_network_config(sidecar), key) == 0.5
+
+    def test_known_keys_and_types_unchanged(self):
+        assert {key: kind.__name__ for key, kind in KNOWN_KEYS.items()} == {
+            key: type(value).__name__ for key, value in DESK_ECHO.items()
+            if key not in ("scene.image_width", "scene.image_height", "scene.focal")}

@@ -66,18 +66,21 @@ class TestEssentialFromPose:
             ep.essential_from_pose(np.eye(3), [0, 0, 1e-13])
 
 
+def distance(E, c):
+    return ep.symmetric_epipolar_distances(E, np.asarray(c, dtype=float).reshape(1, 4))[0]
+
+
 class TestSymmetricEpipolarDistance:
     def test_on_constraint(self):
-        assert ep.symmetric_epipolar_distance(E_Z, (1, 0, 2, 0)) == 0.0
+        assert distance(E_Z, (1, 0, 2, 0)) == 0.0
 
     def test_hand_computed_value(self):
-        d = ep.symmetric_epipolar_distance(E_Z, (1, 0, 2, 0.1))
+        d = distance(E_Z, (1, 0, 2, 0.1))
         assert abs(d - 0.01 / 5.01) < 1e-15
 
     def test_degenerate_epipoles(self):
         # both points at the epipoles of a pure-z-translation essential matrix
-        with pytest.raises(ep.DegenerateEpipole):
-            ep.symmetric_epipolar_distance(E_Z, (0, 0, 0, 0))
+        assert distance(E_Z, (0, 0, 0, 0)) == np.inf
 
     def test_vectorized_degenerate_is_inf(self):
         d = ep.symmetric_epipolar_distances(E_Z, np.array([[0, 0, 0, 0], [1, 0, 2, 0]], float))
@@ -89,8 +92,8 @@ class TestSymmetricEpipolarDistance:
         for _ in range(20):
             c = rng.normal(size=4)
             scale = rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0])
-            d1 = ep.symmetric_epipolar_distance(E, c)
-            d2 = ep.symmetric_epipolar_distance(scale * E, c)
+            d1 = distance(E, c)
+            d2 = distance(scale * E, c)
             assert abs(d1 - d2) <= 1e-12 * max(d1, 1.0)
 
 

@@ -194,8 +194,7 @@ class TestRansacPairOutcome:
             return real(C, cfg)
 
         monkeypatch.setattr(evalbench, "ransac_essential", spy)
-        base = RansacConfig(threshold=2e-4, max_iterations=300, confidence=0.99,
-                            sample_size=9, seed=99)
+        base = RansacConfig(threshold=2e-4, max_iterations=300, confidence=0.99, seed=99)
         evaluate_method(easy_pairs(count=3), "ransac", base, seed=5)
         assert seen == [replace(base, seed=5 + i) for i in range(3)]
 
@@ -218,7 +217,8 @@ class TestLoadNetwork:
         sidecar = str(ckpt) + ".netconfig"
         write_network_config(net.config, sidecar)
         with open(sidecar, "a", encoding="utf-8") as fh:
-            fh.write("block_order=norm_first\npool_softmax=clusters\nunpool_softmax=nodes\n")
+            fh.write("block_order=norm_first\npool_softmax=clusters\nunpool_softmax=nodes\n"
+                     "bn_momentum=0.9\neps=1e-05\n")
         loaded = load_network(str(ckpt))
         assert loaded.config == desk_config()
         corr = easy_pairs(count=2)[0].correspondences[None]

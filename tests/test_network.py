@@ -119,9 +119,8 @@ class TestBatchNorm:
 
 class TestPointCNBlock:
     def test_zero_weights_identity(self):
-        cfg = tiny_config()
         store = ParameterStore()
-        block = PointCNResBlock(store, "blk", D, cfg, np.random.default_rng(0))
+        block = PointCNResBlock(store, "blk", D, np.random.default_rng(0))
         for unit in (block.unit1, block.unit2):
             unit.perceptron.weight.data[...] = 0.0
             unit.perceptron.bias.data[...] = 0.0
@@ -129,9 +128,8 @@ class TestPointCNBlock:
         assert np.allclose(block(Tensor(x), "train").data, x)
 
     def test_permutation_equivariance(self):
-        cfg = tiny_config()
         store = ParameterStore()
-        block = PointCNResBlock(store, "blk", D, cfg, np.random.default_rng(1))
+        block = PointCNResBlock(store, "blk", D, np.random.default_rng(1))
         x = rand((1, N, D), seed=15)
         out = block(Tensor(x), "eval").data
         for seed in range(5):
@@ -140,15 +138,14 @@ class TestPointCNBlock:
             assert np.abs(out_p - out[:, perm]).max() < 1e-9
 
     def test_shape_preserved(self):
-        cfg = tiny_config()
         store = ParameterStore()
-        block = PointCNResBlock(store, "blk", D, cfg, np.random.default_rng(2))
+        block = PointCNResBlock(store, "blk", D, np.random.default_rng(2))
         assert block(Tensor(rand((B, N, D))), "train").shape == (B, N, D)
 
 
 def reference_unit(unit, x, mode):
     """The unit with one graph node per step: CN -> BN -> ReLU -> perceptron."""
-    h = unit.bn(context_norm(x, unit.cfg.eps), mode)
+    h = unit.bn(context_norm(x), mode)
     return shared_perceptron(ad.relu(h), unit.perceptron.weight, unit.perceptron.bias)
 
 
@@ -179,7 +176,7 @@ class TestFusedUnit:
 
     def make_unit(self):
         store = ParameterStore()
-        unit = PointCNUnit(store, "unit", D, 5, tiny_config(), np.random.default_rng(0))
+        unit = PointCNUnit(store, "unit", D, 5, np.random.default_rng(0))
         rng = np.random.default_rng(1)
         unit.bn.gamma.data[...] = rng.normal(1.0, 0.3, D)
         unit.bn.beta.data[...] = rng.normal(0.0, 0.3, D)
@@ -281,18 +278,16 @@ class TestFusedUnit:
 
 class TestDiffPool:
     def test_single_cluster_sums_nodes(self):
-        cfg = tiny_config(clusters=1)
         store = ParameterStore()
-        pool = DiffPool(store, "pool", D, 1, cfg, np.random.default_rng(0))
+        pool = DiffPool(store, "pool", D, 1, np.random.default_rng(0))
         x = rand((1, N, D), seed=16)
         clusters, assign = pool(Tensor(x), "eval")
         assert np.allclose(assign.data, 1.0)  # softmax over one logit
         assert np.allclose(clusters.data[0, 0], x[0].sum(axis=0))
 
     def test_uniform_logits_average_nodes(self):
-        cfg = tiny_config()
         store = ParameterStore()
-        pool = DiffPool(store, "pool", D, M, cfg, np.random.default_rng(1))
+        pool = DiffPool(store, "pool", D, M, np.random.default_rng(1))
         pool.head.perceptron.weight.data[...] = 0.0
         pool.head.perceptron.bias.data[...] = 0.0
         x = rand((1, N, D), seed=17)
@@ -301,9 +296,8 @@ class TestDiffPool:
         assert np.allclose(clusters.data[0], expected)
 
     def test_permutation_invariance(self):
-        cfg = tiny_config()
         store = ParameterStore()
-        pool = DiffPool(store, "pool", D, M, cfg, np.random.default_rng(2))
+        pool = DiffPool(store, "pool", D, M, np.random.default_rng(2))
         x = rand((1, 64, D), seed=18)
         clusters, _ = pool(Tensor(x), "eval")
         for seed in range(5):
@@ -312,9 +306,8 @@ class TestDiffPool:
             assert np.abs(clusters_p.data - clusters.data).max() < 1e-9
 
     def test_row_softmax_normalization(self):
-        cfg = tiny_config()
         store = ParameterStore()
-        pool = DiffPool(store, "pool", D, M, cfg, np.random.default_rng(3))
+        pool = DiffPool(store, "pool", D, M, np.random.default_rng(3))
         _, assign = pool(Tensor(rand((B, N, D), seed=19)), "eval")
         assert np.allclose(assign.data.sum(axis=2), 1.0, atol=1e-9)
 
@@ -409,9 +402,8 @@ class TestSpatialCorrelation:
 
 class TestOrderAwareBlock:
     def test_zero_weights_identity(self):
-        cfg = tiny_config()
         store = ParameterStore()
-        block = OrderAwareBlock(store, "oa", M, D, cfg, np.random.default_rng(0))
+        block = OrderAwareBlock(store, "oa", M, D, np.random.default_rng(0))
         for unit in (block.half1, block.half2):
             unit.perceptron.weight.data[...] = 0.0
             unit.perceptron.bias.data[...] = 0.0
@@ -421,9 +413,8 @@ class TestOrderAwareBlock:
         assert np.allclose(block(Tensor(x), "train").data, x)
 
     def test_shape_preserved(self):
-        cfg = tiny_config()
         store = ParameterStore()
-        block = OrderAwareBlock(store, "oa", M, D, cfg, np.random.default_rng(1))
+        block = OrderAwareBlock(store, "oa", M, D, np.random.default_rng(1))
         assert block(Tensor(rand((B, M, D))), "train").shape == (B, M, D)
 
 

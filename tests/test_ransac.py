@@ -144,13 +144,6 @@ class TestRansacPostprocess:
         assert np.array_equal(plain.essential, post.essential)
         assert np.array_equal(plain.mask, post.mask)
 
-    def test_keep_top_k(self):
-        pair = generate_pair(SceneConfig(n=64, outlier_ratio=0.3, pixel_noise=0.0, seed=35))
-        d = symmetric_epipolar_distances(pair.essential, pair.correspondences)
-        w = 1.0 / (1.0 + d)
-        res = ransac_postprocess(pair.correspondences, w, RansacConfig(seed=2), keep_top_k=32)
-        assert essential_error(res.essential, pair.essential) < 1e-4
-
     def test_mask_reported_on_full_set(self):
         pair = generate_pair(SceneConfig(n=64, outlier_ratio=0.3, pixel_noise=0.5, seed=36))
         w = pair.labels.astype(float)
