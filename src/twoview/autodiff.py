@@ -23,37 +23,53 @@ class NonScalarLoss(ValueError):
 
 
 class NotFinite(FloatingPointError):
-    """An op produced NaN or Inf."""
+    """A NaN or Inf reached a place where it could be lost, or was created.
+
+    Only a few places check: leaves (inputs and parameters) when they are
+    built, ops that can create a non-finite value (div, sqrt, custom) on
+    their output, ops that can hide one (relu, tanh, softplus,
+    minimum_const, softmax, the pre-activation of bn_relu_linear) on their
+    input, and backward() on the loss. Every other op carries NaN and Inf
+    through unchanged, so the next check names the op that would lose it.
+    """
 
 
 class CorruptCheckpoint(ValueError):
     """A checkpoint file is truncated, garbled or not a checkpoint at all."""
 
 
-def _check_finite(data, op):
-    if data.size == 0:
-        raise ShapeMismatch(f"{op}: empty tensor")
+def _check_finite(data, op, what="output"):
     # a single reduction: the sum is non-finite iff any entry is NaN/Inf
     if not np.isfinite(np.sum(data)):
         bad = int(np.count_nonzero(~np.isfinite(data)))
         if bad == 0:
             return  # sum overflowed but every entry is finite
-        raise NotFinite(f"{op}: {bad} non-finite entries in output of shape {data.shape}")
+        raise NotFinite(f"{op}: {bad} non-finite entries in {what} of shape {data.shape}")
+
+
+def _check_nonempty(data, op):
+    if data.size == 0:
+        raise ShapeMismatch(f"{op}: empty tensor")
 
 
 class Tensor:
-    """A dense float64 array plus its place in the backward graph."""
+    """A dense float64 array plus its place in the backward graph.
+
+    Built directly it is a leaf, and its data must be finite; op outputs
+    come from _make and are checked only where NotFinite says.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, op="leaf", parents=(), backward=None):
+    def __init__(self, data, requires_grad=False, op="leaf"):
         self.data = np.asarray(data, dtype=np.float64)
+        _check_nonempty(self.data, op)
         _check_finite(self.data, op)
         self.grad = None
         self.requires_grad = requires_grad
         self.op = op
-        self._parents = parents
-        self._backward = backward
+        self._parents = ()
+        self._backward = None
 
     @property
     def shape(self):
@@ -126,9 +142,14 @@ class no_grad:
 
 
 def _make(data, parents, op, backward_fn):
-    if not _grad_enabled or not any(p.requires_grad for p in parents):
-        return Tensor(data, op=op)
-    return Tensor(data, requires_grad=True, op=op, parents=tuple(parents), backward=backward_fn)
+    """An op's output node; its finiteness is the op's own business (see NotFinite)."""
+    t = Tensor.__new__(Tensor)
+    t.data = np.asarray(data, dtype=np.float64)
+    _check_nonempty(t.data, op)
+    t.grad, t.op = None, op
+    t.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
+    t._parents, t._backward = (tuple(parents), backward_fn) if t.requires_grad else ((), None)
+    return t
 
 
 def _unbroadcast(g, shape):
@@ -203,6 +224,7 @@ def div(a, b):
     _broadcastable(a.shape, b.shape, "div")
     with np.errstate(divide="ignore", invalid="ignore"):  # NotFinite handles it
         out = a.data / b.data
+    _check_finite(out, "div")
 
     def bwd(g):
         if a.requires_grad:
@@ -224,6 +246,7 @@ def neg(a):
 
 def relu(a):
     a = as_tensor(a)
+    _check_finite(a.data, "relu", "input")  # a -inf would come out as 0
     out = np.maximum(a.data, 0.0)
 
     def bwd(g):
@@ -235,6 +258,7 @@ def relu(a):
 
 def tanh(a):
     a = as_tensor(a)
+    _check_finite(a.data, "tanh", "input")  # +-inf would come out as +-1
     out = np.tanh(a.data)
 
     def bwd(g):
@@ -246,6 +270,7 @@ def tanh(a):
 def softplus(a):
     """log(1 + exp(x)), evaluated stably; backward is the logistic sigmoid."""
     a = as_tensor(a)
+    _check_finite(a.data, "softplus", "input")  # a -inf would come out as 0
     out = np.logaddexp(0.0, a.data)
 
     def bwd(g):
@@ -258,6 +283,7 @@ def sqrt(a):
     a = as_tensor(a)
     with np.errstate(invalid="ignore"):  # NotFinite handles negatives
         out = np.sqrt(a.data)
+    _check_finite(out, "sqrt")
 
     def bwd(g):
         a._accum(g / (2.0 * out), owned=True)
@@ -269,6 +295,7 @@ def minimum_const(a, cap):
     """Elementwise min(x, cap); gradient is 0 on the clamped side (ties clamp)."""
     a = as_tensor(a)
     cap = float(cap)
+    _check_finite(a.data, "minimum_const", "input")  # +inf would come out as cap
     out = np.minimum(a.data, cap)
 
     def bwd(g):
@@ -408,13 +435,16 @@ def reduce_sum(a, axis=None, keepdims=False):
 
 def softmax(a, axis):
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    _check_finite(a.data, "softmax", "input")  # a -inf would come out as a 0 weight
+    axis = axis % a.data.ndim
+    out = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def bwd(g):
-        dot = np.sum(g * out, axis=axis, keepdims=True)
-        a._accum(out * (g - dot), owned=True)
+        ga = g - np.expand_dims(_dot_axes(g, out, (axis,)), axis)
+        ga *= out
+        a._accum(ga, owned=True)
 
     return _make(out, (a,), "softmax", bwd)
 
@@ -434,6 +464,8 @@ def _dot_axes(x, y, axes):
     if x.ndim == 3 and y.shape == x.shape:
         if axes == (1,):
             return np.einsum("bnd,bnd->bd", x, y)
+        if axes == (2,):
+            return np.einsum("bnd,bnd->bn", x, y)
         if axes == (0, 1):
             return np.einsum("bnd,bnd->d", x, y)
     return (x * y).sum(axis=axes)
@@ -445,15 +477,18 @@ def normalize(a, axes, eps=1e-5):
     axes = axes if isinstance(axes, tuple) else (axes,)
     inv_n = 1.0 / np.prod([a.shape[i] for i in axes])
     mu = np.expand_dims(_sum_axes(a.data, axes) * inv_n, axes)
-    centered = a.data - mu
-    var = np.expand_dims(_dot_axes(centered, centered, axes) * inv_n, axes)
+    out = a.data - mu                               # centred, then scaled in place
+    var = np.expand_dims(_dot_axes(out, out, axes) * inv_n, axes)
     inv = 1.0 / np.sqrt(var + eps)
-    out = centered * inv
+    out *= inv
 
     def bwd(g):
         gm = np.expand_dims(_sum_axes(g, axes) * inv_n, axes)
         gy = np.expand_dims(_dot_axes(g, out, axes) * inv_n, axes)
-        a._accum(inv * (g - gm - out * gy), owned=True)
+        ga = g - gm
+        ga -= out * gy
+        ga *= inv
+        a._accum(ga, owned=True)
 
     return _make(out, (a,), "normalize", bwd)
 
@@ -479,7 +514,7 @@ def bn_relu_linear(h, gamma, beta, weight, bias, mean, inv, batch_stats):
     s = inv * gamma.data
     a = h.data * s
     a += beta.data - mean * s
-    _check_finite(a, "bn_relu_linear")  # the ReLU would hide a -inf
+    _check_finite(a, "bn_relu_linear", "pre-activation")  # the ReLU would hide a -inf
     r = np.maximum(a, 0.0, out=a)
     out = _matmul_data(r, weight.data)
     out += bias.data
@@ -523,7 +558,9 @@ def custom(inputs, out_data, backward_fn, op="custom"):
                     raise ShapeMismatch(f"{op}: backward produced {gt.shape} for input {t.shape}")
                 t._accum(gt)
 
-    return _make(np.asarray(out_data, dtype=np.float64), ts, op, bwd)
+    out_data = np.asarray(out_data, dtype=np.float64)
+    _check_finite(out_data, op)
+    return _make(out_data, ts, op, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +571,7 @@ def backward(loss):
     """Reverse accumulation from a scalar loss to all requires_grad tensors."""
     if loss.data.shape != ():
         raise NonScalarLoss(f"loss has shape {loss.data.shape}, expected a scalar")
+    _check_finite(loss.data, "backward", "loss")
     topo = []
     seen = set()
     stack = [(loss, False)]

@@ -183,6 +183,13 @@ def cmd_gradcheck(args):
     return EXIT_OK
 
 
+def _positive_int(raw):
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="twoview",
                                      description="differentiable two-view geometry toolkit")
@@ -197,7 +204,7 @@ def build_parser():
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     add_common(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--pairs", type=int, default=None)
+    p.add_argument("--pairs", type=_positive_int, default=None)
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("train", help="train a network")

@@ -149,7 +149,10 @@ def resolve_run_config(parsed=None):
         values.update((key[len(prefix) + 1:], value) for key, (value, _) in parsed.items()
                       if key.startswith(prefix + ".") and key != "scene.pairs")
         sections[attr] = _build(cls, values, lines, prefix + ".")
-    return RunConfig(preset, pairs=parsed.get("scene.pairs", (100, None))[0], **sections)
+    pairs = parsed.get("scene.pairs", (100, None))[0]
+    if pairs < 1:
+        raise ConfigError(f"scene.pairs: must be >= 1, got {pairs}", lines.get("scene.pairs"))
+    return RunConfig(preset, pairs=pairs, **sections)
 
 
 def load_run_config(path=None):

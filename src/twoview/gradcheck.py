@@ -20,6 +20,7 @@ from .network import (
     PointCNResBlock,
     PointCNUnit,
     SpatialCorrelationUnit,
+    _Stage,
     context_norm,
     desk_config,
     shared_perceptron,
@@ -123,6 +124,8 @@ def _op_cases(rng):
          lambda t: bn_relu_linear(t, True))
     case("bn_relu_linear(fixed stats)", rng.normal(0.7, 1.0, size=(2, 5, 3)),
          lambda t: bn_relu_linear(t, False))
+    # probed at an existing draw, so later cases see the same random stream
+    case("softmax(last, 3-D)", c234, lambda t: ad.reduce_sum(ad.softmax(t, axis=2) * p234))
     return cases
 
 
@@ -229,6 +232,8 @@ def _block_cases(rng):
                   lambda t: ad.reduce_sum(spatial_correlation(t, wmm, bm) * p_bmd2)))
     cases.append(("spatial_correlation(weight)", wmm,
                   lambda t: ad.reduce_sum(spatial_correlation(clusters_const, t, bm) * p_bmd2)))
+    cases.append(("spatial_correlation(bias)", bm,
+                  lambda t: ad.reduce_sum(spatial_correlation(clusters_const, wmm, t) * p_bmd2)))
 
     x, fn = layer_case(lambda s: SpatialCorrelationUnit(s, "sc", M, D, np.random.default_rng(4)),
                        (B, M, D), (B, M, D))
@@ -237,6 +242,14 @@ def _block_cases(rng):
     x, fn = layer_case(lambda s: OrderAwareBlock(s, "oa", M, D, np.random.default_rng(5)),
                        (B, M, D), (B, M, D))
     cases.append(("order_aware_block", x, fn))
+
+    # pool and unpool heads reading one shared context norm of the level-1 features;
+    # its own generator keeps the stream of the cases after it unchanged
+    stage_rng = np.random.default_rng(7)
+    stage = _Stage(fresh_store(), "stage", cfg, 4, stage_rng)
+    p_bn = _proj(stage_rng, (B, N))
+    cases.append(("stage(shared context norm)", stage_rng.normal(size=(B, N, 4)),
+                  lambda t: ad.reduce_sum(stage(t, "train")[0] * p_bn)))
     return cases
 
 

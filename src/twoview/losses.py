@@ -36,6 +36,8 @@ class LossConfig:
             self.alpha = 0.1 if self.kind == "l2" else 0.5
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
+        if self.warmup < 0:
+            raise ValueError("warmup must be >= 0")
         if self.clamp <= 0:
             raise ValueError("clamp must be positive")
 

@@ -89,9 +89,8 @@ def spatial_correlation(F, weight, bias):
         raise ShapeMismatch(f"spatial_correlation: expected (B, M, D), got {F.shape}")
     if F.shape[1] != weight.shape[0]:
         raise ShapeMismatch(f"spatial_correlation: spatial dim {F.shape[1]} != weight size {weight.shape[0]}")
-    ft = ad.transpose_last2(F)                      # (B, D, M)
-    out = ad.matmul(ft, weight) + bias              # weights shared along channels
-    return ad.transpose_last2(out)
+    # out[b, m', d] = sum_m W[m, m'] F[b, m, d] + b[m']: one product, weights shared along channels
+    return ad.matmul(ad.transpose_last2(weight), F) + ad.reshape(bias, (weight.shape[1], 1))
 
 
 class Perceptron:
@@ -130,6 +129,21 @@ class BatchNorm:
         return y * self.gamma + self.beta
 
 
+def _normed_input(x, mode):
+    """context_norm(x) and, in train mode, its per-channel batch mean and variance.
+
+    Units that read the same x (the pool and unpool heads) share one of these.
+    """
+    h = context_norm(x)
+    if mode != "train":
+        return h, None
+    n = h.shape[0] * h.shape[1]
+    mean = np.einsum("bnd->d", h.data) * (1.0 / n)
+    # h has a per-sample mean of ~0, so E[h^2] - mean^2 loses nothing
+    var = np.einsum("bnd,bnd->d", h.data, h.data) * (1.0 / n) - mean * mean
+    return h, (mean, var)
+
+
 class PointCNUnit:
     """One PointCN unit: CN -> BN -> ReLU -> perceptron, the last three as one node."""
 
@@ -137,16 +151,11 @@ class PointCNUnit:
         self.bn = BatchNorm(store, f"{name}.bn", d_in)
         self.perceptron = Perceptron(store, f"{name}.perc", d_in, d_out, rng)
 
-    def __call__(self, x, mode):
-        h = context_norm(x)
+    def __call__(self, x, mode, normed=None):
+        """normed: _normed_input(x, mode), when other units read the same x."""
+        h, moments = normed if normed is not None else _normed_input(x, mode)
         bn, train = self.bn, mode == "train"
-        if train:
-            n = h.shape[0] * h.shape[1]
-            mean = np.einsum("bnd->d", h.data) * (1.0 / n)
-            # h has a per-sample mean of ~0, so E[h^2] - mean^2 loses nothing
-            var = np.einsum("bnd,bnd->d", h.data, h.data) * (1.0 / n) - mean * mean
-        else:
-            mean, var = bn.running_mean.data, bn.running_var.data
+        mean, var = moments if train else (bn.running_mean.data, bn.running_var.data)
         out = ad.bn_relu_linear(h, bn.gamma, bn.beta, self.perceptron.weight, self.perceptron.bias,
                                 mean, 1.0 / np.sqrt(var + bn.eps), train)
         if train:
@@ -206,10 +215,11 @@ class DiffPool:
     def __init__(self, store, name, channels, clusters, rng):
         self.head = PointCNUnit(store, f"{name}.head", channels, clusters, rng)
 
-    def __call__(self, x, mode):
-        logits = self.head(x, mode)                     # (B, N, M)
+    def __call__(self, x, mode, normed=None):
+        logits = self.head(x, mode, normed)             # (B, N, M)
         assign = ad.softmax(logits, axis=2)
-        clusters = ad.matmul(ad.transpose_last2(assign), x)  # (B, M, D)
+        # (x^T S)^T: the transposes fall on the small (B, D, M) side
+        clusters = ad.transpose_last2(ad.matmul(ad.transpose_last2(x), assign))  # (B, M, D)
         return clusters, assign
 
 
@@ -230,9 +240,10 @@ class DiffUnpool:
         else:
             self.head = PointCNUnit(store, f"{name}.head", channels, cfg.expected_points, rng)
 
-    def __call__(self, x_pre, clusters, mode):
+    def __call__(self, x_pre, clusters, mode, normed=None):
+        """normed: _normed_input(x_pre, mode), shared with the pool head."""
         if self.cfg.unpool_variant == "order_aware":
-            logits = self.head(x_pre, mode)             # (B, N, M)
+            logits = self.head(x_pre, mode, normed)     # (B, N, M)
         else:
             if x_pre.shape[1] != self.cfg.expected_points:
                 raise ShapeMismatch(
@@ -280,10 +291,12 @@ class _Stage:
             x = block(x, mode)
         pool_assign = unpool_assign = None
         if self.cfg.use_pool:
-            clusters, pool_assign = self.pool(x, mode)
+            # both heads read x: one context norm and one set of batch moments
+            normed = _normed_input(x, mode)
+            clusters, pool_assign = self.pool(x, mode, normed)
             for block in self.level2:
                 clusters = block(clusters, mode)
-            up, unpool_assign = self.unpool(x, clusters, mode)
+            up, unpool_assign = self.unpool(x, clusters, mode, normed)
             x = self.fuse(ad.concat([up, x], axis=2))
         for block in self.after:
             x = block(x, mode)

@@ -11,6 +11,7 @@ projected onto the essential manifold; the reported mask is always
 recomputed from the returned model.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +106,34 @@ def _required_iterations(inlier_ratio, confidence):
     return np.log(max(1.0 - confidence, 1e-300)) / np.log1p(-p_good)
 
 
+def _scan_chunk(valid, losses, counts, best_loss, needed, seen, n, confidence):
+    """The early-exit rule over one chunk of hypotheses, in order, without a loop per hypothesis.
+
+    Hypothesis j replaces the best one when it is valid and its loss is
+    strictly below every earlier loss; the run stops at the first valid
+    hypothesis after which the valid count `seen` reaches the iterations
+    the best one's inlier ratio needs. `needed` is that bound for the best
+    hypothesis before the chunk. Returns (hypotheses used, valid ones
+    among them, index of the new best or -1, its bound, whether to stop).
+    """
+    idx = np.flatnonzero(valid)
+    if len(idx) == 0:
+        return len(valid), 0, -1, needed, False
+    lv = losses[idx]
+    before = np.minimum.accumulate(np.concatenate(([best_loss], lv[:-1])))
+    changes = np.flatnonzero(lv < before)
+    bounds = [needed] + [_required_iterations(int(counts[idx[k]]) / n, confidence)
+                         if counts[idx[k]] >= SAMPLE_SIZE else np.inf for k in changes]
+    # which best each position sees: 0 for the one before the chunk, i for changes[i - 1]
+    owner = np.searchsorted(changes, np.arange(len(idx)), side="right")
+    stops = np.flatnonzero(seen + np.arange(1, len(idx) + 1) >= np.take(bounds, owner))
+    last = int(stops[0]) if len(stops) else len(idx) - 1
+    k = owner[last]
+    new_best = int(idx[changes[k - 1]]) if k > 0 else -1
+    used = int(idx[last]) + 1 if len(stops) else len(valid)
+    return used, last + 1, new_best, bounds[k], len(stops) > 0
+
+
 def _solve_hypotheses(X_octets):
     """Batched minimal solves: models (K, 3, 3) and a validity mask."""
     G = X_octets.swapaxes(1, 2) @ X_octets
@@ -156,33 +185,33 @@ def ransac_essential(C, cfg: RansacConfig):
     p1 = np.column_stack([C[:, 0], C[:, 1], np.ones(N)])
     p2 = np.column_stack([C[:, 2], C[:, 3], np.ones(N)])
 
-    # hypothesis score: truncated (MSAC-style) loss; plain inlier counting is
-    # systematically fooled here, see the note below
+    # hypothesis score: truncated (MSAC-style) loss. Plain inlier counting
+    # is fooled here: a few random outliers always fall inside the inlier
+    # band, so the largest consensus set is not the most accurate model.
     best = None  # (msac, count, E)
+    needed = np.inf  # valid hypotheses the early-exit rule asks for, given best
     valid_hypotheses = 0
     iterations = 0
     done = False
     while iterations < cfg.max_iterations and not done:
+        # one draw per octet, so the octet stream does not depend on chunk sizes
         chunk = min(_CHUNK, cfg.max_iterations - iterations)
+        if needed < np.inf:
+            chunk = min(chunk, math.ceil(needed - valid_hypotheses))
         octets = np.stack([rng.choice(N, size=SAMPLE_SIZE, replace=False)
                            for _ in range(chunk)])
         models, valid = _solve_hypotheses(X[octets])
         dists = _distances_batch(models, X, p1, p2)
         counts = (dists < cfg.threshold).sum(axis=1)
         losses = np.minimum(dists, cfg.threshold).sum(axis=1)
-        for j in range(chunk):
-            iterations += 1
-            if not valid[j]:
-                # degenerate octet: rejected, not counted toward the early-exit bound
-                continue
-            valid_hypotheses += 1
-            if best is None or losses[j] < best[0]:
-                best = (losses[j], int(counts[j]), models[j])
-            if best[1] >= SAMPLE_SIZE:
-                needed = _required_iterations(best[1] / N, cfg.confidence)
-                if valid_hypotheses >= needed:
-                    done = True
-                    break
+        # degenerate octets are rejected and not counted toward the early-exit bound
+        used, seen, j, needed, done = _scan_chunk(
+            valid, losses, counts, np.inf if best is None else best[0], needed,
+            valid_hypotheses, N, cfg.confidence)
+        iterations += used
+        valid_hypotheses += seen
+        if j >= 0:
+            best = (losses[j], int(counts[j]), models[j])
     if best is None:
         raise NoModelFound(f"all {cfg.max_iterations} sampled octets were degenerate")
 

@@ -61,6 +61,8 @@ class SceneConfig:
             raise ValueError("pixel_noise must be >= 0")
         if not 0 < self.depth_min < self.depth_max:
             raise ValueError("depth_min and depth_max must satisfy 0 < depth_min < depth_max")
+        if not 0.0 <= self.max_rotation_deg <= 180.0:
+            raise ValueError("max_rotation_deg must be in [0, 180]")
 
     def intrinsics(self):
         return CameraIntrinsics(self.focal, self.focal,

@@ -86,6 +86,76 @@ class TestForwardSemantics:
         assert not out.requires_grad
 
 
+def non_finite(kind, shape=(2, 3, 4)):
+    """One +inf, -inf or NaN entry, made by unchecked ops from finite leaves."""
+    big = np.zeros(shape)
+    big.flat[5] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = ad.add(Tensor(big), Tensor(big))  # overflows to +inf
+        if kind == "-inf":
+            t = ad.neg(t)
+        elif kind == "nan":
+            t = ad.sub(t, t)
+    return t
+
+
+class TestFiniteness:
+    """Checks sit where a NaN or Inf can be created or hidden, not after every op."""
+
+    HIDING_OPS = {
+        "relu": lambda t: ad.relu(t),
+        "tanh": lambda t: ad.tanh(t),
+        "softplus": lambda t: ad.softplus(t),
+        "minimum_const": lambda t: ad.minimum_const(t, 0.5),
+        "softmax": lambda t: ad.softmax(t, axis=2),
+        "bn_relu_linear": lambda t: ad.bn_relu_linear(
+            t, np.ones(4), np.zeros(4), np.ones((4, 3)), np.zeros(3), np.zeros(4), np.ones(4), False),
+    }
+
+    @pytest.mark.parametrize("kind", ["+inf", "-inf", "nan"])
+    @pytest.mark.parametrize("op", sorted(HIDING_OPS))
+    def test_hiding_op_names_itself(self, op, kind):
+        t = non_finite(kind)
+        assert np.count_nonzero(~np.isfinite(t.data)) == 1
+        with pytest.raises(NotFinite, match=rf"^{op}: 1 non-finite"):
+            self.HIDING_OPS[op](t)
+
+    @pytest.mark.parametrize("kind", ["+inf", "-inf", "nan"])
+    def test_pass_through_ops_leave_it_to_the_next_check(self, kind):
+        t = non_finite(kind)
+        with np.errstate(invalid="ignore"):
+            h = ad.normalize(ad.matmul(ad.mul(t, 2.0) - 1.0, np.eye(4)), axes=(1,))
+            h = ad.reduce_sum(ad.transpose_last2(ad.reshape(h, (2, 3, 4))), axis=0, keepdims=True)
+        assert not np.isfinite(h.data).all()
+        with pytest.raises(NotFinite, match="^tanh:"):
+            ad.tanh(h)
+
+    def test_backward_rejects_non_finite_loss(self):
+        x = Tensor(np.ones((2, 3, 4)), requires_grad=True)
+        loss = ad.reduce_sum(ad.mul(x, non_finite("+inf")))
+        with pytest.raises(NotFinite, match="^backward: .* loss"):
+            ad.backward(loss)
+        assert x.grad is None
+
+    def test_leaf_checked(self):
+        with pytest.raises(NotFinite, match="^leaf:"):
+            Tensor(np.array([1.0, np.inf]))
+
+    @pytest.mark.parametrize("op, fn", [
+        ("sqrt", lambda: ad.sqrt(Tensor(np.array([1.0, -1.0])))),
+        ("my_op", lambda: ad.custom((Tensor(np.ones(2)),), np.array([np.nan]), None, op="my_op")),
+    ])
+    def test_creating_op_checks_output(self, op, fn):
+        with pytest.raises(NotFinite, match=f"^{op}:"):
+            fn()
+
+    def test_empty_tensor_is_a_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch, match="empty"):
+            Tensor(np.zeros((0, 3)))
+        with pytest.raises(ShapeMismatch, match="^slice_last: empty"):
+            ad.slice_last(Tensor(np.ones((2, 3))), 1, 1)
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.random.default_rng(2).normal(size=(3, 4)), requires_grad=True)

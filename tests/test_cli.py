@@ -221,6 +221,11 @@ class TestBadConfigValues:
         ("eval", "ransac.threshold = inf"),
         ("gen", "scene.pixel_noise = -1"),
         ("gen", "scene.pixel_noise = nan"),
+        ("gen", "scene.pairs = 0"),
+        ("gen", "scene.pairs = -3"),
+        ("gen", "scene.max_rotation_deg = -400"),
+        ("gen", "scene.max_rotation_deg = 180.5"),
+        ("train", "loss.warmup = -5"),
     ])
     def test_rejected_with_key_and_line_exit_2(self, workspace, tmp_path, capsys, command, setting):
         bad = tmp_path / "bad.cfg"
@@ -236,8 +241,19 @@ class TestBadConfigValues:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("pairs", ["0", "-2"])
+    def test_gen_pairs_flag_below_one_is_a_usage_error(self, tmp_path, capsys, pairs):
+        out = tmp_path / "out.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--seed", "1", "--out", str(out), "--pairs", pairs])
+        assert exc.value.code == 2
+        assert "--pairs" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTrainDivergence:
-    def test_nan_weights_exit_3_with_step_diagnostics(self, workspace, tmp_path, capsys):
+    @staticmethod
+    def train_from_poisoned(workspace, tmp_path, value):
         # normalization layers absorb any finite weight scale, so the honest
         # way to hit the divergence path is a poisoned resume checkpoint
         import shutil
@@ -249,16 +265,28 @@ class TestTrainDivergence:
         poisoned = tmp_path / "poisoned.bin"
         cfg = read_network_config(str(workspace["ckpt"]) + ".netconfig")
         net = Network(cfg, seed=1)
-        net.store["net.embed.weight"].data[0, 0] = np.nan
+        net.store["net.embed.weight"].data[0, 0] = value
         save_checkpoint(net.store, poisoned)
         shutil.copy(str(workspace["ckpt"]) + ".netconfig", str(poisoned) + ".netconfig")
-        code = main(["train", "--seed", "1", "--config", str(workspace["cfg"]),
+        return main(["train", "--seed", "1", "--config", str(workspace["cfg"]),
                      "--dataset", str(workspace["data"]),
                      "--out", str(tmp_path / "boom.bin"), "--steps", "5",
                      "--resume", str(poisoned)])
+
+    def test_nan_weights_exit_3_with_step_diagnostics(self, workspace, tmp_path, capsys):
+        code = self.train_from_poisoned(workspace, tmp_path, np.nan)
         assert code == 3
         err = capsys.readouterr().err
         assert "diverged" in err and "step" in err
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_inf_weights_exit_3(self, workspace, tmp_path, capsys, value):
+        with np.errstate(invalid="ignore"):
+            code = self.train_from_poisoned(workspace, tmp_path, value)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "diverged" in err and "non-finite" in err
+        assert not (tmp_path / "boom.bin").exists()
 
 
 class TestGradcheckCommand:

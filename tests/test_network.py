@@ -143,8 +143,11 @@ class TestPointCNBlock:
         assert block(Tensor(rand((B, N, D))), "train").shape == (B, N, D)
 
 
-def reference_unit(unit, x, mode):
-    """The unit with one graph node per step: CN -> BN -> ReLU -> perceptron."""
+def reference_unit(unit, x, mode, normed=None):
+    """The unit with one graph node per step: CN -> BN -> ReLU -> perceptron.
+
+    It runs its own context norm on x, even where the network shares one.
+    """
     h = unit.bn(context_norm(x), mode)
     return shared_perceptron(ad.relu(h), unit.perceptron.weight, unit.perceptron.bias)
 
@@ -274,6 +277,143 @@ class TestFusedUnit:
         with ad.no_grad():
             z = loaded.forward(corr, mode="eval").logits.data
         assert np.abs(z - z_ref).max() <= 1e-12 * max(1.0, np.abs(z_ref).max())
+
+
+def old_softmax(a, axis):
+    """Softmax as it was before the in-place rewrite: three temporaries each way."""
+    a = ad.as_tensor(a)
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=axis, keepdims=True)
+
+    def bwd(g):
+        dot = np.sum(g * out, axis=axis, keepdims=True)
+        return [out * (g - dot)]
+
+    return ad.custom((a,), out, bwd, op="softmax")
+
+
+def old_normalize(a, axes, eps=1e-5):
+    """normalize as it was before the in-place rewrite, temporaries and all."""
+    a = ad.as_tensor(a)
+    axes = axes if isinstance(axes, tuple) else (axes,)
+    inv_n = 1.0 / np.prod([a.shape[i] for i in axes])
+    mu = np.expand_dims(ad._sum_axes(a.data, axes) * inv_n, axes)
+    centered = a.data - mu
+    var = np.expand_dims(ad._dot_axes(centered, centered, axes) * inv_n, axes)
+    inv = 1.0 / np.sqrt(var + eps)
+    out = centered * inv
+
+    def bwd(g):
+        gm = np.expand_dims(ad._sum_axes(g, axes) * inv_n, axes)
+        gy = np.expand_dims(ad._dot_axes(g, out, axes) * inv_n, axes)
+        return [inv * (g - gm - out * gy)]
+
+    return ad.custom((a,), out, bwd, op="normalize")
+
+
+def old_spatial_correlation(F, weight, bias):
+    """Spatial correlation through two transposes of the (B, M, D) features."""
+    out = ad.matmul(ad.transpose_last2(F), weight) + bias
+    return ad.transpose_last2(out)
+
+
+def old_pool(self, x, mode, normed=None):
+    """DiffPool with its own context norm and the (B, M, N) transpose of the assignment."""
+    assign = ad.softmax(self.head(x, mode), axis=2)
+    return ad.matmul(ad.transpose_last2(assign), x), assign
+
+
+LEAN_UNPOOL = DiffUnpool.__call__
+
+
+def old_unpool(self, x_pre, clusters, mode, normed=None):
+    """DiffUnpool with its own context norm."""
+    return LEAN_UNPOOL(self, x_pre, clusters, mode)
+
+
+class TestLeanStep:
+    """One desk-network train step against the ops the leaner step replaced.
+
+    The reference runs the old softmax and normalize, a context norm per
+    pool and unpool head, DiffPool through the transposed assignment and the
+    two-transpose spatial correlation.
+    """
+
+    def step(self, mode, batch=4, n=256):
+        from twoview.losses import LossConfig, total_loss
+
+        pairs = [generate_pair(SceneConfig(n=n, outlier_ratio=0.6, pixel_noise=1.0, seed=s))
+                 for s in range(60, 60 + batch)]
+        corr = np.stack([p.correspondences for p in pairs])
+        net = Network(desk_config(), seed=12)
+        out = net.forward(corr, mode=mode)
+        loss = total_loss(out.logits, np.stack([p.labels for p in pairs]), out.essentials,
+                          np.stack([p.essential for p in pairs]), corr,
+                          LossConfig(kind="geometry", warmup=0), 0)
+        ad.backward(loss)
+        return net.store, out, float(loss.data)
+
+    def reference(self, monkeypatch):
+        import twoview.network as network
+
+        monkeypatch.setattr(ad, "softmax", old_softmax)
+        monkeypatch.setattr(ad, "normalize", old_normalize)
+        monkeypatch.setattr(network, "spatial_correlation", old_spatial_correlation)
+        monkeypatch.setattr(DiffPool, "__call__", old_pool)
+        monkeypatch.setattr(DiffUnpool, "__call__", old_unpool)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_step_matches_old_ops(self, monkeypatch, mode):
+        lean, out, loss = self.step(mode)
+        self.reference(monkeypatch)
+        ref, out_ref, loss_ref = self.step(mode)
+        z, z_ref = out.logits.data, out_ref.logits.data
+        assert np.abs(z - z_ref).max() <= 1e-12 * np.abs(z_ref).max()
+        assert abs(loss - loss_ref) <= 1e-12 * abs(loss_ref)
+        assert gradient_gap(lean, ref) <= 1e-12
+        assert running_gap(lean, ref) <= 1e-12
+        # both heads see the same statistics as before, bit for bit
+        heads = [n for n in lean.names() if ".pool.head.bn.running" in n or ".unpool.head.bn.running" in n]
+        assert len(heads) == 4
+        for name in heads:
+            assert np.array_equal(lean[name].data, ref[name].data)
+        assert np.array_equal(out.pool_assign.data, out_ref.pool_assign.data)
+
+    def test_in_place_ops_keep_their_bits(self):
+        x = rand((3, 40, 7), seed=90)
+        g = rand((3, 40, 7), seed=91)
+        for axis in (0, 1, 2):
+            new, old = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+            out_new, out_old = ad.softmax(new, axis), old_softmax(old, axis)
+            assert np.array_equal(out_new.data, out_old.data)
+            ad.backward(ad.reduce_sum(out_new * g))
+            ad.backward(ad.reduce_sum(out_old * g))
+            assert np.abs(new.grad - old.grad).max() <= 1e-15 * np.abs(old.grad).max()
+        for axes in ((1,), (0, 1)):
+            new, old = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+            out_new, out_old = ad.normalize(new, axes), old_normalize(old, axes)
+            ad.backward(ad.reduce_sum(out_new * g))
+            ad.backward(ad.reduce_sum(out_old * g))
+            assert np.array_equal(out_new.data, out_old.data)
+            assert np.array_equal(new.grad, old.grad)
+
+    def test_one_context_norm_feeds_both_heads(self, monkeypatch):
+        import twoview.network as network
+
+        calls = []
+        counted = network.context_norm
+
+        def context_norm(F, eps=1e-5):
+            calls.append(F.shape)
+            return counted(F, eps)
+
+        monkeypatch.setattr(network, "context_norm", context_norm)
+        cfg = tiny_config()
+        Network(cfg, seed=3).forward(rand((B, N, 4), seed=92), mode="train", solve=False)
+        # 2 units per res-block, 2 half-units per order-aware block, one shared head norm
+        units = 2 * (cfg.blocks_before_pool + cfg.blocks_after_unpool + cfg.level2_blocks)
+        assert len(calls) == units + 1
 
 
 class TestDiffPool:

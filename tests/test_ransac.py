@@ -8,10 +8,14 @@ from twoview.epipolar import (
     recover_pose,
     symmetric_epipolar_distances,
 )
+from twoview import ransac
 from twoview.ransac import (
+    SAMPLE_SIZE,
     InsufficientCorrespondences,
     RansacConfig,
     _distances_batch,
+    _required_iterations,
+    _scan_chunk,
     ransac_essential,
     ransac_postprocess,
 )
@@ -76,6 +80,125 @@ class TestRansacEssential:
             RansacConfig(threshold=0.0)
         with pytest.raises(ValueError):
             RansacConfig(max_iterations=0)
+
+
+def reference_scan(valid, losses, counts, best, seen, n, confidence):
+    """The per-hypothesis early-exit loop that _scan_chunk replaces; best is (loss, count) or None."""
+    used, new_best = 0, -1
+    for j in range(len(valid)):
+        used += 1
+        if not valid[j]:
+            continue
+        seen += 1
+        if best is None or losses[j] < best[0]:
+            best = (losses[j], int(counts[j]))
+            new_best = j
+        if best[1] >= SAMPLE_SIZE:
+            if seen >= _required_iterations(best[1] / n, confidence):
+                return used, seen, new_best, best, True
+    return used, seen, new_best, best, False
+
+
+def reference_ransac(C, cfg):
+    """ransac_essential with the per-hypothesis loop and fixed-size chunks it had before."""
+    C = np.asarray(C, dtype=np.float64)
+    N = len(C)
+    rng = np.random.default_rng(cfg.seed)
+    X = build_monomial_matrix(C)
+    p1 = np.column_stack([C[:, 0], C[:, 1], np.ones(N)])
+    p2 = np.column_stack([C[:, 2], C[:, 3], np.ones(N)])
+    best, valid_hypotheses, iterations, done = None, 0, 0, False
+    while iterations < cfg.max_iterations and not done:
+        chunk = min(ransac._CHUNK, cfg.max_iterations - iterations)
+        octets = np.stack([rng.choice(N, size=SAMPLE_SIZE, replace=False) for _ in range(chunk)])
+        models, valid = ransac._solve_hypotheses(X[octets])
+        dists = _distances_batch(models, X, p1, p2)
+        counts = (dists < cfg.threshold).sum(axis=1)
+        losses = np.minimum(dists, cfg.threshold).sum(axis=1)
+        for j in range(chunk):
+            iterations += 1
+            if not valid[j]:
+                continue
+            valid_hypotheses += 1
+            if best is None or losses[j] < best[0]:
+                best = (losses[j], int(counts[j]), models[j])
+            if best[1] >= SAMPLE_SIZE:
+                if valid_hypotheses >= _required_iterations(best[1] / N, cfg.confidence):
+                    done = True
+                    break
+    E_final = ransac.project_to_essential(best[2])
+    refit = ransac._irls_refit(C, symmetric_epipolar_distances(best[2], C), cfg.threshold)
+    if refit is not None:
+        E_refit = ransac.project_to_essential(refit)
+        d_refit = symmetric_epipolar_distances(E_refit, C)
+        d_hyp = symmetric_epipolar_distances(E_final, C)
+        if np.minimum(d_refit, cfg.threshold).sum() <= np.minimum(d_hyp, cfg.threshold).sum():
+            E_final = E_refit
+    return E_final, symmetric_epipolar_distances(E_final, C) < cfg.threshold, iterations
+
+
+class TestEarlyExit:
+    def test_scan_matches_per_hypothesis_loop(self):
+        rng = np.random.default_rng(61)
+        n, confidence = 40, 0.99
+        seen_cases = set()
+        for trial in range(3000):
+            chunk = int(rng.integers(1, 48))
+            valid = rng.uniform(size=chunk) >= rng.choice([0.0, 0.3, 1.0], p=[0.4, 0.5, 0.1])
+            # few distinct losses, so ties with the best so far occur too
+            losses = rng.integers(0, 30, size=chunk) * 0.25
+            counts = rng.integers(0, n + 1, size=chunk)
+            best = None if trial % 4 == 0 else (float(rng.integers(5, 30)) * 0.25,
+                                                int(rng.integers(0, n + 1)))
+            seen = int(rng.integers(0, 30))
+            used, seen_after, j, best_after, stop = reference_scan(
+                valid, losses, counts, best, seen, n, confidence)
+            needed = (_required_iterations(best[1] / n, confidence)
+                      if best is not None and best[1] >= SAMPLE_SIZE else np.inf)
+            got = _scan_chunk(valid, losses, counts, np.inf if best is None else best[0],
+                              needed, seen, n, confidence)
+            needed_after = (_required_iterations(best_after[1] / n, confidence)
+                            if best_after is not None and best_after[1] >= SAMPLE_SIZE else np.inf)
+            assert got == (used, seen_after - seen, j, needed_after, stop), trial
+            if not valid.all():
+                seen_cases.add("degenerate octets")
+            if not valid.any():
+                seen_cases.add("all degenerate")
+            if stop:
+                seen_cases.add("stop")
+            if j >= 0 and best is not None and best_after[1] < best[1]:
+                seen_cases.add("best count falls")
+        assert seen_cases == {"degenerate octets", "all degenerate", "stop", "best count falls"}
+
+    @pytest.mark.parametrize("outliers, noise, max_iterations", [
+        (0.6, 0.5, 2000), (0.4, 0.5, 2000), (0.5, 0.0, 2000), (0.4, 0.5, 300), (0.1, 0.0, 2000)])
+    def test_same_result_as_per_hypothesis_loop(self, outliers, noise, max_iterations):
+        for seed in range(3):
+            pair = generate_pair(SceneConfig(n=128, outlier_ratio=outliers, pixel_noise=noise,
+                                             seed=70 + seed))
+            C = pair.correspondences.copy()
+            C[100:] = C[:28]  # repeated rows give degenerate octets
+            cfg = RansacConfig(seed=seed, max_iterations=max_iterations)
+            res = ransac_essential(C, cfg)
+            E, mask, iterations = reference_ransac(C, cfg)
+            assert np.array_equal(res.essential, E)
+            assert np.array_equal(res.mask, mask)
+            assert res.iterations == iterations and type(res.iterations) is int
+
+
+    def test_no_hypothesis_solved_past_the_stop(self, monkeypatch):
+        # after the first chunk each one is capped at what the bound still needs
+        solved = []
+        solve = ransac._solve_hypotheses
+        monkeypatch.setattr(ransac, "_solve_hypotheses", lambda X: solved.append(len(X)) or solve(X))
+        for outliers, noise in ((0.4, 0.5), (0.5, 0.0)):
+            for seed in range(3):
+                solved.clear()
+                pair = generate_pair(SceneConfig(n=128, outlier_ratio=outliers, pixel_noise=noise,
+                                                 seed=70 + seed))
+                res = ransac_essential(pair.correspondences, RansacConfig(seed=seed))
+                assert ransac._CHUNK < res.iterations < 2000
+                assert sum(solved) == res.iterations
 
 
 class TestBatchedHypotheses:
