@@ -391,19 +391,6 @@ def concat(tensors, axis=-1):
     return _make(out, ts, "concat", bwd)
 
 
-def slice_last(a, start, stop):
-    """Narrow the last axis to [start, stop)."""
-    a = as_tensor(a)
-    out = a.data[..., start:stop].copy()
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        full[..., start:stop] = g
-        a._accum(full, owned=True)
-
-    return _make(out, (a,), "slice_last", bwd)
-
-
 def take_batch(a, index):
     """Select one slice along the leading axis."""
     a = as_tensor(a)
@@ -593,21 +580,19 @@ def backward(loss):
             node._backward(node.grad)
 
 
-def finite_difference_check(f, x, h=1e-5):
-    """Max relative error between f's analytic gradient at x and central differences.
-
-    f takes one Tensor and returns a scalar Tensor; x is the flattening
-    reference point. The relative error denominator is
-    max(|analytic|, |numeric|, 1e-8) per component.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    probe = Tensor(x.copy(), requires_grad=True)
+def analytic_gradient(f, x):
+    """Gradient at x, by backward, of f: one Tensor in, a scalar Tensor out."""
+    probe = Tensor(np.array(x, dtype=np.float64), requires_grad=True)
     loss = f(probe)
     if loss.data.shape != ():
-        raise NonScalarLoss("finite_difference_check needs a scalar-valued function")
+        raise NonScalarLoss("a gradient check needs a scalar-valued function")
     backward(loss)
-    analytic = probe.grad if probe.grad is not None else np.zeros_like(x)
-    analytic = analytic.reshape(-1)
+    return np.zeros_like(probe.data) if probe.grad is None else probe.grad
+
+
+def central_differences(f, x, h=1e-5):
+    """Central differences of scalar f at x, one component at a time, shaped like x."""
+    x = np.asarray(x, dtype=np.float64)
     flat = x.reshape(-1)
     numeric = np.zeros_like(flat)
     for i in range(flat.size):
@@ -617,8 +602,17 @@ def finite_difference_check(f, x, h=1e-5):
         bumped[i] -= 2.0 * h
         lo = float(f(Tensor(bumped.reshape(x.shape))).data)
         numeric[i] = (hi - lo) / (2.0 * h)
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / denom))
+    return numeric.reshape(x.shape)
+
+
+def relative_errors(a, b):
+    """|a - b| / max(|a|, |b|, 1e-8), per component."""
+    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
+
+
+def finite_difference_check(f, x, h=1e-5):
+    """Max relative error between f's analytic gradient at x and central differences."""
+    return float(np.max(relative_errors(analytic_gradient(f, x), central_differences(f, x, h))))
 
 
 # ---------------------------------------------------------------------------

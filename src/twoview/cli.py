@@ -19,6 +19,7 @@ from . import __version__
 from .autodiff import save_checkpoint, write_atomically
 from .config import ConfigError, load_run_config, write_network_config
 from .evalbench import (
+    METHODS,
     MissingCheckpoint,
     compare_methods,
     export_cluster_responses,
@@ -114,46 +115,27 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def cmd_eval(args):
+def cmd_evaluate(args):
+    """`eval` (one method) and `compare` (several): one metrics row per method."""
     started = _now()
     run = load_run_config(args.config)
     pairs = read_dataset(args.dataset)
-    checkpoints = {}
-    if args.method in ("net", "net+ransac"):
+    methods = args.methods if args.command == "compare" else [args.method]
+    learned = [m for m in methods if m != "ransac"]
+    net = None
+    if learned:
         if not args.checkpoint:
-            raise MissingCheckpoint(f"method {args.method!r} requires --checkpoint")
-        checkpoints["net"] = load_network(args.checkpoint)
+            raise MissingCheckpoint(f"method {learned[0]!r} requires --checkpoint")
+        net = load_network(args.checkpoint)
     ransac_cfg = replace(run.ransac, seed=args.seed)
-    reports = compare_methods(pairs, [args.method], ransac_cfg, checkpoints, seed=args.seed)
+    reports = compare_methods(pairs, methods, ransac_cfg, net, seed=args.seed)
     write_metrics_csv(reports, args.out)
-    write_manifest(args.out + ".manifest.json", "eval", vars(args), run.echo(), started, [args.out])
-    r = reports[0]
-    print(f"{r.method}: mAP5 {r.map5:.2f} mAP10 {r.map10:.2f} mAP20 {r.map20:.2f} "
-          f"P {r.precision:.2f} R {r.recall:.2f} F {r.fscore:.2f} "
-          f"({r.pairs} pairs, {r.failures} failures)")
-    return EXIT_OK
-
-
-def cmd_compare(args):
-    started = _now()
-    run = load_run_config(args.config)
-    pairs = read_dataset(args.dataset)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    checkpoints = {}
-    if any(m in ("net", "net+ransac") for m in methods):
-        if not args.checkpoint:
-            raise MissingCheckpoint("--checkpoint is required for learned methods")
-        checkpoints["net"] = load_network(args.checkpoint)
-    if "pointcn" in methods:
-        if not args.pointcn_checkpoint:
-            raise MissingCheckpoint("--pointcn-checkpoint is required for the pointcn row")
-        checkpoints["pointcn"] = load_network(args.pointcn_checkpoint)
-    ransac_cfg = replace(run.ransac, seed=args.seed)
-    reports = compare_methods(pairs, methods, ransac_cfg, checkpoints, seed=args.seed)
-    write_metrics_csv(reports, args.out)
-    write_manifest(args.out + ".manifest.json", "compare", vars(args), run.echo(), started, [args.out])
+    write_manifest(args.out + ".manifest.json", args.command, vars(args), run.echo(), started,
+                   [args.out])
     for r in reports:
-        print(f"{r.method}: mAP5 {r.map5:.2f} P {r.precision:.2f} R {r.recall:.2f}")
+        print(f"{r.method}: mAP5 {r.map5:.2f} mAP10 {r.map10:.2f} mAP20 {r.map20:.2f} "
+              f"P {r.precision:.2f} R {r.recall:.2f} F {r.fscore:.2f} "
+              f"({r.pairs} pairs, {r.failures} failures)")
     return EXIT_OK
 
 
@@ -190,6 +172,14 @@ def _positive_int(raw):
     return value
 
 
+def _method_list(raw):
+    methods = [m.strip() for m in raw.split(",") if m.strip()]
+    if not methods or any(m not in METHODS for m in methods):
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list from {','.join(METHODS)}, got {raw!r}")
+    return methods
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="twoview",
                                      description="differentiable two-view geometry toolkit")
@@ -215,30 +205,26 @@ def build_parser():
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate one method on a dataset")
-    add_common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--method", required=True, choices=["ransac", "net", "net+ransac"])
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("compare", help="benchmark several methods side by side")
-    add_common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--methods", required=True,
-                   help="comma list from: ransac,net,net+ransac,pointcn")
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--pointcn-checkpoint", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_compare)
+    for name, help_text in (("eval", "evaluate one method on a dataset"),
+                            ("compare", "benchmark several methods side by side")):
+        p = sub.add_parser(name, help=help_text)
+        add_common(p)
+        p.add_argument("--dataset", required=True)
+        if name == "eval":
+            p.add_argument("--method", required=True, choices=METHODS)
+        else:
+            p.add_argument("--methods", required=True, type=_method_list,
+                           help="comma list from ransac,net,net+ransac, one row each in this order")
+        p.add_argument("--checkpoint", default=None, help="network for net and net+ransac")
+        p.add_argument("--out", required=True)
+        p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("responses", help="export top-k unpool assignment responses")
     add_common(p, needs_config=False)
     p.add_argument("--dataset", required=True)
     p.add_argument("--pair", type=int, default=0)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--top-k", type=int, default=15)
+    p.add_argument("--top-k", type=_positive_int, default=15)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_responses)
 

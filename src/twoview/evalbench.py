@@ -23,6 +23,7 @@ from .network import Network
 from .ransac import (InsufficientCorrespondences, NoModelFound, RansacConfig, ransac_essential,
                      ransac_postprocess)
 
+METHODS = ("ransac", "net", "net+ransac")
 METRICS_HEADER = ["method", "mAP5", "mAP10", "mAP20", "precision", "recall", "fscore",
                   "pairs", "failures"]
 RESPONSES_HEADER = ["cluster", "rank", "row", "value"]
@@ -94,11 +95,11 @@ def classification_prf(predicted_mask, labels):
     return precision, recall, f, flagged
 
 
-def load_network(checkpoint_path, config_path=None):
-    """Rebuild a network from a checkpoint and its sidecar config file."""
+def load_network(checkpoint_path):
+    """Rebuild a network from a checkpoint and its `.netconfig` sidecar."""
     if not os.path.exists(checkpoint_path):
         raise MissingCheckpoint(f"checkpoint not found: {checkpoint_path}")
-    config_path = config_path or checkpoint_path + ".netconfig"
+    config_path = checkpoint_path + ".netconfig"
     if not os.path.exists(config_path):
         raise MissingCheckpoint(f"network config not found: {config_path}")
     net = Network(read_network_config(config_path), seed=0)
@@ -106,37 +107,31 @@ def load_network(checkpoint_path, config_path=None):
     return net
 
 
-def _network_pair_outcome(net, pair):
-    with ad.no_grad():
-        out = net.forward(pair.correspondences[None], mode="eval")
-    w = out.weights.data[0]
+def _scored(pair, essential, weights, mask):
+    """Pose errors of the pose recovered from `essential`; no valid pose is a failure."""
+    try:
+        est = recover_pose(essential, pair.correspondences, weights)
+    except NoValidCandidate:
+        return PairOutcome(np.inf, np.inf, True, mask)
+    return PairOutcome(*pose_angular_errors(est, pair.pose()), False, mask)
+
+
+def _network_pair_outcome(pair, out):
     mask = out.logits.data[0] > 0
     e = out.essentials[0]
     if e is None:
         return PairOutcome(np.inf, np.inf, True, mask)
-    try:
-        est = recover_pose(project_to_essential(e.data), pair.correspondences, w)
-        rot, trans = pose_angular_errors(est, pair.pose())
-    except NoValidCandidate:
-        return PairOutcome(np.inf, np.inf, True, mask)
-    return PairOutcome(rot, trans, False, mask)
+    return _scored(pair, project_to_essential(e.data), out.weights.data[0], mask)
 
 
 def _ransac_pair_outcome(pair, cfg, weights=None):
     try:
-        if weights is None:
-            res = ransac_essential(pair.correspondences, cfg)
-        else:
-            res = ransac_postprocess(pair.correspondences, weights, cfg)
-        scoring = res.mask.astype(np.float64)
-        if not scoring.any():
-            return PairOutcome(np.inf, np.inf, True, res.mask)
-        est = recover_pose(res.essential, pair.correspondences, scoring)
-        rot, trans = pose_angular_errors(est, pair.pose())
-        return PairOutcome(rot, trans, False, res.mask)
+        res = (ransac_essential(pair.correspondences, cfg) if weights is None
+               else ransac_postprocess(pair.correspondences, weights, cfg))
     except (InsufficientCorrespondences, NoModelFound, NoValidCandidate, RankDeficient):
-        n = len(pair.correspondences)
-        return PairOutcome(np.inf, np.inf, True, np.zeros(n, dtype=bool))
+        return PairOutcome(np.inf, np.inf, True, np.zeros(len(pair.correspondences), bool))
+    # an empty consensus set gives no weight to recover a pose with: a failure
+    return _scored(pair, res.essential, res.mask.astype(np.float64), res.mask)
 
 
 def evaluate_method(pairs, method, ransac_cfg: RansacConfig = None, net: Network = None,
@@ -144,20 +139,23 @@ def evaluate_method(pairs, method, ransac_cfg: RansacConfig = None, net: Network
     """Per-pair outcomes for one method; RANSAC seeds derive from seed + index."""
     if len(pairs) == 0:
         raise EmptyEvaluation("empty dataset")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if method != "ransac" and net is None:
+        raise MissingCheckpoint(f"method {method!r} needs a network")
     ransac_cfg = ransac_cfg or RansacConfig()
     outcomes = []
     for i, pair in enumerate(pairs):
         cfg_i = replace(ransac_cfg, seed=seed + i)
         if method == "ransac":
             outcomes.append(_ransac_pair_outcome(pair, cfg_i))
-        elif method in ("net", "pointcn"):
-            outcomes.append(_network_pair_outcome(net, pair))
-        elif method == "net+ransac":
-            with ad.no_grad():
-                out = net.forward(pair.correspondences[None], mode="eval")
-            outcomes.append(_ransac_pair_outcome(pair, cfg_i, weights=out.weights.data[0]))
+            continue
+        with ad.no_grad():
+            out = net.forward(pair.correspondences[None], mode="eval")
+        if method == "net":
+            outcomes.append(_network_pair_outcome(pair, out))
         else:
-            raise ValueError(f"unknown method {method!r}")
+            outcomes.append(_ransac_pair_outcome(pair, cfg_i, weights=out.weights.data[0]))
     return MethodResult(method, outcomes)
 
 
@@ -183,26 +181,9 @@ def aggregate(result: MethodResult, pairs):
     )
 
 
-def compare_methods(pairs, methods, ransac_cfg=None, checkpoints=None, seed=0):
-    """One MetricsReport per requested method, in the given order.
-
-    checkpoints maps a learned method name to a checkpoint path or an
-    already-loaded Network.
-    """
-    if len(pairs) == 0:
-        raise EmptyEvaluation("empty dataset")
-    checkpoints = checkpoints or {}
-    reports = []
-    for method in methods:
-        net = None
-        if method in ("net", "net+ransac", "pointcn"):
-            source = checkpoints.get("pointcn" if method == "pointcn" else "net")
-            if source is None:
-                raise MissingCheckpoint(f"method {method!r} needs a checkpoint")
-            net = source if isinstance(source, Network) else load_network(source)
-        result = evaluate_method(pairs, method, ransac_cfg, net, seed)
-        reports.append(aggregate(result, pairs))
-    return reports
+def compare_methods(pairs, methods, ransac_cfg=None, net=None, seed=0):
+    """One MetricsReport per method, in the given order; `net` serves every learned method."""
+    return [aggregate(evaluate_method(pairs, m, ransac_cfg, net, seed), pairs) for m in methods]
 
 
 def write_metrics_csv(reports, path):

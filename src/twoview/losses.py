@@ -7,6 +7,9 @@ import numpy as np
 from . import autodiff as ad
 from .epipolar import EPIPOLE_DENOM_MIN
 
+# keeps the two image-plane components of an epipolar line (a, b, c): den sums a^2 + b^2
+_FIRST_TWO = np.array([1.0, 1.0, 0.0])
+
 
 class DegenerateLabels(ValueError):
     """Every sample in the batch is missing one of the two classes."""
@@ -111,8 +114,8 @@ def geometry_loss(e_hat, inlier_corr, clamp=0.1):
     etp2 = ad.matmul(ad.as_tensor(p2), e_hat)                      # rows E^T @ p2_i
     residual = ad.reduce_sum(ep1 * p2, axis=1)
     num = residual * residual
-    den = ad.reduce_sum(ad.slice_last(ep1, 0, 2) * ad.slice_last(ep1, 0, 2), axis=1) \
-        + ad.reduce_sum(ad.slice_last(etp2, 0, 2) * ad.slice_last(etp2, 0, 2), axis=1)
+    den = ad.reduce_sum(ep1 * ep1 * _FIRST_TWO, axis=1) \
+        + ad.reduce_sum(etp2 * etp2 * _FIRST_TWO, axis=1)
     degenerate = (den.data < EPIPOLE_DENOM_MIN).astype(np.float64)
     good = 1.0 - degenerate
     # degenerate rows: constant clamp contribution, zero gradient

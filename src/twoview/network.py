@@ -327,9 +327,9 @@ def _solve_batch(corr, weights):
 class Network:
     """Full model: one stage, or an initialization + refinement pair."""
 
-    def __init__(self, config: NetworkConfig, seed=0, store=None):
+    def __init__(self, config: NetworkConfig, seed=0):
         self.config = config
-        self.store = store if store is not None else ParameterStore()
+        self.store = ParameterStore()
         rng = np.random.default_rng(seed)
         if config.iterative:
             self.stage1 = _Stage(self.store, "s1", config, 4, rng)

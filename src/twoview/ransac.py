@@ -67,19 +67,19 @@ class RansacResult:
     fallback: bool = False  # post-processing fell back to the full set
 
 
-def _irls_refit(C, d0, threshold, rounds=3):
+def _irls_refit(C, d0, threshold):
     """Re-fit on the consensus set with scale-adaptive robust weights.
 
-    The first round is the plain binary-mask least-squares refit; later
-    rounds down-weight members whose residual is large relative to the
-    median consensus residual. On noise-free scenes this drives the
+    Three rounds: the first is the plain binary-mask least-squares refit,
+    the other two down-weight members whose residual is large relative to
+    the median consensus residual. On noise-free scenes this drives the
     handful of barely-under-threshold random outliers to zero weight,
     which a binary refit cannot do.
     """
     d = d0
     w = (d < threshold).astype(np.float64)
     E = None
-    for _ in range(rounds):
+    for _ in range(3):
         if np.count_nonzero(w > SUPPORT_WEIGHT_MIN) < 8:
             return E
         try:

@@ -182,37 +182,18 @@ def generate_dataset(cfg: SceneConfig, pairs, base_seed=None):
     return [generate_pair(replace(cfg, seed=base + i)) for i in range(pairs)]
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
-def _fmt_array(arr):
-    return "[" + ",".join(_fmt(v) for v in np.asarray(arr, dtype=np.float64).reshape(-1)) + "]"
-
-
-def _config_json(cfg: SceneConfig):
-    d = asdict(cfg)
-    parts = []
-    for key, value in d.items():
-        if isinstance(value, float):
-            parts.append(f'"{key}":{_fmt(value)}')
-        else:
-            parts.append(f'"{key}":{json.dumps(value)}')
-    return "{" + ",".join(parts) + "}"
-
-
 def pair_to_line(pair: ScenePair):
-    labels = "[" + ",".join(str(int(v)) for v in pair.labels) + "]"
-    return ("{"
-            f'"n":{len(pair.correspondences)},'
-            f'"seed":{pair.seed},'
-            f'"config":{_config_json(pair.config)},'
-            f'"correspondences":{_fmt_array(pair.correspondences)},'
-            f'"e_gt":{_fmt_array(pair.essential)},'
-            f'"r_gt":{_fmt_array(pair.rotation)},'
-            f'"t_gt":{_fmt_array(pair.translation)},'
-            f'"labels":{labels}'
-            "}")
+    """One JSON record; reals are written as their shortest repr, which reads back exactly."""
+    return json.dumps({
+        "n": len(pair.correspondences),
+        "seed": pair.seed,
+        "config": asdict(pair.config),
+        "correspondences": pair.correspondences.reshape(-1).tolist(),
+        "e_gt": pair.essential.reshape(-1).tolist(),
+        "r_gt": pair.rotation.reshape(-1).tolist(),
+        "t_gt": pair.translation.reshape(-1).tolist(),
+        "labels": pair.labels.tolist(),
+    }, separators=(",", ":"))
 
 
 def pair_from_line(line, line_number):
@@ -242,7 +223,7 @@ def pair_from_line(line, line_number):
 
 
 def write_dataset(pairs, path):
-    """One line per pair; reals carry 17 significant digits for exact round trips."""
+    """One line per pair, bit-exact on reading; files with 17-digit reals read the same."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for pair in pairs:
             fh.write(pair_to_line(pair))

@@ -185,12 +185,50 @@ class TestCompare:
         lines = out.read_text().splitlines()
         assert [line.split(",")[0] for line in lines] == ["method", "ransac", "net", "net+ransac"]
 
-    def test_pointcn_requires_its_checkpoint(self, workspace, tmp_path):
+    @staticmethod
+    def assert_usage_error(workspace, tmp_path, capsys, methods):
+        out = tmp_path / "c.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--seed", "4", "--config", str(workspace["cfg"]),
+                  "--dataset", str(workspace["data"]), "--methods", methods,
+                  "--checkpoint", str(workspace["ckpt"]), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--methods" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "c.csv.manifest.json").exists()
+
+    def test_pointcn_is_a_usage_error(self, workspace, tmp_path, capsys):
+        # the former alias of net is not a method; each variant's own checkpoint is `net`
+        self.assert_usage_error(workspace, tmp_path, capsys, "pointcn")
+
+    @pytest.mark.parametrize("methods", ["ransac,bogus", ",", ""])
+    def test_unknown_or_empty_methods_are_a_usage_error(self, workspace, tmp_path, capsys,
+                                                         methods):
+        self.assert_usage_error(workspace, tmp_path, capsys, methods)
+
+    def test_learned_method_without_checkpoint_exit_4(self, workspace, tmp_path):
+        out = tmp_path / "c.csv"
         code = main(["compare", "--seed", "4", "--config", str(workspace["cfg"]),
-                     "--dataset", str(workspace["data"]), "--methods", "pointcn",
-                     "--checkpoint", str(workspace["ckpt"]),
-                     "--out", str(tmp_path / "c.csv")])
+                     "--dataset", str(workspace["data"]), "--methods", "ransac,net+ransac",
+                     "--out", str(out)])
         assert code == 4
+        assert not out.exists()
+
+    def test_rows_equal_one_eval_per_method(self, workspace, tmp_path, capsys):
+        common = ["--seed", "4", "--config", str(workspace["cfg"]),
+                  "--dataset", str(workspace["data"]), "--checkpoint", str(workspace["ckpt"])]
+        methods = ["net+ransac", "ransac", "net"]
+        assert main(["compare", *common, "--methods", ",".join(methods),
+                     "--out", str(tmp_path / "c.csv")]) == 0
+        compared = capsys.readouterr().out.splitlines()
+        rows = (tmp_path / "c.csv").read_text().splitlines()
+        for i, method in enumerate(methods):
+            out = tmp_path / f"{i}.csv"
+            assert main(["eval", *common, "--method", method, "--out", str(out)]) == 0
+            assert capsys.readouterr().out.splitlines() == [compared[i]]
+            assert out.read_text().splitlines() == [rows[0], rows[1 + i]]
+        manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
+        assert manifest["command"] == "compare"
+        assert json.loads((tmp_path / "0.csv.manifest.json").read_text())["command"] == "eval"
 
 
 class TestResponses:
@@ -203,6 +241,16 @@ class TestResponses:
         lines = out.read_text().splitlines()
         assert lines[0] == "cluster,rank,row,value"
         assert len(lines) == 1 + 3 * 4  # top_k rows per cluster
+
+    @pytest.mark.parametrize("top_k", ["0", "-1"])
+    def test_top_k_below_one_is_a_usage_error(self, workspace, tmp_path, capsys, top_k):
+        out = tmp_path / "responses.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["responses", "--seed", "0", "--dataset", str(workspace["data"]),
+                  "--checkpoint", str(workspace["ckpt"]), "--top-k", top_k, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--top-k" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_pair_out_of_range_exit_2(self, workspace, tmp_path):
         code = main(["responses", "--seed", "0", "--dataset", str(workspace["data"]),

@@ -120,9 +120,9 @@ class TestCompareMethods:
         pairs = easy_pairs()
         net = tiny_net()
         reports = compare_methods(pairs, ["ransac", "net", "net+ransac"],
-                                  RansacConfig(), {"net": net}, seed=0)
+                                  RansacConfig(), net, seed=0)
         for report in reports:
-            assert report.map5 > 99.0, report
+            assert report.map5 > 99.0 and report.failures == 0, report
 
     def test_ransac_precision_equals_mask_inlier_ratio(self):
         pairs = generate_dataset(SceneConfig(n=64, outlier_ratio=0.3, pixel_noise=0.5, seed=0),
@@ -139,19 +139,19 @@ class TestCompareMethods:
         pairs = easy_pairs(count=3)
         net = tiny_net()
         methods = ["net", "ransac"]
-        r1 = compare_methods(pairs, methods, RansacConfig(), {"net": net}, seed=1)
-        r2 = compare_methods(pairs, methods, RansacConfig(), {"net": net}, seed=1)
+        r1 = compare_methods(pairs, methods, RansacConfig(), net, seed=1)
+        r2 = compare_methods(pairs, methods, RansacConfig(), net, seed=1)
         assert [r.method for r in r1] == methods
         assert [(r.map5, r.precision, r.recall) for r in r1] == \
                [(r.map5, r.precision, r.recall) for r in r2]
 
     def test_missing_checkpoint(self):
         with pytest.raises(MissingCheckpoint):
-            compare_methods(easy_pairs(count=2), ["net"], RansacConfig(), {}, seed=0)
+            compare_methods(easy_pairs(count=2), ["net"], RansacConfig(), None, seed=0)
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyEvaluation):
-            compare_methods([], ["ransac"], RansacConfig(), {}, seed=0)
+            compare_methods([], ["ransac"], RansacConfig(), None, seed=0)
         with pytest.raises(EmptyEvaluation):
             aggregate(evalbench.MethodResult("ransac", []), [])
 
@@ -176,6 +176,23 @@ class TestRansacPairOutcome:
             assert outcome.failed
             assert not outcome.predicted_mask.any()
             assert len(outcome.predicted_mask) == len(pair.correspondences)
+
+    @pytest.mark.parametrize("method", ["ransac", "net", "net+ransac"])
+    def test_no_valid_pose_fails_and_keeps_the_mask(self, monkeypatch, method):
+        # every method scores its pose in one step; a pose that cannot be recovered is an
+        # infinite error, and the method's inlier prediction still counts for P/R/F
+        def no_pose(E, C, w):
+            raise NoValidCandidate("by design")
+
+        pairs, net = easy_pairs(count=2), tiny_net()
+        recovered = evaluate_method(pairs, method, RansacConfig(), net, seed=0)
+        monkeypatch.setattr(evalbench, "recover_pose", no_pose)
+        result = evaluate_method(pairs, method, RansacConfig(), net, seed=0)
+        for outcome, before in zip(result.outcomes, recovered.outcomes):
+            assert not before.failed and before.predicted_mask.any()
+            assert outcome.failed
+            assert outcome.rotation_error_deg == outcome.translation_error_deg == np.inf
+            assert np.array_equal(outcome.predicted_mask, before.predicted_mask)
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(C, cfg):
@@ -282,7 +299,7 @@ class TestClusterResponses:
 class TestCsvWriters:
     def test_metrics_csv(self, tmp_path):
         pairs = easy_pairs(count=2)
-        reports = compare_methods(pairs, ["ransac"], RansacConfig(), {}, seed=0)
+        reports = compare_methods(pairs, ["ransac"], RansacConfig(), None, seed=0)
         path = tmp_path / "metrics.csv"
         write_metrics_csv(reports, path)
         text = path.read_bytes().decode("utf-8")

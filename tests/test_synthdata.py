@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -114,6 +115,41 @@ class TestDatasetRoundTrip:
             assert np.array_equal(a.translation, b.translation)
             assert np.array_equal(a.essential, b.essential)
             assert np.array_equal(a.labels, b.labels)
+            assert a.config == b.config and a.seed == b.seed
+
+    def test_reals_are_shortest_repr(self):
+        pair = generate_pair(SceneConfig(n=16, outlier_ratio=0.4, pixel_noise=1.0, seed=5))
+        record = pair_to_line(pair)
+        assert f'"correspondences":[{float(pair.correspondences[0, 0])!r},' in record
+        assert f'"t_gt":[{",".join(repr(float(v)) for v in pair.translation)}]' in record
+
+    def test_seventeen_digit_files_still_load(self, tmp_path):
+        """Files written with format(x, ".17g") reals read back the same values."""
+        pairs = generate_dataset(SceneConfig(n=32, outlier_ratio=0.3, pixel_noise=0.7, seed=0),
+                                 4, base_seed=50)
+
+        def g17(value):
+            return format(float(value), ".17g")
+
+        def array(values):
+            return "[" + ",".join(g17(v) for v in np.ravel(values)) + "]"
+
+        lines = []
+        for p in pairs:
+            cfg = ",".join(f'"{k}":{g17(v) if isinstance(v, float) else json.dumps(v)}'
+                           for k, v in asdict(p.config).items())
+            lines.append(
+                f'{{"n":{len(p.correspondences)},"seed":{p.seed},"config":{{{cfg}}},'
+                f'"correspondences":{array(p.correspondences)},"e_gt":{array(p.essential)},'
+                f'"r_gt":{array(p.rotation)},"t_gt":{array(p.translation)},'
+                f'"labels":[{",".join(str(int(v)) for v in p.labels)}]}}')
+        old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+        old.write_text("".join(line + "\n" for line in lines))
+        write_dataset(pairs, new)
+        assert old.read_bytes() != new.read_bytes()
+        for a, b in zip(pairs, read_dataset(old)):
+            for field in ("correspondences", "rotation", "translation", "essential", "labels"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
             assert a.config == b.config and a.seed == b.seed
 
     def test_file_byte_stable(self, tmp_path):
