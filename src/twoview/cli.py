@@ -49,7 +49,7 @@ def _sha256(path):
 def write_manifest(out_path, command, args, config_echo, started, outputs):
     manifest = {
         "command": command,
-        "argv": args,
+        "argv": {k: v for k, v in args.items() if k != "fn"},  # fn: the handler, not an argument
         "config": {k: (v if not isinstance(v, float) else float(v)) for k, v in config_echo.items()},
         "seed": args.get("seed"),
         "started": started,

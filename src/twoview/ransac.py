@@ -134,6 +134,31 @@ def _scan_chunk(valid, losses, counts, best_loss, needed, seen, n, confidence):
     return used, last + 1, new_best, bounds[k], len(stops) > 0
 
 
+def _draw_octets(rng, N, chunk):
+    """(chunk, 8) octets, the same ones `chunk` calls of rng.choice(N, 8, replace=False) give.
+
+    For a sample this small, Generator.choice without replacement runs
+    Floyd's algorithm: for c = 0..7 it draws from [0, N-8+c] and takes
+    N-8+c itself when the draw is already in the sample. It then shuffles
+    (Fisher-Yates): for i = 7..1 it swaps entry i with a draw from [0, i].
+    Each of those 15 bounded draws is the one `integers` makes for an
+    int64 upper bound, in the same order, so one call makes them all and
+    leaves the generator in the same state.
+    """
+    highs = np.concatenate((np.arange(N - SAMPLE_SIZE + 1, N + 1), np.arange(SAMPLE_SIZE, 1, -1)))
+    draws = rng.integers(0, np.broadcast_to(highs, (chunk, len(highs))), dtype=np.int64)
+    octets, swaps = draws[:, :SAMPLE_SIZE], draws[:, SAMPLE_SIZE:]
+    for c in range(1, SAMPLE_SIZE):
+        taken = (octets[:, :c] == octets[:, c:c + 1]).any(axis=1)
+        octets[taken, c] = N - SAMPLE_SIZE + c
+    rows = np.arange(chunk)
+    for i, j in zip(range(SAMPLE_SIZE - 1, 0, -1), swaps.T):
+        entry_j = octets[rows, j]
+        octets[rows, j] = octets[:, i]
+        octets[:, i] = entry_j
+    return octets
+
+
 def _solve_hypotheses(X_octets):
     """Batched minimal solves: models (K, 3, 3) and a validity mask."""
     G = X_octets.swapaxes(1, 2) @ X_octets
@@ -150,23 +175,43 @@ def _solve_hypotheses(X_octets):
     return models, valid
 
 
-def _distances_batch(models, X, p1, p2):
+def _scoring_workspace(chunk, N):
+    """Scratch for _distances_batch, allocated once per RANSAC call and shared by its chunks."""
+    return np.empty((chunk, N)), np.empty((4 * chunk, N)), np.empty((chunk, N), dtype=bool)
+
+
+def _distances_batch(models, X, p1, p2, work):
     """(K, N) symmetric epipolar distances; degenerate rows become +inf.
 
     X is the (N, 9) monomial matrix of the correspondences, p1 and p2
     their (N, 3) homogeneous points. The residual p2^T E p1 is the
     monomial row times vec(E) taken column-major, so it is one GEMM; the
-    epipolar lines E p1 and E^T p2 are two more.
+    epipolar lines E p1 and E^T p2 are two more. Every product and step
+    writes into the first K rows of `work` (from _scoring_workspace), so
+    the returned array is a view that the next call overwrites.
     """
-    K = len(models)
-    residual = models.swapaxes(1, 2).reshape(K, 9) @ X.T
-    Ep1 = (models[:, :2, :].reshape(2 * K, 3) @ p1.T).reshape(K, 2, -1)
-    Etp2 = (models.swapaxes(1, 2)[:, :2, :].reshape(2 * K, 3) @ p2.T).reshape(K, 2, -1)
-    den = Ep1[:, 0] ** 2 + Ep1[:, 1] ** 2 + Etp2[:, 0] ** 2 + Etp2[:, 1] ** 2
-    ok = den >= EPIPOLE_DENOM_MIN
-    out = np.full(den.shape, np.inf)
-    np.divide(residual ** 2, den, out=out, where=ok)
-    return out
+    K, N = len(models), len(X)
+    dists, lines, ok = work[0][:K], work[1][:4 * K], work[2][:K]
+    np.matmul(models.swapaxes(1, 2).reshape(K, 9), X.T, out=dists)
+    np.matmul(models[:, :2, :].reshape(2 * K, 3), p1.T, out=lines[:2 * K])
+    np.matmul(models.swapaxes(1, 2)[:, :2, :].reshape(2 * K, 3), p2.T, out=lines[2 * K:])
+    # rows: (E p1)_x, (E p1)_y per model, then (E^T p2)_x, (E^T p2)_y per model
+    sq = np.square(lines, out=lines).reshape(2, K, 2, N)
+    den = sq[0, :, 0]  # summed left to right, the order of a**2 + b**2 + c**2 + d**2
+    for term in (sq[0, :, 1], sq[1, :, 0], sq[1, :, 1]):
+        np.add(den, term, out=den)
+    np.greater_equal(den, EPIPOLE_DENOM_MIN, out=ok)
+    np.square(dists, out=dists)
+    np.divide(dists, den, out=dists, where=ok)
+    np.copyto(dists, np.inf, where=np.logical_not(ok, out=ok))
+    return dists
+
+
+def _score_hypotheses(models, X, p1, p2, threshold, work):
+    """Inlier counts and truncated (MSAC) losses of the models, scored inside `work`."""
+    dists = _distances_batch(models, X, p1, p2, work)
+    counts = np.less(dists, threshold, out=work[2][:len(models)]).sum(axis=1)
+    return counts, np.minimum(dists, threshold, out=dists).sum(axis=1)
 
 
 def ransac_essential(C, cfg: RansacConfig):
@@ -193,17 +238,14 @@ def ransac_essential(C, cfg: RansacConfig):
     valid_hypotheses = 0
     iterations = 0
     done = False
+    work = _scoring_workspace(min(_CHUNK, cfg.max_iterations), N)
     while iterations < cfg.max_iterations and not done:
-        # one draw per octet, so the octet stream does not depend on chunk sizes
         chunk = min(_CHUNK, cfg.max_iterations - iterations)
         if needed < np.inf:
             chunk = min(chunk, math.ceil(needed - valid_hypotheses))
-        octets = np.stack([rng.choice(N, size=SAMPLE_SIZE, replace=False)
-                           for _ in range(chunk)])
-        models, valid = _solve_hypotheses(X[octets])
-        dists = _distances_batch(models, X, p1, p2)
-        counts = (dists < cfg.threshold).sum(axis=1)
-        losses = np.minimum(dists, cfg.threshold).sum(axis=1)
+        # the octet stream is one octet after another, whatever the chunk sizes
+        models, valid = _solve_hypotheses(X[_draw_octets(rng, N, chunk)])
+        counts, losses = _score_hypotheses(models, X, p1, p2, cfg.threshold, work)
         # degenerate octets are rejected and not counted toward the early-exit bound
         used, seen, j, needed, done = _scan_chunk(
             valid, losses, counts, np.inf if best is None else best[0], needed,
@@ -216,29 +258,30 @@ def ransac_essential(C, cfg: RansacConfig):
         raise NoModelFound(f"all {cfg.max_iterations} sampled octets were degenerate")
 
     E_final = project_to_essential(best[2])
+    d_final = symmetric_epipolar_distances(E_final, C)
     refit = _irls_refit(C, symmetric_epipolar_distances(best[2], C), cfg.threshold)
     if refit is not None:
         E_refit = project_to_essential(refit)
         # keep the refit unless it clearly worsened the truncated loss
         d_refit = symmetric_epipolar_distances(E_refit, C)
-        d_hyp = symmetric_epipolar_distances(E_final, C)
-        if np.minimum(d_refit, cfg.threshold).sum() <= np.minimum(d_hyp, cfg.threshold).sum():
-            E_final = E_refit
-    mask = symmetric_epipolar_distances(E_final, C) < cfg.threshold
-    return RansacResult(E_final, mask, iterations)
+        if np.minimum(d_refit, cfg.threshold).sum() <= np.minimum(d_final, cfg.threshold).sum():
+            E_final, d_final = E_refit, d_refit
+    return RansacResult(E_final, d_final < cfg.threshold, iterations)
 
 
 def ransac_postprocess(C, w, cfg: RansacConfig):
     """RANSAC restricted to correspondences the network kept (w > 0).
 
-    With fewer than eight survivors the full set is used instead and the
-    result is flagged. The returned mask is recomputed against the full
-    input set.
+    The weights must be finite. With fewer than eight survivors the full
+    set is used instead and the result is flagged. The returned mask is
+    recomputed against the full input set.
     """
     C = as_correspondences(C)
     w = np.asarray(w, dtype=np.float64).reshape(-1)
     if len(w) != len(C):
         raise ValueError(f"weight length {len(w)} != correspondence count {len(C)}")
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
     keep = w > 0.0
     if int(keep.sum()) < SAMPLE_SIZE:
         result = ransac_essential(C, cfg)

@@ -55,6 +55,16 @@ class TestGen:
                          "--out", str(out), "--pairs", "3"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_identical_runs_record_identical_argv(self, workspace, tmp_path):
+        argvs = []
+        for _ in range(2):
+            out = tmp_path / "a.txt"
+            assert main(["gen", "--seed", "5", "--config", str(workspace["cfg"]),
+                         "--out", str(out), "--pairs", "2"]) == 0
+            argvs.append(json.loads((tmp_path / "a.txt.manifest.json").read_text())["argv"])
+        assert argvs[0] == argvs[1]
+        assert "fn" not in argvs[0] and argvs[0]["seed"] == 5
+
     def test_unknown_key_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("scene.bogus_key = 3\n")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twoview.eightpoint import build_monomial_matrix
 from twoview.epipolar import (
@@ -14,8 +16,11 @@ from twoview.ransac import (
     InsufficientCorrespondences,
     RansacConfig,
     _distances_batch,
+    _draw_octets,
     _required_iterations,
     _scan_chunk,
+    _score_hypotheses,
+    _scoring_workspace,
     ransac_essential,
     ransac_postprocess,
 )
@@ -99,6 +104,25 @@ def reference_scan(valid, losses, counts, best, seen, n, confidence):
     return used, seen, new_best, best, False
 
 
+def reference_distances_batch(models, X, p1, p2):
+    """_distances_batch as it was before it wrote into a shared workspace."""
+    K = len(models)
+    residual = models.swapaxes(1, 2).reshape(K, 9) @ X.T
+    Ep1 = (models[:, :2, :].reshape(2 * K, 3) @ p1.T).reshape(K, 2, -1)
+    Etp2 = (models.swapaxes(1, 2)[:, :2, :].reshape(2 * K, 3) @ p2.T).reshape(K, 2, -1)
+    den = Ep1[:, 0] ** 2 + Ep1[:, 1] ** 2 + Etp2[:, 0] ** 2 + Etp2[:, 1] ** 2
+    ok = den >= ransac.EPIPOLE_DENOM_MIN
+    out = np.full(den.shape, np.inf)
+    np.divide(residual ** 2, den, out=out, where=ok)
+    return out
+
+
+def reference_scores(models, X, p1, p2, threshold):
+    """Inlier counts and MSAC losses from freshly allocated arrays."""
+    dists = reference_distances_batch(models, X, p1, p2)
+    return (dists < threshold).sum(axis=1), np.minimum(dists, threshold).sum(axis=1)
+
+
 def reference_ransac(C, cfg):
     """ransac_essential with the per-hypothesis loop and fixed-size chunks it had before."""
     C = np.asarray(C, dtype=np.float64)
@@ -112,9 +136,7 @@ def reference_ransac(C, cfg):
         chunk = min(ransac._CHUNK, cfg.max_iterations - iterations)
         octets = np.stack([rng.choice(N, size=SAMPLE_SIZE, replace=False) for _ in range(chunk)])
         models, valid = ransac._solve_hypotheses(X[octets])
-        dists = _distances_batch(models, X, p1, p2)
-        counts = (dists < cfg.threshold).sum(axis=1)
-        losses = np.minimum(dists, cfg.threshold).sum(axis=1)
+        counts, losses = reference_scores(models, X, p1, p2, cfg.threshold)
         for j in range(chunk):
             iterations += 1
             if not valid[j]:
@@ -216,8 +238,11 @@ class TestBatchedHypotheses:
         models = np.stack([E, -2.0 * E, rng.normal(size=(3, 3)), np.zeros((3, 3)),
                            E.reshape(9)[::-1].reshape(3, 3)])
         p1, p2 = (np.column_stack([C[:, i], C[:, i + 1], np.ones(len(C))]) for i in (0, 2))
-        batch = _distances_batch(models, build_monomial_matrix(C), p1, p2)
+        X = build_monomial_matrix(C)
+        batch = _distances_batch(models, X, p1, p2, _scoring_workspace(len(models), len(C)))
         assert batch.shape == (len(models), len(C))
+        # the epipole rows and the zero model too, bit for bit
+        assert np.array_equal(batch, reference_distances_batch(models, X, p1, p2))
         for k, model in enumerate(models):
             scalar = symmetric_epipolar_distances(model, C)
             assert np.array_equal(np.isinf(batch[k]), np.isinf(scalar))
@@ -236,8 +261,66 @@ class TestBatchedHypotheses:
         assert np.isfinite(batch[0, 1])
         assert np.isinf(batch[3]).all()
 
+    @staticmethod
+    def _chunk(seed, n, k):
+        pair = generate_pair(SceneConfig(n=n, outlier_ratio=0.6, pixel_noise=1.0, seed=seed))
+        C = pair.correspondences
+        X = build_monomial_matrix(C)
+        p1, p2 = (np.column_stack([C[:, i], C[:, i + 1], np.ones(n)]) for i in (0, 2))
+        models, _ = ransac._solve_hypotheses(X[_draw_octets(np.random.default_rng(seed), n, k)])
+        return models, X, p1, p2
+
+    def test_scores_match_fresh_arrays_on_real_chunks(self):
+        threshold = RansacConfig().threshold
+        for seed, n in ((42, 512), (43, 64), (44, 16)):
+            models, X, p1, p2 = self._chunk(seed, n, ransac._CHUNK)
+            models[3] = 0.0  # a zero model: every distance is +inf
+            work = _scoring_workspace(ransac._CHUNK, n)
+            dists = _distances_batch(models, X, p1, p2, work)
+            assert np.array_equal(dists, reference_distances_batch(models, X, p1, p2))
+            assert np.isinf(dists[3]).all()
+            counts, losses = _score_hypotheses(models, X, p1, p2, threshold, work)
+            ref_counts, ref_losses = reference_scores(models, X, p1, p2, threshold)
+            assert np.array_equal(counts, ref_counts) and np.array_equal(losses, ref_losses)
+            assert counts.max() >= SAMPLE_SIZE  # some hypotheses found real support
+
+    def test_shorter_chunk_reuses_the_workspace_cleanly(self):
+        threshold = RansacConfig().threshold
+        full, X, p1, p2 = self._chunk(45, 128, ransac._CHUNK)
+        short = self._chunk(46, 128, 37)[0]
+        work = _scoring_workspace(ransac._CHUNK, 128)
+        _score_hypotheses(full, X, p1, p2, threshold, work)
+        counts, losses = _score_hypotheses(short, X, p1, p2, threshold, work)
+        ref_counts, ref_losses = reference_scores(short, X, p1, p2, threshold)
+        assert counts.shape == losses.shape == (37,)
+        assert np.array_equal(counts, ref_counts) and np.array_equal(losses, ref_losses)
+        dists = _distances_batch(short, X, p1, p2, work)
+        assert np.array_equal(dists, reference_distances_batch(short, X, p1, p2))
+
+
+class TestOctetDraw:
+    @settings(max_examples=150, deadline=None)
+    @given(N=st.integers(SAMPLE_SIZE, 2 ** 40), k=st.integers(1, ransac._CHUNK),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(N=8, k=256, seed=0)  # the first Floyd draw is from [0, 0] and uses no bits
+    @example(N=2 ** 32 + 4, k=64, seed=1)  # bounds on both sides of 2**32: 32- and 64-bit draws
+    @example(N=3 * 10 ** 9, k=256, seed=2)  # bounded draws rejected about 30% of the time
+    def test_same_octets_and_state_as_choice(self, N, k, seed):
+        expected, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        octets = np.stack([expected.choice(N, size=SAMPLE_SIZE, replace=False) for _ in range(k)])
+        got = _draw_octets(rng, N, k)
+        assert got.dtype == octets.dtype and np.array_equal(got, octets)
+        assert rng.bit_generator.state == expected.bit_generator.state
+
 
 class TestRansacPostprocess:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        pair = generate_pair(SceneConfig(n=64, outlier_ratio=0.3, pixel_noise=0.5, seed=37))
+        for w in (np.where(np.arange(64) == 5, bad, 1.0), np.full(64, bad)):
+            with pytest.raises(ValueError, match="weights must be finite"):
+                ransac_postprocess(pair.correspondences, w, RansacConfig(seed=0))
+
     def test_oracle_weights_do_not_hurt(self):
         for seed in range(3):
             pair = generate_pair(SceneConfig(n=256, outlier_ratio=0.5, pixel_noise=1.0,
