@@ -176,8 +176,16 @@ def _solve_hypotheses(X_octets):
 
 
 def _scoring_workspace(chunk, N):
-    """Scratch for _distances_batch, allocated once per RANSAC call and shared by its chunks."""
-    return np.empty((chunk, N)), np.empty((4 * chunk, N)), np.empty((chunk, N), dtype=bool)
+    """Scratch for _distances_batch, allocated once per RANSAC call and shared by its chunks.
+
+    The lines E p1 and E^T p2 get an array each. numpy asks the kernel
+    for transparent huge pages for any array of 4 MiB or more, whose cost
+    depends on the host's memory; at 256 rows and 512 correspondences
+    every array here stays below that size, and one array for both
+    line stacks would be exactly 4 MiB.
+    """
+    return (np.empty((chunk, N)), np.empty((2 * chunk, N)), np.empty((2 * chunk, N)),
+            np.empty((chunk, N), dtype=bool))
 
 
 def _distances_batch(models, X, p1, p2, work):
@@ -191,14 +199,15 @@ def _distances_batch(models, X, p1, p2, work):
     the returned array is a view that the next call overwrites.
     """
     K, N = len(models), len(X)
-    dists, lines, ok = work[0][:K], work[1][:4 * K], work[2][:K]
+    dists, ep1, etp2, ok = work[0][:K], work[1][:2 * K], work[2][:2 * K], work[3][:K]
     np.matmul(models.swapaxes(1, 2).reshape(K, 9), X.T, out=dists)
-    np.matmul(models[:, :2, :].reshape(2 * K, 3), p1.T, out=lines[:2 * K])
-    np.matmul(models.swapaxes(1, 2)[:, :2, :].reshape(2 * K, 3), p2.T, out=lines[2 * K:])
-    # rows: (E p1)_x, (E p1)_y per model, then (E^T p2)_x, (E^T p2)_y per model
-    sq = np.square(lines, out=lines).reshape(2, K, 2, N)
-    den = sq[0, :, 0]  # summed left to right, the order of a**2 + b**2 + c**2 + d**2
-    for term in (sq[0, :, 1], sq[1, :, 0], sq[1, :, 1]):
+    np.matmul(models[:, :2, :].reshape(2 * K, 3), p1.T, out=ep1)
+    np.matmul(models.swapaxes(1, 2)[:, :2, :].reshape(2 * K, 3), p2.T, out=etp2)
+    # rows: the x and y components of each model's line, model by model
+    a = np.square(ep1, out=ep1).reshape(K, 2, N)
+    b = np.square(etp2, out=etp2).reshape(K, 2, N)
+    den = a[:, 0]  # summed left to right, the order of a**2 + b**2 + c**2 + d**2
+    for term in (a[:, 1], b[:, 0], b[:, 1]):
         np.add(den, term, out=den)
     np.greater_equal(den, EPIPOLE_DENOM_MIN, out=ok)
     np.square(dists, out=dists)
@@ -210,7 +219,7 @@ def _distances_batch(models, X, p1, p2, work):
 def _score_hypotheses(models, X, p1, p2, threshold, work):
     """Inlier counts and truncated (MSAC) losses of the models, scored inside `work`."""
     dists = _distances_batch(models, X, p1, p2, work)
-    counts = np.less(dists, threshold, out=work[2][:len(models)]).sum(axis=1)
+    counts = np.less(dists, threshold, out=work[3][:len(models)]).sum(axis=1)
     return counts, np.minimum(dists, threshold, out=dists).sum(axis=1)
 
 

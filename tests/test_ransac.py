@@ -297,6 +297,12 @@ class TestBatchedHypotheses:
         dists = _distances_batch(short, X, p1, p2, work)
         assert np.array_equal(dists, reference_distances_batch(short, X, p1, p2))
 
+    def test_workspace_arrays_stay_below_the_huge_page_size(self):
+        # numpy madvises arrays of 4 MiB or more for transparent huge pages,
+        # whose cost depends on the host's memory rather than on the program
+        work = _scoring_workspace(ransac._CHUNK, 512)
+        assert max(a.nbytes for a in work) < 4 * 2 ** 20
+
 
 class TestOctetDraw:
     @settings(max_examples=150, deadline=None)
