@@ -9,11 +9,13 @@ the ground-truth essential matrix), not from the injection flag, so a
 lucky random outlier that lands on the epipolar line counts as an inlier.
 """
 
+import base64
 import json
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
+from .autodiff import write_atomically
 from .epipolar import (
     CameraIntrinsics,
     Pose,
@@ -183,12 +185,13 @@ def generate_dataset(cfg: SceneConfig, pairs, base_seed=None):
 
 
 def pair_to_line(pair: ScenePair):
-    """One JSON record; reals are written as their shortest repr, which reads back exactly."""
+    """One JSON record; correspondences are base64 of their little-endian float64 bytes in
+    row-major order, the other reals their shortest repr; both read back exactly."""
     return json.dumps({
         "n": len(pair.correspondences),
         "seed": pair.seed,
         "config": asdict(pair.config),
-        "correspondences": pair.correspondences.reshape(-1).tolist(),
+        "correspondences": base64.b64encode(pair.correspondences.astype("<f8").tobytes()).decode(),
         "e_gt": pair.essential.reshape(-1).tolist(),
         "r_gt": pair.rotation.reshape(-1).tolist(),
         "t_gt": pair.translation.reshape(-1).tolist(),
@@ -196,20 +199,49 @@ def pair_to_line(pair: ScenePair):
     }, separators=(",", ":"))
 
 
+def _json_int(value, name):
+    if type(value) is not int:  # bool is a subclass of int, and 5.9 or "5" is no integer
+        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _correspondences(field, n):
+    """(n, 4) float64 from a base64 string of n * 32 bytes or from a JSON list of reals."""
+    if isinstance(field, str):
+        try:
+            raw = base64.b64decode(field, validate=True)
+        except ValueError as err:  # binascii.Error, or a character outside ASCII
+            raise ValueError(f"correspondences are not base64: {err}") from None
+        if len(raw) != 32 * n:
+            raise ValueError(f"correspondences hold {len(raw)} bytes, expected 32 * n = {32 * n}")
+        return np.frombuffer(raw, "<f8").reshape(n, 4).astype(np.float64)
+    if isinstance(field, list):
+        return np.array(field, dtype=np.float64).reshape(n, 4)
+    raise ValueError(f"correspondences must be a base64 string or a list of reals, "
+                     f"got {type(field).__name__}")
+
+
 def pair_from_line(line, line_number):
+    """A validated ScenePair; correspondences may be a base64 string or, as in older files, a
+    JSON list of reals."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as err:
         raise MalformedRecord(line_number, f"invalid record: {err}") from None
     try:
-        n = int(obj["n"])
+        n = _json_int(obj["n"], "n")
+        if n < 8:  # the eight-point minimum, as SceneConfig requires
+            raise ValueError(f"n must be at least 8, got {n}")
         cfg = SceneConfig(**obj["config"])
-        corr = np.array(obj["correspondences"], dtype=np.float64).reshape(n, 4)
+        corr = _correspondences(obj["correspondences"], n)
         e_gt = np.array(obj["e_gt"], dtype=np.float64).reshape(3, 3)
         r_gt = np.array(obj["r_gt"], dtype=np.float64).reshape(3, 3)
         t_gt = np.array(obj["t_gt"], dtype=np.float64).reshape(3)
-        labels = np.array(obj["labels"], dtype=np.int64).reshape(n)
-        seed = int(obj["seed"])
+        labels = obj["labels"]
+        if not (isinstance(labels, list) and set(map(type, labels)) <= {int} and set(labels) <= {0, 1}):
+            raise ValueError("labels must be a list of JSON integers 0 or 1")
+        labels = np.array(labels, dtype=np.int64).reshape(n)
+        seed = _json_int(obj["seed"], "seed")
     except (KeyError, TypeError, ValueError) as err:
         raise MalformedRecord(line_number, f"bad field: {err}") from None
     if not np.all(np.isfinite(corr)):
@@ -223,11 +255,14 @@ def pair_from_line(line, line_number):
 
 
 def write_dataset(pairs, path):
-    """One line per pair, bit-exact on reading; files with 17-digit reals read the same."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """One line per pair, bit-exact on reading; written to a temp file and renamed into place,
+    so a failed write leaves any earlier file as it was."""
+    def write(fh):
         for pair in pairs:
-            fh.write(pair_to_line(pair))
-            fh.write("\n")
+            fh.write(pair_to_line(pair).encode("ascii"))
+            fh.write(b"\n")
+
+    write_atomically(path, write, prefix=".dataset-")
 
 
 def read_dataset(path):

@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 
@@ -239,6 +240,30 @@ class TestCompare:
         manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
         assert manifest["command"] == "compare"
         assert json.loads((tmp_path / "0.csv.manifest.json").read_text())["command"] == "eval"
+
+
+class TestTextDataset:
+    def test_same_outputs_as_from_base64_records(self, workspace, tmp_path):
+        """A dataset whose correspondences are JSON lists of reals, as earlier `gen` wrote them,
+        gives the bytes that the same pairs in base64 give."""
+        text = tmp_path / "text.txt"
+        lines = []
+        for line in workspace["data"].read_text().splitlines():
+            record = json.loads(line)
+            raw = base64.b64decode(record["correspondences"], validate=True)
+            record["correspondences"] = np.frombuffer(raw, "<f8").tolist()
+            lines.append(json.dumps(record, separators=(",", ":")) + "\n")
+        text.write_text("".join(lines))
+        assert text.read_bytes() != workspace["data"].read_bytes()
+        outputs = []
+        for i, data in enumerate((workspace["data"], text)):
+            common = ["--config", str(workspace["cfg"]), "--dataset", str(data)]
+            csv, ckpt = tmp_path / f"{i}.csv", tmp_path / f"{i}.bin"
+            assert main(["compare", "--seed", "4", *common, "--methods", "ransac,net,net+ransac",
+                         "--checkpoint", str(workspace["ckpt"]), "--out", str(csv)]) == 0
+            assert main(["train", "--seed", "3", *common, "--out", str(ckpt), "--steps", "3"]) == 0
+            outputs.append((csv.read_bytes(), ckpt.read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestResponses:

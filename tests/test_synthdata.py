@@ -1,8 +1,13 @@
+import base64
 import json
-from dataclasses import asdict
+import os
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from twoview.epipolar import label_inliers, symmetric_epipolar_distances
 from twoview.synthdata import (
@@ -11,11 +16,37 @@ from twoview.synthdata import (
     ScenePair,
     generate_dataset,
     generate_pair,
+    pair_from_line,
     pair_to_line,
     random_pose,
     read_dataset,
     write_dataset,
 )
+
+
+def text_line(pair):
+    """The record as older files hold it: correspondences as a JSON list of shortest-repr reals."""
+    record = json.loads(pair_to_line(pair))
+    record["correspondences"] = pair.correspondences.reshape(-1).tolist()
+    return json.dumps(record, separators=(",", ":"))
+
+
+def encode(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+
+
+def decode(field):
+    return np.frombuffer(base64.b64decode(field, validate=True), "<f8").copy()
+
+
+def assert_rejected(tmp_path, record, *words):
+    """read_dataset raises MalformedRecord naming line 1 and each of words."""
+    path = tmp_path / "data.txt"
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(MalformedRecord) as exc:
+        read_dataset(path)
+    for word in ("line 1", *words):
+        assert word in str(exc.value)
 
 
 class TestSceneConfig:
@@ -120,7 +151,8 @@ class TestDatasetRoundTrip:
     def test_reals_are_shortest_repr(self):
         pair = generate_pair(SceneConfig(n=16, outlier_ratio=0.4, pixel_noise=1.0, seed=5))
         record = pair_to_line(pair)
-        assert f'"correspondences":[{float(pair.correspondences[0, 0])!r},' in record
+        field = base64.b64decode(json.loads(record)["correspondences"], validate=True)
+        assert field == pair.correspondences.astype("<f8").tobytes()
         assert f'"t_gt":[{",".join(repr(float(v)) for v in pair.translation)}]' in record
 
     def test_seventeen_digit_files_still_load(self, tmp_path):
@@ -186,12 +218,94 @@ class TestDatasetRoundTrip:
         pair = generate_pair(SceneConfig(n=16, outlier_ratio=0.4, pixel_noise=1.0, seed=5))
         row = int(np.flatnonzero(pair.labels == 0)[0])  # an outlier: its label stays 0
         record = json.loads(pair_to_line(pair))
+        values = decode(record["correspondences"])
+        values[4 * row:4 * row + 4] = value
+        record["correspondences"] = encode(values)
+        assert_rejected(tmp_path, record, "non-finite")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_text_correspondence_rejected(self, tmp_path, value):
+        pair = generate_pair(SceneConfig(n=16, outlier_ratio=0.4, pixel_noise=1.0, seed=5))
+        row = int(np.flatnonzero(pair.labels == 0)[0])
+        record = json.loads(text_line(pair))
         record["correspondences"][4 * row:4 * row + 4] = [value] * 4
+        assert_rejected(tmp_path, record, "non-finite")
+
+    @pytest.mark.parametrize("bad", [
+        lambda field: field[:8] + "!" + field[8:],        # a character outside the alphabet
+        lambda field: field[:8] + " " + field[8:],
+        lambda field: encode(decode(field)[:-1]),         # 31 * n bytes
+        lambda field: encode(np.append(decode(field), 0.0)),  # 33 * n bytes
+        lambda field: base64.b64encode(base64.b64decode(field)[:-3]).decode(),
+        lambda field: "",
+        lambda field: 7.5,                                # a number
+        lambda field: {"data": field},                    # an object
+    ], ids=["bang", "space", "short", "long", "partial-real", "empty", "number", "object"])
+    def test_bad_correspondence_field_rejected(self, tmp_path, bad):
+        pair = generate_pair(SceneConfig(n=16, outlier_ratio=0.4, pixel_noise=1.0, seed=5))
+        record = json.loads(pair_to_line(pair))
+        record["correspondences"] = bad(record["correspondences"])
+        assert_rejected(tmp_path, record, "correspondences")
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", 16.7), ("n", 16.0), ("n", True), ("n", "16"),
+        ("seed", 5.9), ("seed", True), ("seed", None),
+    ])
+    def test_non_integer_count_or_seed_rejected(self, tmp_path, key, value):
+        pair = generate_pair(SceneConfig(n=16, outlier_ratio=0.4, pixel_noise=1.0, seed=5))
+        record = json.loads(pair_to_line(pair))
+        record[key] = value
+        assert_rejected(tmp_path, record, f"{key} must be a JSON integer")
+
+    @pytest.mark.parametrize("n", [-1, 0, 7])
+    def test_count_below_eight_rejected(self, tmp_path, n):
+        """n = -1 would let a text record's rows reshape to any count; n = 0 leaves none to label."""
+        pair = generate_pair(SceneConfig(n=16, outlier_ratio=0.4, pixel_noise=1.0, seed=5))
+        rows = 16 if n < 0 else n
+        record = json.loads(text_line(pair))
+        record.update(n=n, labels=pair.labels[:rows].tolist(),
+                      correspondences=pair.correspondences[:rows].reshape(-1).tolist())
+        assert_rejected(tmp_path, record, "n must be at least 8")
+
+    @pytest.mark.parametrize("value", [0.4, 0.0, 1.0, True, False, 2, -1, 10**30, "1", None])
+    def test_non_binary_label_rejected(self, tmp_path, value):
+        pair = generate_pair(SceneConfig(n=16, outlier_ratio=0.4, pixel_noise=1.0, seed=5))
+        record = json.loads(pair_to_line(pair))
+        record["labels"][0] = value
+        assert_rejected(tmp_path, record, "labels must be")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_finite_correspondences_round_trip_bit_for_bit(self, data):
+        """Both encodings give back the very bits, -0.0 and subnormals included."""
+        n = data.draw(st.integers(8, 24))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        special = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308])
+        corr = data.draw(arrays(np.float64, (n, 4), elements=finite | special))
+        pair = generate_pair(SceneConfig(n=8, seed=data.draw(st.integers(0, 50))))
+        with np.errstate(all="ignore"):  # huge reals overflow the distances; such rows label 0
+            pair = replace(pair, correspondences=corr, labels=label_inliers(pair.essential, corr))
+            for line in (pair_to_line(pair), text_line(pair)):
+                got = pair_from_line(line, 1)
+                assert got.correspondences.dtype == np.float64 and got.correspondences.flags.writeable
+                assert got.correspondences.tobytes() == corr.tobytes()
+                assert np.array_equal(got.labels, pair.labels)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        pairs = generate_dataset(SceneConfig(n=16, seed=0), 4, base_seed=3)
         path = tmp_path / "data.txt"
-        path.write_text(json.dumps(record) + "\n")
-        with pytest.raises(MalformedRecord) as exc:
-            read_dataset(path)
-        assert "line 1" in str(exc.value) and "non-finite" in str(exc.value)
+        write_dataset(pairs[2:], path)
+        before = path.read_bytes()
+
+        def failing():
+            yield pairs[0]
+            yield pairs[1]
+            raise RuntimeError("generation failed on the third pair")
+
+        with pytest.raises(RuntimeError):
+            write_dataset(failing(), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["data.txt"]
 
     def test_empty_dataset(self, tmp_path):
         path = tmp_path / "empty.txt"
