@@ -10,6 +10,7 @@ checker, the Adam optimizer, and the binary parameter checkpoint format.
 import math
 import os
 import struct
+import zlib
 
 import numpy as np
 
@@ -82,23 +83,14 @@ class Tensor:
         else:
             self.grad += g
 
-    def backward(self):
-        backward(self)
-
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -109,14 +101,8 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(x):
@@ -481,22 +467,22 @@ def normalize(a, axes, eps=1e-5):
 
 
 def bn_relu_linear(h, gamma, beta, weight, bias, mean, inv, batch_stats):
-    """relu((h - mean) * inv * gamma + beta) @ weight + bias as one graph node.
+    """relu((h - mean) * inv * gamma + beta) @ weight (+ bias) as one graph node.
 
     h is (B, N, D); mean and inv are the per-channel statistics the batch
     norm uses. With batch_stats they are h's own mean and 1/sqrt(var + eps)
     over (B, N), and the backward passes through them; otherwise they are
-    constants (running statistics).
+    constants (running statistics). bias may be None.
     """
-    h, gamma, beta, weight, bias = (as_tensor(t) for t in (h, gamma, beta, weight, bias))
+    h, gamma, beta, weight, bias = (t if t is None else as_tensor(t) for t in (h, gamma, beta, weight, bias))
     if h.data.ndim != 3:
         raise ShapeMismatch(f"bn_relu_linear: expected (B, N, D), got {h.shape}")
     d = h.shape[2]
     if weight.data.ndim != 2 or weight.shape[0] != d:
         raise ShapeMismatch(f"bn_relu_linear: {h.shape} @ {weight.shape}")
-    if bias.shape != (weight.shape[1],) or gamma.shape != (d,) or beta.shape != (d,):
-        raise ShapeMismatch(f"bn_relu_linear: bias {bias.shape}, gamma {gamma.shape}, "
-                            f"beta {beta.shape} do not fit {h.shape} @ {weight.shape}")
+    if gamma.shape != (d,) or beta.shape != (d,) or bias is not None and bias.shape != (weight.shape[1],):
+        raise ShapeMismatch(f"bn_relu_linear: gamma {gamma.shape}, beta {beta.shape} or bias "
+                            f"{None if bias is None else bias.shape} do not fit {h.shape} @ {weight.shape}")
     mean = np.array(mean, dtype=np.float64)  # a copy: running buffers change in place
     s = inv * gamma.data
     a = h.data * s
@@ -504,14 +490,15 @@ def bn_relu_linear(h, gamma, beta, weight, bias, mean, inv, batch_stats):
     _check_finite(a, "bn_relu_linear", "pre-activation")  # the ReLU would hide a -inf
     r = np.maximum(a, 0.0, out=a)
     out = _matmul_data(r, weight.data)
-    out += bias.data
+    if bias is not None:
+        out += bias.data
 
     def bwd(g):
         g2 = g.reshape(-1, g.shape[-1])
         r2 = r.reshape(-1, d)
         if weight.requires_grad:
             weight._accum(r2.T @ g2, owned=True)
-        if bias.requires_grad:
+        if bias is not None and bias.requires_grad:
             bias._accum(np.einsum("bnk->k", g), owned=True)
         ga = (g2 @ weight.data.T).reshape(h.shape)
         np.multiply(ga, r > 0.0, out=ga)  # ReLU mask; r > 0 exactly where a > 0
@@ -530,7 +517,7 @@ def bn_relu_linear(h, gamma, beta, weight, bias, mean, inv, batch_stats):
                 ga += mean * c - s * g_beta * inv_n
             h._accum(ga, owned=True)
 
-    return _make(out, (h, gamma, beta, weight, bias), "bn_relu_linear", bwd)
+    return _make(out, [t for t in (h, gamma, beta, weight, bias) if t is not None], "bn_relu_linear", bwd)
 
 
 def custom(inputs, out_data, backward_fn, op="custom"):
@@ -693,24 +680,24 @@ def adam_step(store: ParameterStore, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
 
 
 _MAGIC = b"TWVC"
-_VERSION = 1
+_VERSION = 2  # 1: no checksum trailer; still read
 
 
 def _write_record(fh, name, array):
+    """Write one record (name length, name, rank, dims, data) and return its bytes."""
     nb = name.encode("utf-8")
-    fh.write(struct.pack("<I", len(nb)))
-    fh.write(nb)
-    fh.write(struct.pack("<I", array.ndim))
-    for d in array.shape:
-        fh.write(struct.pack("<Q", d))
-    fh.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
+    record = (struct.pack(f"<I{len(nb)}sI{array.ndim}Q", len(nb), nb, array.ndim, *array.shape)
+              + np.ascontiguousarray(array, dtype="<f8").tobytes())
+    fh.write(record)
+    return record
 
 
 def save_checkpoint(store: ParameterStore, path):
     """Binary checkpoint: parameters, buffers, Adam moments, and the step counter.
 
-    The file is written beside `path` and renamed over it, so a crash never
-    leaves a partial checkpoint under the final name.
+    A header (magic, version, record count) and the records end with the
+    CRC-32 of all bytes before it. The file is written beside `path` and
+    renamed over it, so a crash never leaves a partial checkpoint there.
     """
     names = store.names()
     records = [(n, store[n].data) for n in names]
@@ -720,11 +707,12 @@ def save_checkpoint(store: ParameterStore, path):
     records.append((_STEP_KEY, np.array(float(store.step))))
 
     def write(fh):
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<Q", len(records)))
+        header = _MAGIC + struct.pack("<IQ", _VERSION, len(records))
+        fh.write(header)
+        crc = zlib.crc32(header)
         for name, arr in records:
-            _write_record(fh, name, arr)
+            crc = zlib.crc32(_write_record(fh, name, arr), crc)
+        fh.write(struct.pack("<I", crc))
 
     write_atomically(path, write, prefix=".ckpt-")
 
@@ -745,15 +733,18 @@ def write_atomically(path, write, prefix):
 
 
 def read_checkpoint_arrays(path):
-    """Raw name -> array contents of a checkpoint file; CorruptCheckpoint if it does not parse."""
+    """Raw name -> array contents of a checkpoint file; CorruptCheckpoint if it fails to parse or check."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _MAGIC:
         raise CorruptCheckpoint(f"{path}: not a checkpoint file")
     try:
         (version,) = struct.unpack_from("<I", blob, 4)
-        if version != _VERSION:
+        if version not in (1, 2):
             raise CorruptCheckpoint(f"{path}: unsupported checkpoint version {version}")
+        end = len(blob) - 4 * (version == 2)  # version 2 ends with a CRC-32 of all bytes before it
+        if version == 2 and zlib.crc32(memoryview(blob)[:end]) != struct.unpack_from("<I", blob, end)[0]:
+            raise CorruptCheckpoint(f"{path}: checksum mismatch (truncated or altered)")
         (count,) = struct.unpack_from("<Q", blob, 8)
         off = 16
         out = {}
@@ -767,32 +758,40 @@ def read_checkpoint_arrays(path):
             shape = struct.unpack_from(f"<{rank}Q", blob, off)
             off += 8 * rank
             size = math.prod(shape)
-            if off + 8 * size > len(blob):
+            if off + 8 * size > end:
                 raise CorruptCheckpoint(f"{path}: record {name!r} runs past the end of the file")
             arr = np.frombuffer(blob, dtype="<f8", count=size, offset=off).reshape(shape)
             off += 8 * size
             out[name] = arr.astype(np.float64)
     except (struct.error, UnicodeDecodeError) as err:
         raise CorruptCheckpoint(f"{path}: truncated or garbled ({err})") from None
-    if off != len(blob):
-        raise CorruptCheckpoint(f"{path}: {len(blob) - off} trailing bytes")
+    if off != end:
+        raise CorruptCheckpoint(f"{path}: {end - off} trailing bytes")
     return out
 
 
-def load_checkpoint(store: ParameterStore, path):
-    """Restore a checkpoint into a store with matching structure."""
+def load_checkpoint(store: ParameterStore, path, retired=None):
+    """Restore a checkpoint into a store with matching structure; an unused record is corrupt.
+
+    retired(arrays) names records of state the store no longer holds, dropped with their moments.
+    """
     arrays = read_checkpoint_arrays(path)
+    for name in retired(arrays) if retired is not None else ():
+        for key in (name, _ADAM_M + name, _ADAM_V + name):
+            arrays.pop(key, None)
     for name in store.names():
         if name not in arrays:
             raise ValueError(f"{path}: missing entry {name!r}")
-        arr = arrays[name]
+        arr = arrays.pop(name)
         if arr.shape != store[name].data.shape:
             raise ValueError(f"{path}: shape {arr.shape} != expected {store[name].data.shape} for {name!r}")
         store[name].data[...] = arr
     for name in store.trainable_names():
-        if _ADAM_M + name in arrays:
-            store._m[name][...] = arrays[_ADAM_M + name]
-        if _ADAM_V + name in arrays:
-            store._v[name][...] = arrays[_ADAM_V + name]
+        for key, moment in ((_ADAM_M + name, store._m[name]), (_ADAM_V + name, store._v[name])):
+            if key in arrays:
+                moment[...] = arrays.pop(key)
     if _STEP_KEY in arrays:
-        store.step = int(arrays[_STEP_KEY])
+        store.step = int(arrays.pop(_STEP_KEY))
+    if arrays:
+        raise CorruptCheckpoint(f"{path}: record {next(iter(arrays))!r} is not part of this network "
+                                f"({len(arrays)} such records)")

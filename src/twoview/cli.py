@@ -153,7 +153,7 @@ def cmd_responses(args):
 
 
 def cmd_gradcheck(args):
-    rows, ok = run_gradcheck(seed=args.seed, corrupt=args.corrupt)
+    rows, ok = run_gradcheck(seed=args.seed)
     width = max(len(name) for name, _, _ in rows)
     for name, err, passed in rows:
         print(f"{name:<{width}}  {err:12.3e}  {'PASS' if passed else 'FAIL'}")
@@ -230,7 +230,6 @@ def build_parser():
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every component")
     add_common(p, needs_config=False)
-    p.add_argument("--corrupt", default=None, help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_gradcheck)
 
     return parser

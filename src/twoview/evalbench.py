@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import load_checkpoint
 from .config import read_network_config
 from .epipolar import (NoValidCandidate, RankDeficient, pose_angular_errors, project_to_essential,
                        recover_pose)
@@ -103,7 +102,7 @@ def load_network(checkpoint_path):
     if not os.path.exists(config_path):
         raise MissingCheckpoint(f"network config not found: {config_path}")
     net = Network(read_network_config(config_path), seed=0)
-    load_checkpoint(net.store, checkpoint_path)
+    net.load_checkpoint(checkpoint_path)
     return net
 
 

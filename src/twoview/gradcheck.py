@@ -30,6 +30,8 @@ from .synthdata import SceneConfig, generate_pair
 
 TOLERANCE = 1e-4
 STEP = 1e-5
+TOY_NETWORK = dict(channels=8, clusters=4, blocks_before_pool=1, blocks_after_unpool=1,
+                   level2_blocks=1, expected_points=16)
 
 
 def _proj(rng, shape):
@@ -135,13 +137,9 @@ def _toy_scene(seed=3, n=24, noise=0.5, outliers=0.25):
 
 def _block_cases(rng):
     """Input- and parameter-probes through each network block at toy sizes."""
-    cfg = desk_config(channels=8, clusters=4, blocks_before_pool=1, blocks_after_unpool=1,
-                      level2_blocks=1, expected_points=16)
+    cfg = desk_config(**TOY_NETWORK)
     B, N, M, D = 2, 16, 4, 8
     cases = []
-
-    def fresh_store():
-        return ParameterStore()
 
     w85 = rng.normal(size=(8, 5))
     b5 = rng.normal(size=5)
@@ -159,7 +157,7 @@ def _block_cases(rng):
                   lambda t: ad.reduce_sum(context_norm(t) * p_bnd)))
 
     def bn_case(mode):
-        store = fresh_store()
+        store = ParameterStore()
         bn = BatchNorm(store, "bn", D)
         bn.gamma.data[...] = rng.normal(1.0, 0.2, D)
         bn.beta.data[...] = rng.normal(0.0, 0.2, D)
@@ -173,7 +171,7 @@ def _block_cases(rng):
     cases.append(("batch_norm(eval)", rng.normal(size=(B, N, D)), bn_case("eval")))
 
     def layer_case(factory, shape, proj_shape, mode="train"):
-        store = fresh_store()
+        store = ParameterStore()
         layer = factory(store)
         proj = _proj(rng, proj_shape)
 
@@ -188,7 +186,7 @@ def _block_cases(rng):
 
     # the fused BN -> ReLU -> perceptron node, probed through each of its inputs
     for mode in ("train", "eval"):
-        unit = PointCNUnit(fresh_store(), "unit", D, 5, np.random.default_rng(6))
+        unit = PointCNUnit(ParameterStore(), "unit", D, 5, np.random.default_rng(6))
         unit.bn.gamma.data[...] = rng.normal(1.0, 0.2, D)
         unit.bn.beta.data[...] = rng.normal(0.0, 0.2, D)
         unit.bn.running_mean.data[...] = rng.normal(0.0, 0.3, D)
@@ -200,15 +198,16 @@ def _block_cases(rng):
         for owner, attr in ((unit.bn, "gamma"), (unit.bn, "beta"),
                             (unit.perceptron, "weight"), (unit.perceptron, "bias")):
             cases.append((f"pointcn_unit({mode}, {attr})", getattr(owner, attr).data.copy(),
-                          _probe_attr(unit, owner, attr, x_unit, mode, p_bn5)))
+                          _probe_attr(owner, attr, lambda unit=unit, x=x_unit, mode=mode:
+                                      ad.reduce_sum(unit(x, mode) * p_bn5))))
 
-    store = fresh_store()
+    store = ParameterStore()
     pool = DiffPool(store, "pool", D, M, np.random.default_rng(1))
     p_bmd = _proj(rng, (B, M, D))
     cases.append(("diff_pool", rng.normal(size=(B, N, D)),
                   lambda t: ad.reduce_sum(pool(t, "train")[0] * p_bmd)))
 
-    store = fresh_store()
+    store = ParameterStore()
     unpool_oa = DiffUnpool(store, "up", D, M, cfg, np.random.default_rng(2))
     clusters_const = rng.normal(size=(B, M, D))
     x_pre_const = rng.normal(size=(B, N, D))
@@ -217,10 +216,9 @@ def _block_cases(rng):
     cases.append(("diff_unpool(order_aware, clusters)", rng.normal(size=(B, M, D)),
                   lambda t: ad.reduce_sum(unpool_oa(ad.as_tensor(x_pre_const), t, "train")[0] * p_bnd)))
 
-    store = fresh_store()
-    plain_cfg = desk_config(channels=8, clusters=4, blocks_before_pool=1, blocks_after_unpool=1,
-                            level2_blocks=1, expected_points=16, unpool_variant="plain")
-    unpool_plain = DiffUnpool(store, "upp", D, M, plain_cfg, np.random.default_rng(3))
+    store = ParameterStore()
+    unpool_plain = DiffUnpool(store, "upp", D, M, desk_config(**TOY_NETWORK, unpool_variant="plain"),
+                              np.random.default_rng(3))
     cases.append(("diff_unpool(plain)", rng.normal(size=(B, M, D)),
                   lambda t: ad.reduce_sum(unpool_plain(ad.as_tensor(x_pre_const), t, "train")[0] * p_bnd)))
 
@@ -245,20 +243,20 @@ def _block_cases(rng):
     # pool and unpool heads reading one shared context norm of the level-1 features;
     # its own generator keeps the stream of the cases after it unchanged
     stage_rng = np.random.default_rng(7)
-    stage = _Stage(fresh_store(), "stage", cfg, 4, stage_rng)
+    stage = _Stage(ParameterStore(), "stage", cfg, 4, stage_rng)
     p_bn = _proj(stage_rng, (B, N))
     cases.append(("stage(shared context norm)", stage_rng.normal(size=(B, N, 4)),
                   lambda t: ad.reduce_sum(stage(t, "train")[0] * p_bn)))
     return cases
 
 
-def _probe_attr(layer, owner, attr, x, mode, proj):
-    """Scalar function of a probe tensor standing in for owner.attr inside layer."""
+def _probe_attr(owner, attr, scalar):
+    """Scalar function of a probe tensor: scalar() with the probe standing in for owner.attr."""
     def fn(t):
         saved = getattr(owner, attr)
         setattr(owner, attr, t)
         try:
-            return ad.reduce_sum(layer(x, mode) * proj)
+            return scalar()
         finally:
             setattr(owner, attr, saved)
 
@@ -300,23 +298,14 @@ def _eightpoint_backward_error(seed=5):
     if ctx.eigengap <= 1e-6:
         raise RuntimeError("toy scene eigengap too small for a reliable check")
     analytic = eightpoint.backward_from_context(ctx, upstream)
-    h = 1e-5
-    numeric = np.zeros_like(w)
-    for i in range(len(w)):
-        wp = w.copy()
-        wp[i] += h
-        ep = eightpoint.weighted_eightpoint(C, wp)
-        wp[i] -= 2 * h
-        em = eightpoint.weighted_eightpoint(C, wp)
-        numeric[i] = (np.sum(upstream * ep) - np.sum(upstream * em)) / (2 * h)
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / denom))
+    numeric = central_differences(
+        lambda t: ad.Tensor(np.sum(upstream * eightpoint.weighted_eightpoint(C, t.data))), w, STEP)
+    return float(np.max(relative_errors(analytic, numeric)))
 
 
 def _full_network_cases(rng):
     """Whole-graph probes: parameter gradients through the solver and both losses."""
-    cfg = desk_config(channels=8, clusters=4, blocks_before_pool=1, blocks_after_unpool=1,
-                      level2_blocks=1, expected_points=16)
+    cfg = desk_config(**TOY_NETWORK)
     pair = _toy_scene(seed=21, n=16, noise=0.2, outliers=0.25)
     corr = pair.correspondences[None]
     labels = pair.labels[None]
@@ -324,29 +313,17 @@ def _full_network_cases(rng):
     cases = []
     for kind in ("l2", "geometry"):
         loss_cfg = LossConfig(kind=kind, warmup=0)
+        # train mode normalises with batch statistics, so one network serves every probe
+        net = Network(cfg, seed=9)
 
-        def make(param_name, loss_cfg=loss_cfg):
-            def fn(t):
-                net = Network(cfg, seed=9)
-                _relink(net, param_name, t)  # probe tensor replaces the parameter
-                out = net.forward(corr, mode="train")
-                return total_loss(out.logits, labels, out.essentials, egts, corr, loss_cfg, 0)
+        def loss(net=net, loss_cfg=loss_cfg):
+            out = net.forward(corr, mode="train")
+            return total_loss(out.logits, labels, out.essentials, egts, corr, loss_cfg, 0)
 
-            return fn
-
-        probe_net = Network(cfg, seed=9)
-        head_w = probe_net.store["net.head.weight"].data.copy()
-        cases.append((f"full_forward+{kind}_loss(head weight)", head_w, make("net.head.weight")))
+        head = net.stage.head
+        cases.append((f"full_forward+{kind}_loss(head weight)", head.weight.data.copy(),
+                      _probe_attr(head, "weight", loss)))
     return cases
-
-
-def _relink(net, param_name, tensor):
-    """Point the layer attribute that owns `param_name` at the probe tensor."""
-    stage = net.stage
-    if param_name == "net.head.weight":
-        stage.head.weight = tensor
-    else:
-        raise KeyError(param_name)
 
 
 def _case_error(fn, x):
@@ -366,42 +343,15 @@ def _case_error(fn, x):
     return float(errors.max())
 
 
-def run_gradcheck(seed=0, corrupt=None):
+def run_gradcheck(seed=0):
     """Run every case; returns (rows, all_passed) with rows of (name, err, passed)."""
     rng = np.random.default_rng(seed)
     cases = _op_cases(rng) + _block_cases(rng) + _loss_cases(rng) + _full_network_cases(rng)
-    restore = None
-    if corrupt is not None:
-        restore = _install_corruption(corrupt)
     rows = []
-    try:
-        for name, x, fn in cases:
-            err = _case_error(fn, x)
-            rows.append((name, err, err < TOLERANCE))
-        err = _eightpoint_backward_error()
-        rows.append(("weighted_eightpoint_backward(eigendecomposition)", err, err < TOLERANCE))
-    finally:
-        if restore is not None:
-            restore()
+    for name, x, fn in cases:
+        err = _case_error(fn, x)
+        rows.append((name, err, err < TOLERANCE))
+    err = _eightpoint_backward_error()
+    rows.append(("weighted_eightpoint_backward(eigendecomposition)", err, err < TOLERANCE))
     return rows, all(passed for _, _, passed in rows)
 
-
-def _install_corruption(op_name):
-    """Scale an op's backward by 1.05 so the checker must flag it (test fixture)."""
-    if not hasattr(ad, op_name):
-        raise ValueError(f"unknown op {op_name!r}")
-    original = getattr(ad, op_name)
-
-    def corrupted(*args, **kwargs):
-        t = original(*args, **kwargs)
-        if t._backward is not None:
-            clean = t._backward
-            t._backward = lambda g: clean(g * 1.05)
-        return t
-
-    setattr(ad, op_name, corrupted)
-
-    def restore():
-        setattr(ad, op_name, original)
-
-    return restore

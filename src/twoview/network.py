@@ -42,11 +42,6 @@ class NetworkConfig:
                 raise ValueError(f"{key} must be positive")
 
 
-def paper_config(**overrides):
-    """Full-scale configuration as used for the reported benchmarks."""
-    return NetworkConfig(**overrides)
-
-
 def desk_config(**overrides):
     """Small configuration sized for CPU training runs."""
     base = NetworkConfig(
@@ -64,12 +59,13 @@ def _init_weight(rng, d_in, d_out):
     return rng.normal(0.0, np.sqrt(2.0 / d_in), size=(d_in, d_out))
 
 
-def shared_perceptron(F, weight, bias):
-    """Apply one linear map to every point independently: F @ W + b."""
-    F, weight, bias = ad.as_tensor(F), ad.as_tensor(weight), ad.as_tensor(bias)
+def shared_perceptron(F, weight, bias=None):
+    """Apply one linear map to every point independently: F @ W (+ b)."""
+    F, weight = ad.as_tensor(F), ad.as_tensor(weight)
     if F.shape[-1] != weight.shape[0]:
         raise ShapeMismatch(f"shared_perceptron: {F.shape} @ {weight.shape}")
-    return ad.matmul(F, weight) + bias
+    out = ad.matmul(F, weight)
+    return out if bias is None else out + bias
 
 
 def context_norm(F, eps=1e-5):
@@ -94,34 +90,46 @@ def spatial_correlation(F, weight, bias):
 
 
 class Perceptron:
-    def __init__(self, store, name, d_in, d_out, rng):
+    def __init__(self, store, name, d_in, d_out, rng, bias=True):
         self.weight = store.parameter(f"{name}.weight", _init_weight(rng, d_in, d_out))
-        self.bias = store.parameter(f"{name}.bias", np.zeros(d_out))
+        self.bias = store.parameter(f"{name}.bias", np.zeros(d_out)) if bias else None
 
     def __call__(self, x):
         return shared_perceptron(x, self.weight, self.bias)
 
 
 class BatchNorm:
-    """Per-channel normalization over (batch x points) with running statistics."""
+    """Per-channel normalization over (batch x points) with running statistics.
 
-    def __init__(self, store, name, channels, momentum=0.9, eps=1e-5):
+    With `shared`, it reads the running statistics of another batch norm of
+    the same input and leaves their update to that one.
+    """
+
+    def __init__(self, store, name, channels, momentum=0.9, eps=1e-5, shared=None):
         self.gamma = store.parameter(f"{name}.gamma", np.ones(channels))
         self.beta = store.parameter(f"{name}.beta", np.zeros(channels))
-        self.running_mean = store.buffer(f"{name}.running_mean", np.zeros(channels))
-        self.running_var = store.buffer(f"{name}.running_var", np.ones(channels))
+        self.owns_stats = shared is None
+        if self.owns_stats:
+            self.running_mean = store.buffer(f"{name}.running_mean", np.zeros(channels))
+            self.running_var = store.buffer(f"{name}.running_var", np.ones(channels))
+        else:
+            self.running_mean, self.running_var = shared.running_mean, shared.running_var
         self.momentum = momentum
         self.eps = eps
+
+    def track(self, moments):
+        """Fold a train batch's (mean, var) into the running statistics, if this one owns them."""
+        if moments is not None and self.owns_stats:
+            mean, var = moments
+            self.running_mean.data[...] = self.momentum * self.running_mean.data + (1 - self.momentum) * mean
+            self.running_var.data[...] = self.momentum * self.running_var.data + (1 - self.momentum) * var
 
     def __call__(self, x, mode):
         x = ad.as_tensor(x)
         if mode == "train":
             if x.shape[0] * x.shape[1] < 2:
                 raise ShapeMismatch("batch_norm: train mode needs batch*points >= 2")
-            mu = x.data.mean(axis=(0, 1))
-            var = x.data.var(axis=(0, 1))
-            self.running_mean.data[...] = self.momentum * self.running_mean.data + (1 - self.momentum) * mu
-            self.running_var.data[...] = self.momentum * self.running_var.data + (1 - self.momentum) * var
+            self.track((x.data.mean(axis=(0, 1)), x.data.var(axis=(0, 1))))
             y = ad.normalize(x, axes=(0, 1), eps=self.eps)
         else:
             inv = 1.0 / np.sqrt(self.running_var.data + self.eps)
@@ -147,9 +155,9 @@ def _normed_input(x, mode):
 class PointCNUnit:
     """One PointCN unit: CN -> BN -> ReLU -> perceptron, the last three as one node."""
 
-    def __init__(self, store, name, d_in, d_out, rng):
-        self.bn = BatchNorm(store, f"{name}.bn", d_in)
-        self.perceptron = Perceptron(store, f"{name}.perc", d_in, d_out, rng)
+    def __init__(self, store, name, d_in, d_out, rng, bias=True, shared_bn=None):
+        self.bn = BatchNorm(store, f"{name}.bn", d_in, shared=shared_bn)
+        self.perceptron = Perceptron(store, f"{name}.perc", d_in, d_out, rng, bias)
 
     def __call__(self, x, mode, normed=None):
         """normed: _normed_input(x, mode), when other units read the same x."""
@@ -158,9 +166,7 @@ class PointCNUnit:
         mean, var = moments if train else (bn.running_mean.data, bn.running_var.data)
         out = ad.bn_relu_linear(h, bn.gamma, bn.beta, self.perceptron.weight, self.perceptron.bias,
                                 mean, 1.0 / np.sqrt(var + bn.eps), train)
-        if train:
-            bn.running_mean.data[...] = bn.momentum * bn.running_mean.data + (1 - bn.momentum) * mean
-            bn.running_var.data[...] = bn.momentum * bn.running_var.data + (1 - bn.momentum) * var
+        bn.track(moments)
         return out
 
 
@@ -168,7 +174,8 @@ class PointCNResBlock:
     """Two PointCN units under an identity skip connection."""
 
     def __init__(self, store, name, d, rng):
-        self.unit1 = PointCNUnit(store, f"{name}.unit1", d, d, rng)
+        # no bias: unit2's context norm cancels it
+        self.unit1 = PointCNUnit(store, f"{name}.unit1", d, d, rng, bias=False)
         self.unit2 = PointCNUnit(store, f"{name}.unit2", d, d, rng)
 
     def __call__(self, x, mode):
@@ -195,7 +202,8 @@ class OrderAwareBlock:
     """
 
     def __init__(self, store, name, clusters, channels, rng):
-        self.half1 = PointCNUnit(store, f"{name}.half1", channels, channels, rng)
+        # no bias: the mixing unit's batch norm cancels it
+        self.half1 = PointCNUnit(store, f"{name}.half1", channels, channels, rng, bias=False)
         self.mix = SpatialCorrelationUnit(store, f"{name}.mix", clusters, channels, rng)
         self.half2 = PointCNUnit(store, f"{name}.half2", channels, channels, rng)
 
@@ -230,13 +238,15 @@ class DiffUnpool:
     features, so output rows stay aligned with the input ordering. The
     plain variant learns it from the cluster features alone and cannot
     recover the input order; it is kept for ablations. Each cluster's
-    assignment is a softmax over the nodes.
+    assignment is a softmax over the nodes, so the order-aware head has no
+    per-cluster bias; it reads the running statistics of `pool`'s head.
     """
 
-    def __init__(self, store, name, channels, clusters, cfg, rng):
+    def __init__(self, store, name, channels, clusters, cfg, rng, pool=None):
         self.cfg = cfg
         if cfg.unpool_variant == "order_aware":
-            self.head = PointCNUnit(store, f"{name}.head", channels, clusters, rng)
+            self.head = PointCNUnit(store, f"{name}.head", channels, clusters, rng, bias=False,
+                                    shared_bn=pool.head.bn if pool is not None else None)
         else:
             self.head = PointCNUnit(store, f"{name}.head", channels, cfg.expected_points, rng)
 
@@ -279,7 +289,7 @@ class _Stage:
             else:
                 self.level2 = [PointCNResBlock(store, f"{prefix}.l2.{i}", d, rng)
                                for i in range(cfg.level2_blocks)]
-            self.unpool = DiffUnpool(store, f"{prefix}.unpool", d, m, cfg, rng)
+            self.unpool = DiffUnpool(store, f"{prefix}.unpool", d, m, cfg, rng, self.pool)
             self.fuse = Perceptron(store, f"{prefix}.fuse", 2 * d, d, rng)
         self.after = [PointCNResBlock(store, f"{prefix}.l1b.{i}", d, rng)
                       for i in range(cfg.blocks_after_unpool)]
@@ -291,7 +301,7 @@ class _Stage:
             x = block(x, mode)
         pool_assign = unpool_assign = None
         if self.cfg.use_pool:
-            # both heads read x: one context norm and one set of batch moments
+            # both heads read x: one context norm, one set of moments and of running statistics
             normed = _normed_input(x, mode)
             clusters, pool_assign = self.pool(x, mode, normed)
             for block in self.level2:
@@ -336,6 +346,27 @@ class Network:
             self.stage2 = _Stage(self.store, "s2", config, 6, rng)
         else:
             self.stage = _Stage(self.store, "net", config, 4, rng)
+
+    def load_checkpoint(self, path):
+        """Restore a checkpoint, also one with the biases and buffers this network retired."""
+        ad.load_checkpoint(self.store, path, retired=self._retired)
+
+    def _retired(self, arrays):
+        """Names of the records in `arrays` of a bias or batch-norm buffer this network lacks.
+
+        half1's bias moves into the mixing unit's running mean (rm - b), which eval mode reads.
+        """
+        known = set(self.store.names())
+        sibling = {"bias": "weight", "running_mean": "gamma", "running_var": "gamma"}
+        retired = []
+        for name in arrays:
+            layer, _, field = name.rpartition(".")
+            if name not in known and f"{layer}.{sibling.get(field)}" in known:
+                retired.append(name)
+                mix = name.replace(".half1.perc.bias", ".mix.bn.running_mean")
+                if mix != name and mix in arrays:
+                    arrays[mix] -= arrays[name]
+        return retired
 
     def forward(self, corr, mode="eval", solve=True):
         """Run the network on a (B, N, 4) correspondence batch.

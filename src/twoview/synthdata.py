@@ -11,7 +11,7 @@ lucky random outlier that lands on the epipolar line counts as an inlier.
 
 import base64
 import json
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
 
@@ -205,6 +205,26 @@ def _json_int(value, name):
     return value
 
 
+def _json_reals(field, name):
+    """float64 array of a JSON list of numbers; a bool or a string such as "0.1" is none."""
+    if not (isinstance(field, list) and set(map(type, field)) <= {int, float}):
+        raise ValueError(f"{name} must be a list of JSON numbers")
+    return np.array(field, dtype=np.float64)
+
+
+def _scene_config(obj):
+    """The record's SceneConfig; an int field takes a JSON integer, a float field a finite number."""
+    kinds = {f.name: f.type for f in fields(SceneConfig)}
+    if not (isinstance(obj, dict) and obj.keys() <= kinds.keys()):
+        raise ValueError(f"config must be an object with keys from {sorted(kinds)}")
+    for key, value in obj.items():
+        if kinds[key] is int:
+            _json_int(value, f"config.{key}")
+        elif type(value) not in (int, float) or not np.isfinite(value):
+            raise ValueError(f"config.{key} must be a finite JSON number, got {value!r}")
+    return SceneConfig(**{k: float(v) if kinds[k] is float else v for k, v in obj.items()})
+
+
 def _correspondences(field, n):
     """(n, 4) float64 from a base64 string of n * 32 bytes or from a JSON list of reals."""
     if isinstance(field, str):
@@ -216,7 +236,7 @@ def _correspondences(field, n):
             raise ValueError(f"correspondences hold {len(raw)} bytes, expected 32 * n = {32 * n}")
         return np.frombuffer(raw, "<f8").reshape(n, 4).astype(np.float64)
     if isinstance(field, list):
-        return np.array(field, dtype=np.float64).reshape(n, 4)
+        return _json_reals(field, "correspondences").reshape(n, 4)
     raise ValueError(f"correspondences must be a base64 string or a list of reals, "
                      f"got {type(field).__name__}")
 
@@ -232,22 +252,22 @@ def pair_from_line(line, line_number):
         n = _json_int(obj["n"], "n")
         if n < 8:  # the eight-point minimum, as SceneConfig requires
             raise ValueError(f"n must be at least 8, got {n}")
-        cfg = SceneConfig(**obj["config"])
+        cfg = _scene_config(obj["config"])
         corr = _correspondences(obj["correspondences"], n)
-        e_gt = np.array(obj["e_gt"], dtype=np.float64).reshape(3, 3)
-        r_gt = np.array(obj["r_gt"], dtype=np.float64).reshape(3, 3)
-        t_gt = np.array(obj["t_gt"], dtype=np.float64).reshape(3)
+        e_gt = _json_reals(obj["e_gt"], "e_gt").reshape(3, 3)
+        r_gt = _json_reals(obj["r_gt"], "r_gt").reshape(3, 3)
+        t_gt = _json_reals(obj["t_gt"], "t_gt").reshape(3)
         labels = obj["labels"]
         if not (isinstance(labels, list) and set(map(type, labels)) <= {int} and set(labels) <= {0, 1}):
             raise ValueError("labels must be a list of JSON integers 0 or 1")
         labels = np.array(labels, dtype=np.int64).reshape(n)
         seed = _json_int(obj["seed"], "seed")
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise MalformedRecord(line_number, f"bad field: {err}") from None
     if not np.all(np.isfinite(corr)):
         raise MalformedRecord(line_number, "correspondences contain non-finite coordinates")
     recomputed = essential_from_pose(r_gt, t_gt)
-    if np.max(np.abs(recomputed - e_gt)) > 1e-12:
+    if not np.max(np.abs(recomputed - e_gt)) <= 1e-12:  # a NaN in the pose fails too
         raise MalformedRecord(line_number, "stored e_gt does not match essential_from_pose(r_gt, t_gt)")
     if not np.array_equal(label_inliers(e_gt, corr), labels):
         raise MalformedRecord(line_number, "stored labels do not match recomputed inlier labels")

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import adam_step, load_checkpoint
+from .autodiff import adam_step
 from .config import TrainParams
 from .losses import LossConfig, LossCounters, total_loss
 from .network import Network, NetworkConfig
@@ -52,7 +52,7 @@ def run_training(pairs, net_cfg: NetworkConfig, loss_cfg: LossConfig, params: Tr
 
     net = Network(net_cfg, seed=seed)
     if resume is not None:
-        load_checkpoint(net.store, resume)
+        net.load_checkpoint(resume)
 
     corr_all = np.stack([p.correspondences for p in pairs])
     labels_all = np.stack([p.labels for p in pairs])

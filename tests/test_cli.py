@@ -101,6 +101,22 @@ class TestTrain:
         assert code == 0
         assert int(read_checkpoint_arrays(out)["__step__"]) == 15
 
+    def test_resume_from_format_1_checkpoint(self, tmp_path):
+        """A checkpoint with the retired biases and buffers resumes, and saves without them."""
+        fixture = os.path.join(os.path.dirname(__file__), "data", "legacy_v1.bin")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scene.n = 16\nscene.pairs = 4\nloss.kind = geometry\nloss.warmup = 0\n"
+                       "train.batch_size = 2\ntrain.val_pairs = 1\n")
+        data, out = tmp_path / "data.txt", tmp_path / "resumed.bin"
+        assert main(["gen", "--seed", "3", "--config", str(cfg), "--out", str(data)]) == 0
+        assert main(["train", "--seed", "3", "--config", str(cfg), "--dataset", str(data),
+                     "--out", str(out), "--steps", "2", "--resume", fixture]) == 0
+        old, new = read_checkpoint_arrays(fixture), read_checkpoint_arrays(out)
+        assert int(new["__step__"]) == int(old["__step__"]) + 2
+        assert "net.l1a.0.unit1.perc.bias" in old and "net.unpool.head.bn.running_mean" in old
+        assert set(new) < set(old)
+        assert len(old) - len(new) == 3 * 4 + 2  # 4 biases with their Adam moments, 2 buffers
+
     def test_resume_matches_uninterrupted_run(self, workspace, tmp_path):
         """N steps then --resume for M more give the checkpoint and log rows of N + M steps."""
         base = ["train", "--seed", "2", "--config", str(workspace["cfg"]),
@@ -172,6 +188,41 @@ class TestEval:
                      "--checkpoint", str(ckpt), "--out", str(tmp_path / "m.csv")])
         assert code == 2
         assert "block_order" in capsys.readouterr().err
+
+    @staticmethod
+    def eval_net(workspace, tmp_path, ckpt):
+        return main(["eval", "--seed", "3", "--config", str(workspace["cfg"]),
+                     "--dataset", str(workspace["data"]), "--method", "net",
+                     "--checkpoint", str(ckpt), "--out", str(tmp_path / "m.csv")])
+
+    def test_flipped_byte_in_record_data_exit_2(self, workspace, tmp_path, capsys):
+        import shutil
+
+        blob = bytearray(workspace["ckpt"].read_bytes())
+        first = read_checkpoint_arrays(workspace["ckpt"])
+        name = next(iter(first))
+        # header (16 bytes), name length, name, rank, dims, then the first record's data
+        data = 16 + 4 + len(name) + 4 + 8 * first[name].ndim
+        blob[data + 3] ^= 0x10
+        ckpt = tmp_path / "flipped.bin"
+        ckpt.write_bytes(bytes(blob))
+        shutil.copy(str(workspace["ckpt"]) + ".netconfig", str(ckpt) + ".netconfig")
+        assert self.eval_net(workspace, tmp_path, ckpt) == 2
+        err = capsys.readouterr().err
+        assert "flipped.bin" in err and "checksum" in err
+
+    def test_checkpoint_of_another_network_exit_2(self, workspace, tmp_path, capsys):
+        """A desk `full` checkpoint beside a PointCN sidecar names a record the sidecar lacks."""
+        from twoview.autodiff import save_checkpoint
+        from twoview.config import write_network_config
+        from twoview.network import Network, desk_config
+
+        ckpt = tmp_path / "full.bin"
+        save_checkpoint(Network(desk_config(), seed=0).store, ckpt)
+        write_network_config(desk_config(use_pool=False), str(ckpt) + ".netconfig")
+        assert self.eval_net(workspace, tmp_path, ckpt) == 2
+        err = capsys.readouterr().err
+        assert "full.bin" in err and "'net.pool.head.bn.gamma'" in err
 
     def test_repeated_eval_identical_csv(self, workspace, tmp_path):
         outs = []
@@ -379,7 +430,20 @@ class TestGradcheckCommand:
         assert "weighted_eightpoint_backward(eigendecomposition)" in out
         assert "PASS" in out and "FAIL" not in out
 
-    def test_corrupted_backward_exit_5(self, capsys):
-        assert main(["gradcheck", "--seed", "0", "--corrupt", "tanh"]) == 5
-        out = capsys.readouterr().out
-        assert "tanh" in out and "FAIL" in out
+    def test_corrupted_backward_exit_5(self, capsys, monkeypatch):
+        import twoview.autodiff as ad
+
+        clean = ad.tanh
+
+        def tanh(a):
+            """tanh with its backward scaled by 1.05, which the checker must flag."""
+            out = clean(a)
+            if out._backward is not None:
+                backward = out._backward
+                out._backward = lambda g: backward(g * 1.05)
+            return out
+
+        monkeypatch.setattr(ad, "tanh", tanh)
+        assert main(["gradcheck", "--seed", "0"]) == 5
+        rows = capsys.readouterr().out.splitlines()
+        assert any(row.split()[0] == "tanh" and row.split()[-1] == "FAIL" for row in rows)

@@ -13,7 +13,7 @@ from twoview.config import (
     resolve_run_config,
     write_network_config,
 )
-from twoview.network import desk_config, paper_config
+from twoview.network import NetworkConfig, desk_config
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
@@ -119,7 +119,7 @@ class TestResolve:
         p = tmp_path / "c.cfg"
         p.write_text("preset = paper\n")
         run = load_run_config(p)
-        assert run.network == paper_config()
+        assert run.network == NetworkConfig()
         assert run.loss.warmup == 20000
         assert run.train.batch_size == 32
 

@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -8,16 +11,16 @@ from twoview.network import (
     DiffPool,
     DiffUnpool,
     Network,
+    NetworkConfig,
     OrderAwareBlock,
     PointCNResBlock,
     PointCNUnit,
     context_norm,
     desk_config,
-    paper_config,
     shared_perceptron,
     spatial_correlation,
 )
-from twoview.synthdata import SceneConfig, generate_pair
+from twoview.synthdata import SceneConfig, generate_dataset, generate_pair
 
 B, N, M, D = 2, 16, 4, 8
 
@@ -104,6 +107,19 @@ class TestBatchNorm:
         bn(Tensor(x), "train")
         assert np.allclose(bn.running_mean.data, [0.3, 0.0])
 
+    def test_shared_statistics_are_tracked_once(self):
+        store = ParameterStore()
+        owner = BatchNorm(store, "a", 2, momentum=0.9)
+        reader = BatchNorm(store, "b", 2, momentum=0.9, shared=owner)
+        x = np.zeros((1, 10, 2))
+        x[..., 0] = 3.0
+        owner(Tensor(x), "train")
+        reader(Tensor(x), "train")
+        assert np.allclose(owner.running_mean.data, [0.3, 0.0])
+        assert reader.running_mean is owner.running_mean and reader.running_var is owner.running_var
+        assert store.names() == ["a.gamma", "a.beta", "a.running_mean", "a.running_var",
+                                 "b.gamma", "b.beta"]
+
     def test_batch_stats_permutation_invariant(self):
         store = ParameterStore()
         bn = BatchNorm(store, "bn", D)
@@ -123,7 +139,7 @@ class TestPointCNBlock:
         block = PointCNResBlock(store, "blk", D, np.random.default_rng(0))
         for unit in (block.unit1, block.unit2):
             unit.perceptron.weight.data[...] = 0.0
-            unit.perceptron.bias.data[...] = 0.0
+        block.unit2.perceptron.bias.data[...] = 0.0  # unit1 has none
         x = rand((B, N, D), seed=14)
         assert np.allclose(block(Tensor(x), "train").data, x)
 
@@ -171,10 +187,8 @@ def running_gap(store_a, store_b):
 class TestFusedUnit:
     """The fused BN -> ReLU -> perceptron node against the unfused ops it replaces.
 
-    Gradients are compared over all parameters at once: some perceptron
-    biases (those feeding a context norm, a batch norm or the unpool
-    softmax over nodes) have an analytic gradient of 0, so each path gives
-    them only rounding noise.
+    Gradients are compared over all parameters at once, relative to the
+    largest entry.
     """
 
     def make_unit(self):
@@ -229,6 +243,10 @@ class TestFusedUnit:
             net = Network(tiny_config(), seed=8)
             rng = np.random.default_rng(9)
             for name in net.store.names():
+                if name == "net.l1b.0.unit1.bn.running_mean":
+                    # draws for the unpool head's retired buffers, so that every other buffer
+                    # keeps the value it always had here
+                    rng.normal(0.0, 0.3, D), rng.uniform(0.5, 2.0, D)
                 if name.endswith(".running_mean"):
                     net.store[name].data[...] = rng.normal(0.0, 0.3, net.store[name].shape)
                 elif name.endswith(".running_var"):
@@ -273,7 +291,7 @@ class TestFusedUnit:
         assert {n for n in loaded.store.names() if n.startswith("net.l1a.0.unit1.")} == {
             "net.l1a.0.unit1.bn.gamma", "net.l1a.0.unit1.bn.beta",
             "net.l1a.0.unit1.bn.running_mean", "net.l1a.0.unit1.bn.running_var",
-            "net.l1a.0.unit1.perc.weight", "net.l1a.0.unit1.perc.bias"}
+            "net.l1a.0.unit1.perc.weight"}
         with ad.no_grad():
             z = loaded.forward(corr, mode="eval").logits.data
         assert np.abs(z - z_ref).max() <= 1e-12 * max(1.0, np.abs(z_ref).max())
@@ -373,9 +391,10 @@ class TestLeanStep:
         assert abs(loss - loss_ref) <= 1e-12 * abs(loss_ref)
         assert gradient_gap(lean, ref) <= 1e-12
         assert running_gap(lean, ref) <= 1e-12
-        # both heads see the same statistics as before, bit for bit
+        # both heads see the same statistics as before, bit for bit; the unpool head reads the
+        # pool head's pair
         heads = [n for n in lean.names() if ".pool.head.bn.running" in n or ".unpool.head.bn.running" in n]
-        assert len(heads) == 4
+        assert len(heads) == 2
         for name in heads:
             assert np.array_equal(lean[name].data, ref[name].data)
         assert np.array_equal(out.pool_assign.data, out_ref.pool_assign.data)
@@ -457,8 +476,7 @@ class TestDiffUnpool:
         cfg = tiny_config(clusters=1)
         store = ParameterStore()
         up = DiffUnpool(store, "up", D, 1, cfg, np.random.default_rng(0))
-        up.head.perceptron.weight.data[...] = 0.0
-        up.head.perceptron.bias.data[...] = 0.0
+        up.head.perceptron.weight.data[...] = 0.0  # the order-aware head has no bias
         x_pre = rand((1, N, D), seed=20)
         clusters = rand((1, 1, D), seed=21)
         out, assign = up(Tensor(x_pre), Tensor(clusters), "eval")
@@ -546,7 +564,7 @@ class TestOrderAwareBlock:
         block = OrderAwareBlock(store, "oa", M, D, np.random.default_rng(0))
         for unit in (block.half1, block.half2):
             unit.perceptron.weight.data[...] = 0.0
-            unit.perceptron.bias.data[...] = 0.0
+        block.half2.perceptron.bias.data[...] = 0.0  # half1 has none
         block.mix.weight.data[...] = 0.0
         block.mix.bias.data[...] = 0.0
         x = rand((B, M, D), seed=36)
@@ -655,7 +673,7 @@ class TestIterative:
 
 class TestConfig:
     def test_paper_defaults(self):
-        cfg = paper_config()
+        cfg = NetworkConfig()
         assert cfg.channels == 128 and cfg.clusters == 500
         assert cfg.blocks_before_pool + cfg.blocks_after_unpool == 12
         assert cfg.level2_blocks == 6
@@ -670,3 +688,83 @@ class TestConfig:
             desk_config(unpool_variant="bogus")
         with pytest.raises(ValueError):
             desk_config(channels=0)
+
+
+LEGACY = os.path.join(os.path.dirname(__file__), "data", "legacy_v1")
+# the ablation variants of scripts/run_acceptance_protocol.py, plus the plain unpool
+VARIANTS = {
+    "pointcn": {"use_pool": False},
+    "pool": {"level2_kind": "pointcn"},
+    "full": {},
+    "plain": {"unpool_variant": "plain"},
+    "iter": {"iterative": True, "blocks_before_pool": 1, "blocks_after_unpool": 1,
+             "level2_blocks": 1},
+}
+
+
+def legacy_record():
+    """What the last format-1 layout gave; see tests/data/make_v1_checkpoint.py."""
+    with open(LEGACY + ".json", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def eval_logits(net, scene):
+    with ad.no_grad():
+        return net.forward(generate_pair(scene).correspondences[None], mode="eval").logits.data[0]
+
+
+class TestRetiredState:
+    """Every stored tensor can change an output, and older checkpoints give the same model."""
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_every_parameter_gets_a_gradient(self, variant):
+        from twoview.config import TrainParams
+        from twoview.losses import LossConfig
+        from twoview.training import run_training
+
+        pairs = generate_dataset(SceneConfig(n=512, outlier_ratio=0.6, pixel_noise=1.0), 8,
+                                 base_seed=80)
+        params = TrainParams(steps=1, batch_size=8, log_every=1, val_pairs=1)
+        net, _, _ = run_training(pairs, desk_config(**VARIANTS[variant]),
+                                 LossConfig(kind="geometry", warmup=0), params, seed=4)
+        largest = {name: 0.0 if net.store[name].grad is None else np.abs(net.store[name].grad).max()
+                   for name in net.store.trainable_names()}
+        top = max(largest.values())
+        assert [name for name, g in largest.items() if not g > 1e-12 * top] == []
+
+    def test_desk_store_size(self, tmp_path):
+        from twoview.autodiff import read_checkpoint_arrays, save_checkpoint
+
+        store = Network(desk_config(), seed=0).store
+        trainable = set(store.trainable_names())
+        assert len(store.names()) == 93
+        assert sum(store[n].data.size for n in trainable) == 57121
+        assert sum(store[n].data.size for n in store.names() if n not in trainable) == 960
+        save_checkpoint(store, tmp_path / "full.bin")
+        assert len(read_checkpoint_arrays(tmp_path / "full.bin")) == 220
+
+    def test_format_1_checkpoint_gives_the_same_model(self):
+        from twoview.autodiff import read_checkpoint_arrays
+        from twoview.config import read_network_config
+        from twoview.evalbench import load_network
+
+        record = legacy_record()
+        assert read_network_config(LEGACY + ".bin.netconfig") == tiny_config()
+        net = load_network(LEGACY + ".bin")
+        scene = SceneConfig(n=N, outlier_ratio=0.25, pixel_noise=0.5, seed=record["tiny_pair_seed"])
+        z, z_old = eval_logits(net, scene), np.array(record["tiny_logits"])
+        assert np.abs(z - z_old).max() <= 1e-12 * np.abs(z_old).max()
+        # the fold carries the model: without it the logits move
+        bias = read_checkpoint_arrays(LEGACY + ".bin")["net.l2.0.half1.perc.bias"]
+        assert np.abs(bias).max() > 0.1
+        net.store["net.l2.0.mix.bn.running_mean"].data[...] += bias
+        assert np.abs(eval_logits(net, scene) - z_old).max() > 1e-3
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_fresh_desk_network_keeps_its_logits(self, variant):
+        record = legacy_record()
+        net = Network(desk_config(**VARIANTS[variant]), seed=record["desk_seed"])
+        z = eval_logits(net, SceneConfig(n=512, outlier_ratio=0.4, pixel_noise=0.5,
+                                         seed=record["desk_pair_seed"]))
+        z_old = np.array(record["desk_logits"][variant])
+        assert np.abs(z - z_old).max() <= 1e-12 * np.abs(z_old).max()

@@ -257,6 +257,43 @@ class TestDatasetRoundTrip:
         record[key] = value
         assert_rejected(tmp_path, record, f"{key} must be a JSON integer")
 
+    @pytest.mark.parametrize("key, value, words", [
+        ("n", 16.7, "config.n must be a JSON integer"),
+        ("seed", True, "config.seed must be a JSON integer"),
+        ("image_width", "640", "config.image_width must be a JSON integer"),
+        ("focal", "500", "config.focal must be a finite JSON number"),
+        ("pixel_noise", True, "config.pixel_noise must be a finite JSON number"),
+        ("depth_max", float("inf"), "config.depth_max must be a finite JSON number"),
+        ("bogus", 1, "config must be an object with keys from"),
+    ])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, key, value, words):
+        pair = generate_pair(SceneConfig(n=16, outlier_ratio=0.4, pixel_noise=1.0, seed=5))
+        record = json.loads(pair_to_line(pair))
+        record["config"][key] = value
+        assert_rejected(tmp_path, record, words)
+
+    def test_config_float_field_takes_a_json_integer(self):
+        pair = generate_pair(SceneConfig(n=16, outlier_ratio=0.4, pixel_noise=1.0, seed=5))
+        record = json.loads(pair_to_line(pair))
+        record["config"]["focal"] = 500
+        cfg = pair_from_line(json.dumps(record), 1).config
+        assert type(cfg.focal) is float and cfg == pair.config
+
+    @pytest.mark.parametrize("key", ["e_gt", "r_gt", "t_gt", "correspondences"])
+    @pytest.mark.parametrize("kind", ["string", "bool"])
+    def test_list_of_non_numbers_rejected(self, tmp_path, key, kind):
+        pair = generate_pair(SceneConfig(n=16, outlier_ratio=0.4, pixel_noise=1.0, seed=5))
+        record = json.loads(text_line(pair))
+        record[key][0] = repr(record[key][0]) if kind == "string" else True
+        assert_rejected(tmp_path, record, f"{key} must be a list of JSON numbers")
+
+    @pytest.mark.parametrize("key", ["e_gt", "r_gt", "t_gt"])
+    def test_non_finite_pose_rejected(self, tmp_path, key):
+        pair = generate_pair(SceneConfig(n=16, outlier_ratio=0.4, pixel_noise=1.0, seed=5))
+        record = json.loads(pair_to_line(pair))
+        record[key][0] = float("nan")
+        assert_rejected(tmp_path, record, "does not match essential_from_pose")
+
     @pytest.mark.parametrize("n", [-1, 0, 7])
     def test_count_below_eight_rejected(self, tmp_path, n):
         """n = -1 would let a text record's rows reshape to any count; n = 0 leaves none to label."""
