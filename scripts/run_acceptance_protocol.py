@@ -1,49 +1,47 @@
 #!/usr/bin/env python3
 """Build the benchmark artifacts the slow acceptance tests consume.
 
-Runs the full desk-scale protocol: dataset generation, three architecture
-variants (plus the two-stage refinement model) trained with three seeds
-each, and the evaluation sweep against the RANSAC baseline. Everything
-goes through the CLI, so manifests and logs are produced as in normal
-use. Results land in acceptance_cache/ next to the repository root; the
-acceptance tests refuse to regenerate them implicitly unless
-TWOVIEW_ALLOW_TRAIN=1 is set (a full build is several CPU-hours).
+Runs the full desk-scale protocol on the regime of configs/hard.cfg:
+dataset generation, three architecture variants (plus the two-stage
+refinement model) trained with three seeds each, and the evaluation sweep
+against the RANSAC baseline. Every step is one CLI command, so manifests
+and logs are produced as in normal use, and up to --jobs steps run at
+once. Results land in acceptance_cache/ next to the repository root.
+
+A step is done when its output's .manifest.json exists (the CLI writes it
+last, atomically), so a restarted run skips every finished step. After a
+step fails no queued step starts, the running ones finish, and the driver
+exits non-zero naming the failed step and its log.
 
 Usage: python3 scripts/run_acceptance_protocol.py [--jobs 2] [--steps N]
 """
 
 import argparse
+import csv
 import json
 import os
 import subprocess
 import sys
-import time
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from datetime import datetime
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-CACHE = os.environ.get("TWOVIEW_CACHE", os.path.join(ROOT, "acceptance_cache"))
+SRC = os.path.join(ROOT, "src")
+sys.path.insert(0, SRC)
+
+from twoview.autodiff import write_atomically  # noqa: E402
+from twoview.evalbench import METRICS_HEADER  # noqa: E402
+
+CACHE = os.path.join(ROOT, "acceptance_cache")
+REGIME = os.path.join(ROOT, "configs", "hard.cfg")
 SEEDS = (0, 1, 2)
 
 TRAIN_PAIRS = 2000
 HELDOUT_PAIRS = 200
 TRAIN_SEED = 10_000
 HELDOUT_SEED = 900_000
-STEPS = 10_000
-
-SCENE_LINES = [
-    "scene.n = 512",
-    "scene.outlier_ratio = 0.6",
-    "scene.pixel_noise = 1.0",
-]
-LOSS_LINES = [
-    "loss.kind = geometry",
-    "loss.warmup = 500",
-]
-TRAIN_LINES = [
-    "train.batch_size = 8",
-    "train.lr = 1e-4",
-    "train.log_every = 200",
-    "train.val_pairs = 20",
-]
+EVAL_SEED = 77
 
 VARIANTS = {
     "pointcn": ["net.use_pool = false"],
@@ -56,134 +54,98 @@ VARIANTS = {
 }
 
 
-def config_path(variant):
-    return os.path.join(CACHE, f"{variant}.cfg")
+def in_cache(name):
+    return os.path.join(CACHE, name)
 
 
 def write_configs(steps):
+    """One config per variant: the regime, the step count, then the variant's lines."""
+    with open(REGIME, "r", encoding="utf-8") as fh:
+        regime = fh.read().rstrip("\n")
     os.makedirs(CACHE, exist_ok=True)
-    for variant, extra in VARIANTS.items():
-        lines = SCENE_LINES + LOSS_LINES + TRAIN_LINES + [f"train.steps = {steps}"] + extra
-        with open(config_path(variant), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+    for variant, lines in VARIANTS.items():
+        with open(in_cache(f"{variant}.cfg"), "w", encoding="utf-8") as fh:
+            fh.write("\n".join([regime, f"train.steps = {steps}", *lines]) + "\n")
 
 
-def cli_env():
-    env = dict(os.environ)
-    env.setdefault("OPENBLAS_NUM_THREADS", "1")
-    env.setdefault("OMP_NUM_THREADS", "1")
-    env.setdefault("MALLOC_MMAP_MAX_", "0")
-    return env
+def run_cli(args, log):
+    """One CLI command, single-threaded, with its output in `log`; raises if it fails."""
+    env = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MALLOC_MMAP_MAX_": "0",
+           **os.environ}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    with open(log, "w", encoding="utf-8") as out:
+        subprocess.run([sys.executable, "-m", "twoview.cli", *args], check=True, env=env,
+                       stdout=out, stderr=subprocess.STDOUT, cwd=ROOT)
 
 
-def run_cli(args, log_path=None):
-    cmd = [sys.executable, "-m", "twoview.cli"] + args
-    out = open(log_path, "w") if log_path else None
-    try:
-        subprocess.run(cmd, check=True, env=cli_env(), stdout=out or None,
-                       stderr=subprocess.STDOUT if out else None, cwd=ROOT)
-    finally:
-        if out:
-            out.close()
+def step(command, out, *args):
+    """(output path, CLI arguments) of one protocol step."""
+    return out, [command, "--out", out, *map(str, args)]
 
 
-def spawn_cli(args, log_path):
-    out = open(log_path, "w")
-    return subprocess.Popen([sys.executable, "-m", "twoview.cli"] + args, env=cli_env(),
-                            stdout=out, stderr=subprocess.STDOUT, cwd=ROOT), out
+def protocol_steps():
+    """Generation, training and evaluation steps; each list needs the ones before it."""
+    train, heldout = in_cache("train.txt"), in_cache("heldout.txt")
+    runs = [(variant, seed) for variant in VARIANTS for seed in SEEDS]
+    generation = [
+        step("gen", train, "--seed", TRAIN_SEED, "--config", REGIME, "--pairs", TRAIN_PAIRS),
+        step("gen", heldout, "--seed", HELDOUT_SEED, "--config", REGIME, "--pairs", HELDOUT_PAIRS),
+    ]
+    training = [step("train", in_cache(f"model_{v}_s{s}.bin"), "--seed", s,
+                     "--config", in_cache(f"{v}.cfg"), "--dataset", train) for v, s in runs]
+    evaluation = [step("eval", in_cache("metrics_ransac.csv"), "--seed", EVAL_SEED,
+                       "--config", REGIME, "--dataset", heldout, "--method", "ransac")]
+    evaluation += [step("compare", in_cache(f"metrics_{v}_s{s}.csv"), "--seed", EVAL_SEED,
+                        "--config", in_cache(f"{v}.cfg"), "--dataset", heldout,
+                        "--methods", "net,net+ransac",
+                        "--checkpoint", in_cache(f"model_{v}_s{s}.bin")) for v, s in runs]
+    return generation, training, evaluation
 
 
-def dataset_paths():
-    return os.path.join(CACHE, "train.txt"), os.path.join(CACHE, "heldout.txt")
+def run_steps(steps, jobs):
+    """Run every step whose manifest is missing, `jobs` at a time; exit on a failure."""
+    failed = threading.Event()
+
+    def run(out, args):
+        if failed.is_set():  # checked by the worker, so no queued step starts after a failure
+            return
+        print(f"[protocol] {os.path.basename(out)}", flush=True)
+        try:
+            run_cli(args, out + ".console.log")
+        except BaseException:
+            failed.set()
+            raise
+
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        futures = {out: pool.submit(run, out, args) for out, args in steps
+                   if not os.path.exists(out + ".manifest.json")}
+    for out, future in futures.items():
+        if future.exception() is not None:
+            raise SystemExit(f"[protocol] {os.path.basename(out)} failed: {future.exception()}; "
+                             f"see {out}.console.log")
 
 
-def model_path(variant, seed):
-    return os.path.join(CACHE, f"model_{variant}_s{seed}.bin")
+def read_metrics(path):
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return {row["method"]: {key: float(row[key]) for key in METRICS_HEADER[1:]}
+                for row in csv.DictReader(fh)}
 
 
-def metrics_path(name):
-    return os.path.join(CACHE, f"metrics_{name}.csv")
+def step_seconds(out):
+    """Wall seconds of a finished step, from the start and finish its manifest records."""
+    with open(out + ".manifest.json", "r", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    started, finished = (datetime.fromisoformat(manifest[k]) for k in ("started", "finished"))
+    return round((finished - started).total_seconds(), 3)
 
 
-def generate_datasets():
-    train, heldout = dataset_paths()
-    if not os.path.exists(train):
-        run_cli(["gen", "--seed", str(TRAIN_SEED), "--config", config_path("full"),
-                 "--out", train, "--pairs", str(TRAIN_PAIRS)])
-    if not os.path.exists(heldout):
-        run_cli(["gen", "--seed", str(HELDOUT_SEED), "--config", config_path("full"),
-                 "--out", heldout, "--pairs", str(HELDOUT_PAIRS)])
-
-
-def train_all(jobs):
-    train, _ = dataset_paths()
-    queue = []
-    for variant in VARIANTS:
-        for seed in SEEDS:
-            out = model_path(variant, seed)
-            if os.path.exists(out):
-                continue
-            queue.append((variant, seed, out))
-    running = []
-    while queue or running:
-        while queue and len(running) < jobs:
-            variant, seed, out = queue.pop(0)
-            print(f"[protocol] training {variant} seed {seed}", flush=True)
-            proc, fh = spawn_cli(
-                ["train", "--seed", str(seed), "--config", config_path(variant),
-                 "--dataset", train, "--out", out],
-                out + ".console.log")
-            running.append((proc, fh, variant, seed, out))
-        time.sleep(5)
-        still = []
-        for proc, fh, variant, seed, out in running:
-            if proc.poll() is None:
-                still.append((proc, fh, variant, seed, out))
-                continue
-            fh.close()
-            if proc.returncode != 0:
-                raise RuntimeError(f"training {variant} seed {seed} failed "
-                                   f"(exit {proc.returncode}, see {out}.console.log)")
-            print(f"[protocol] finished {variant} seed {seed}", flush=True)
-        running = still
-
-
-def evaluate_all():
-    _, heldout = dataset_paths()
-    if not os.path.exists(metrics_path("ransac")):
-        run_cli(["eval", "--seed", "77", "--config", config_path("full"),
-                 "--dataset", heldout, "--method", "ransac",
-                 "--out", metrics_path("ransac")])
-    for variant in VARIANTS:
-        for seed in SEEDS:
-            name = f"{variant}_s{seed}"
-            if os.path.exists(metrics_path(name)):
-                continue
-            print(f"[protocol] evaluating {name}", flush=True)
-            run_cli(["compare", "--seed", "77", "--config", config_path(variant),
-                     "--dataset", heldout, "--methods", "net,net+ransac",
-                     "--checkpoint", model_path(variant, seed),
-                     "--out", metrics_path(name)])
-
-
-def read_metrics(name):
-    rows = {}
-    with open(metrics_path(name), "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            parts = line.strip().split(",")
-            rows[parts[0]] = {k: (parts[i] if k == "method" else float(parts[i]))
-                              for i, k in enumerate(header)}
-    return rows
-
-
-def collect_summary():
-    summary = {"steps": STEPS, "seeds": list(SEEDS),
-               "ransac_map5": read_metrics("ransac")["ransac"]["mAP5"]}
+def write_summary(steps, outputs):
+    summary = {"steps": steps, "seeds": list(SEEDS),
+               "ransac_map5": read_metrics(in_cache("metrics_ransac.csv"))["ransac"]["mAP5"]}
     for variant in VARIANTS:
         per_seed = {}
         for seed in SEEDS:
-            rows = read_metrics(f"{variant}_s{seed}")
+            rows = read_metrics(in_cache(f"metrics_{variant}_s{seed}.csv"))
             per_seed[str(seed)] = {
                 "net_map5": rows["net"]["mAP5"],
                 "net_ransac_map5": rows["net+ransac"]["mAP5"],
@@ -192,28 +154,26 @@ def collect_summary():
                 "net_failures": rows["net"]["failures"],
             }
         summary[variant] = per_seed
-    path = os.path.join(CACHE, "summary.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-    print(f"[protocol] wrote {path}", flush=True)
-    return summary
+    seconds = {os.path.basename(out): step_seconds(out) for out in outputs}
+    summary["step_seconds"] = seconds
+    summary["step_seconds_total"] = round(sum(seconds.values()), 3)
+    text = json.dumps(summary, indent=2, sort_keys=True)
+    write_atomically(in_cache("summary.json"), lambda fh: fh.write(text.encode("utf-8")),
+                     prefix=".summary-")
+    return text
 
 
-def main():
-    global STEPS
+def main(argv=None):
     parser = argparse.ArgumentParser()
     parser.add_argument("--jobs", type=int, default=2)
-    parser.add_argument("--steps", type=int, default=STEPS)
-    args = parser.parse_args()
-    STEPS = args.steps
-    started = time.time()
+    parser.add_argument("--steps", type=int, default=10_000)
+    args = parser.parse_args(argv)
     write_configs(args.steps)
-    generate_datasets()
-    train_all(args.jobs)
-    evaluate_all()
-    summary = collect_summary()
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    print(f"[protocol] done in {(time.time() - started) / 60:.1f} min")
+    phases = protocol_steps()
+    for steps in phases:
+        run_steps(steps, args.jobs)
+    print(write_summary(args.steps, [out for steps in phases for out, _ in steps]))
+    print(f"[protocol] wrote {in_cache('summary.json')}")
 
 
 if __name__ == "__main__":

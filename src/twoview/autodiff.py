@@ -717,13 +717,13 @@ def save_checkpoint(store: ParameterStore, path):
     write_atomically(path, write, prefix=".ckpt-")
 
 
-def write_atomically(path, write, prefix):
-    """Run write(fh) on a binary temp file in path's directory, then rename it to path."""
+def write_atomically(path, write, prefix, text=False):
+    """Run write(fh) on a binary (or UTF-8 `text`) temp file beside path, then rename it to path."""
     directory, name = os.path.split(os.path.abspath(path))
     # one temp name per process and target; open() keeps the umask's file mode
     tmp = os.path.join(directory, f"{prefix}{os.getpid()}-{name}")
     try:
-        with open(tmp, "wb") as fh:
+        with (open(tmp, "w", encoding="utf-8", newline="") if text else open(tmp, "wb")) as fh:
             write(fh)
         os.replace(tmp, path)
     except BaseException:

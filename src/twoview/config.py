@@ -13,6 +13,7 @@ import math
 import re
 from dataclasses import asdict, dataclass, fields
 
+from .autodiff import write_atomically
 from .losses import LossConfig
 from .network import NetworkConfig, desk_config
 from .ransac import RansacConfig
@@ -169,12 +170,14 @@ _SIDECAR_KEYS.update({key: type(kept) for key, kept in _RETIRED_NET_VALUES.items
 
 def write_network_config(cfg: NetworkConfig, path):
     """Sidecar serialization of a network configuration (bare flat keys)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    def write(fh):
         for f in fields(cfg):
             value = getattr(cfg, f.name)
             if isinstance(value, bool):
                 value = "true" if value else "false"
             fh.write(f"{f.name}={value}\n")
+
+    write_atomically(path, write, prefix=".netconfig-", text=True)
 
 
 def read_network_config(path):

@@ -186,13 +186,15 @@ def compare_methods(pairs, methods, ransac_cfg=None, net=None, seed=0):
 
 
 def write_metrics_csv(reports, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    def write(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(METRICS_HEADER)
         for r in reports:
             writer.writerow([r.method, f"{r.map5:.6f}", f"{r.map10:.6f}", f"{r.map20:.6f}",
                              f"{r.precision:.6f}", f"{r.recall:.6f}", f"{r.fscore:.6f}",
                              r.pairs, r.failures])
+
+    ad.write_atomically(path, write, prefix=".metrics-", text=True)
 
 
 def export_cluster_responses(net: Network, pair, top_k=15):
@@ -216,8 +218,10 @@ def export_cluster_responses(net: Network, pair, top_k=15):
 
 
 def write_responses_csv(rows, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    def write(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RESPONSES_HEADER)
         for cluster, rank, row, value in rows:
             writer.writerow([cluster, rank, row, f"{value:.12g}"])
+
+    ad.write_atomically(path, write, prefix=".responses-", text=True)

@@ -46,7 +46,7 @@ class LossConfig:
 
 
 def classification_loss(z, labels, balanced=True, counters: LossCounters = None):
-    """Binary cross entropy on logits, averaged over the batch.
+    """Binary cross entropy on (B, N) logits, averaged over the batch.
 
     With `balanced` the positive and negative terms are averaged within
     their class first, so heavy outlier imbalance does not drown the
@@ -55,13 +55,11 @@ def classification_loss(z, labels, balanced=True, counters: LossCounters = None)
     """
     z = ad.as_tensor(z)
     labels = np.asarray(labels)
-    if labels.shape != z.shape:
-        raise ValueError(f"labels shape {labels.shape} != logits shape {z.shape}")
+    if z.data.ndim != 2 or labels.shape != z.shape:
+        raise ValueError(f"expected (B, N) logits and labels of the same shape, "
+                         f"got {z.shape} and {labels.shape}")
     s = (labels > 0).astype(np.float64)
-    if z.data.ndim == 1:
-        z = ad.reshape(z, (1, z.shape[0]))
-        s = s.reshape(1, -1)
-    B, N = s.shape
+    N = s.shape[1]
     n_pos = s.sum(axis=1)
     n_neg = (1.0 - s).sum(axis=1)
     valid = (n_pos > 0) & (n_neg > 0)
@@ -70,18 +68,14 @@ def classification_loss(z, labels, balanced=True, counters: LossCounters = None)
     if not np.any(valid):
         raise DegenerateLabels("no sample has both classes present")
     nv = float(np.count_nonzero(valid))
-    # per-element weights folding the class balance and batch mean into one sum
-    wpos = np.zeros_like(s)
-    wneg = np.zeros_like(s)
-    for b in range(B):
-        if not valid[b]:
-            continue
-        if balanced:
-            wpos[b] = s[b] / (2.0 * n_pos[b] * nv)
-            wneg[b] = (1.0 - s[b]) / (2.0 * n_neg[b] * nv)
-        else:
-            wpos[b] = s[b] / (N * nv)
-            wneg[b] = (1.0 - s[b]) / (N * nv)
+    # per-element weights folding the class balance and batch mean into one sum;
+    # a skipped sample divides by inf, which gives its row exact zeros
+    if balanced:
+        pos_den, neg_den = 2.0 * n_pos * nv, 2.0 * n_neg * nv
+    else:
+        pos_den = neg_den = N * nv
+    wpos = s / np.where(valid, pos_den, np.inf)[:, None]
+    wneg = (1.0 - s) / np.where(valid, neg_den, np.inf)[:, None]
     # softplus(-z) = -log(sigmoid(z)) for the positives, softplus(z) for the negatives
     loss = ad.reduce_sum(ad.softplus(-z) * wpos) + ad.reduce_sum(ad.softplus(z) * wneg)
     return loss

@@ -85,7 +85,7 @@ def _irls_refit(C, d0, threshold):
         try:
             E = weighted_eightpoint(C, w)
         except EigengapCollapse:
-            return None if E is None else E
+            return E
         d = symmetric_epipolar_distances(E, C)
         mask = d < threshold
         if not mask.any():

@@ -232,6 +232,21 @@ class TestRetiredNetworkKeys:
         keys = [line.partition("=")[0] for line in path.read_text().splitlines()]
         assert not set(keys) & set(RETIRED_SIDECAR)
 
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        class DiskFull:
+            def __format__(self, spec):
+                raise OSError("disk full")
+
+        path = tmp_path / "model.netconfig"
+        write_network_config(desk_config(), path)
+        before = path.read_bytes()
+        broken = desk_config(channels=8)
+        object.__setattr__(broken, "expected_points", DiskFull())  # a late field: fails midway
+        with pytest.raises(OSError):
+            write_network_config(broken, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.netconfig"]
+
 
 class TestNetworkKeys:
     RUN_CONFIG_KEYS = {"channels", "clusters", "blocks_before_pool", "blocks_after_unpool",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoview import eightpoint as e8
 from twoview.synthdata import SceneConfig, generate_pair
@@ -7,6 +9,26 @@ from twoview.synthdata import SceneConfig, generate_pair
 
 def toy_scene(seed=7, n=24, outliers=0.3, noise=0.5):
     return generate_pair(SceneConfig(n=n, outlier_ratio=outliers, pixel_noise=noise, seed=seed))
+
+
+# Rounding differences in E grow as the solve's eigengap closes: 1500 noisy
+# scenes at n = 8 to 300 gave at most 1.8e-16 for |dE| * gap / ||eigenvalues||.
+SOLVE_TOL = 1e-14
+
+
+def relative_gap(ctx):
+    return ctx.eigengap / np.linalg.norm(ctx.eigenvalues)
+
+
+@st.composite
+def noisy_scenes(draw):
+    """(correspondences, weights in [0.1, 1], generator) of a random noisy scene."""
+    n = draw(st.integers(8, 300))
+    pair = generate_pair(SceneConfig(n=n, outlier_ratio=draw(st.floats(0.0, 0.6)),
+                                     pixel_noise=draw(st.floats(0.1, 2.0)),
+                                     seed=draw(st.integers(0, 2**32 - 1))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return pair.correspondences, rng.uniform(0.1, 1.0, n), rng
 
 
 class TestMonomialMatrix:
@@ -148,19 +170,28 @@ class TestWeightedEightpoint:
         E2 = e8.weighted_eightpoint(pair.correspondences, 2.0 * w)
         assert np.array_equal(E1, E2)
 
-    def test_row_permutation_invariance(self):
-        rng = np.random.default_rng(6)
-        pair = toy_scene()
-        w = rng.uniform(0.1, 1.0, len(pair.correspondences))
-        E1 = e8.weighted_eightpoint(pair.correspondences, w)
-        for _ in range(5):
-            perm = rng.permutation(len(w))
-            E2 = e8.weighted_eightpoint(pair.correspondences[perm], w[perm])
-            assert np.allclose(E1, E2, atol=1e-10)
+    @settings(max_examples=60, deadline=None)
+    @given(scene=noisy_scenes(), scale=st.floats(1e-3, 1e3))
+    def test_positive_weight_scale_invariance(self, scene, scale):
+        C, w, _ = scene
+        E1, ctx = e8.weighted_eightpoint_with_context(C, w)
+        E2 = e8.weighted_eightpoint(C, scale * w)
+        assert np.abs(E1 - E2).max() <= SOLVE_TOL / relative_gap(ctx)
 
-    def test_unit_norm_and_sign_convention(self):
-        pair = toy_scene()
-        E = e8.weighted_eightpoint(pair.correspondences, np.ones(len(pair.correspondences)))
+    @settings(max_examples=60, deadline=None)
+    @given(scene=noisy_scenes())
+    def test_row_permutation_invariance(self, scene):
+        C, w, rng = scene
+        E1, ctx = e8.weighted_eightpoint_with_context(C, w)
+        perm = rng.permutation(len(w))
+        E2 = e8.weighted_eightpoint(C[perm], w[perm])
+        assert np.abs(E1 - E2).max() <= SOLVE_TOL / relative_gap(ctx)
+
+    @settings(max_examples=60, deadline=None)
+    @given(scene=noisy_scenes())
+    def test_unit_norm_and_sign_convention(self, scene):
+        C, w, _ = scene
+        E, _ = e8.weighted_eightpoint_with_context(C, w)
         assert abs(np.linalg.norm(E) - 1.0) < 1e-12
         flat = E.flatten(order="F")
         assert flat[np.argmax(np.abs(flat))] > 0

@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -316,3 +317,31 @@ class TestCsvWriters:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "cluster,rank,row,value"
         assert len(lines) == 1 + len(rows)
+
+    def test_failed_metrics_write_keeps_previous_file(self, tmp_path):
+        reports = compare_methods(easy_pairs(count=2), ["ransac"], RansacConfig(), None, seed=0)
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(reports, path)
+        before = path.read_bytes()
+        with pytest.raises(OSError):
+            write_metrics_csv([replace(reports[0], method="net"),
+                               replace(reports[0], fscore=DiskFull())], path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["metrics.csv"]
+
+    def test_failed_responses_write_keeps_previous_file(self, tmp_path):
+        rows = export_cluster_responses(tiny_net(), easy_pairs(count=1)[0], top_k=2)
+        path = tmp_path / "responses.csv"
+        write_responses_csv(rows, path)
+        before = path.read_bytes()
+        with pytest.raises(OSError):
+            write_responses_csv([(9, 9, 9, 0.5), (0, 1, 2, DiskFull())], path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["responses.csv"]
+
+
+class DiskFull:
+    """A value whose formatting fails, as a write that runs out of disk midway would."""
+
+    def __format__(self, spec):
+        raise OSError("disk full")

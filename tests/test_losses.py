@@ -61,6 +61,44 @@ class TestClassificationLoss:
         with pytest.raises(DegenerateLabels):
             classification_loss(Tensor(np.zeros((1, 4))), np.ones((1, 4), dtype=int))
 
+    def test_one_dimensional_logits_rejected(self):
+        with pytest.raises(ValueError, match=r"\(B, N\)"):
+            classification_loss(Tensor(np.zeros(4)), np.array([1, 0, 1, 0]))
+
+    @pytest.mark.parametrize("balanced", [True, False])
+    def test_matches_per_sample_loop_bit_for_bit(self, balanced):
+        def loop_weights(labels):
+            s = (labels > 0).astype(np.float64)
+            B, N = s.shape
+            n_pos, n_neg = s.sum(axis=1), (1.0 - s).sum(axis=1)
+            valid = (n_pos > 0) & (n_neg > 0)
+            nv = float(np.count_nonzero(valid))
+            wpos, wneg = np.zeros_like(s), np.zeros_like(s)
+            for b in np.flatnonzero(valid):
+                if balanced:
+                    wpos[b] = s[b] / (2.0 * n_pos[b] * nv)
+                    wneg[b] = (1.0 - s[b]) / (2.0 * n_neg[b] * nv)
+                else:
+                    wpos[b] = s[b] / (N * nv)
+                    wneg[b] = (1.0 - s[b]) / (N * nv)
+            return wpos, wneg
+
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            B, N = rng.integers(1, 6), rng.integers(2, 40)
+            labels = (rng.uniform(size=(B, N)) < rng.uniform(0.0, 1.0, size=(B, 1))).astype(int)
+            labels[0, :2] = (1, 0)  # one usable sample; the others may lack a class
+            z0 = rng.normal(size=(B, N))
+            z, z_ref = Tensor(z0.copy(), requires_grad=True), Tensor(z0.copy(), requires_grad=True)
+            loss = classification_loss(z, labels, balanced=balanced)
+            wpos, wneg = loop_weights(labels)
+            ref = (ad.reduce_sum(ad.softplus(-z_ref) * wpos)
+                   + ad.reduce_sum(ad.softplus(z_ref) * wneg))
+            ad.backward(loss)
+            ad.backward(ref)
+            assert float(loss.data) == float(ref.data)
+            assert np.array_equal(z.grad, z_ref.grad)
+
 
 class TestEssentialL2Loss:
     def test_equal_is_zero(self):

@@ -1,0 +1,66 @@
+"""The acceptance-protocol driver at toy scale: a run, its restarts and a failed step."""
+
+import importlib.util
+import os
+
+import pytest
+
+SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "scripts", "run_acceptance_protocol.py")
+
+
+@pytest.fixture
+def protocol(tmp_path):
+    """A fresh copy of the driver writing to tmp_path, and the outputs of the steps it starts."""
+    spec = importlib.util.spec_from_file_location("run_acceptance_protocol", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.CACHE = str(tmp_path)
+    module.TRAIN_PAIRS, module.HELDOUT_PAIRS, module.SEEDS = 4, 2, (0,)
+    module.VARIANTS = {"pointcn": ["net.use_pool = false"], "full": []}
+    started = []
+    run_cli = module.run_cli
+
+    def recording(args, log):
+        started.append(os.path.basename(args[args.index("--out") + 1]))
+        run_cli(args, log)
+
+    module.run_cli = recording
+    return module, started
+
+
+def snapshot(directory):
+    return {name: (directory / name).read_bytes() for name in sorted(os.listdir(directory))}
+
+
+def test_restart_runs_only_the_steps_without_a_manifest(protocol, tmp_path):
+    driver, started = protocol
+    driver.main(["--steps", "2"])
+    assert sorted(started) == sorted([
+        "train.txt", "heldout.txt", "model_pointcn_s0.bin", "model_full_s0.bin",
+        "metrics_ransac.csv", "metrics_pointcn_s0.csv", "metrics_full_s0.csv"])
+    summary = (tmp_path / "summary.json").read_text()
+    assert '"steps": 2' in summary and '"step_seconds_total"' in summary
+    before = snapshot(tmp_path)
+
+    started.clear()
+    driver.main(["--steps", "2"])
+    assert started == []
+    assert snapshot(tmp_path) == before
+
+    (tmp_path / "metrics_full_s0.csv.manifest.json").unlink()
+    driver.main(["--steps", "2"])
+    assert started == ["metrics_full_s0.csv"]
+    assert (tmp_path / "metrics_full_s0.csv").read_bytes() == before["metrics_full_s0.csv"]
+
+
+def test_failed_step_stops_the_queue_and_names_its_log(protocol, tmp_path):
+    driver, started = protocol
+    driver.VARIANTS = {"bad": ["net.channels = 0"], "after": []}
+    with pytest.raises(SystemExit) as failure:
+        driver.main(["--steps", "2", "--jobs", "1"])
+    log = tmp_path / "model_bad_s0.bin.console.log"
+    assert "model_bad_s0.bin failed" in str(failure.value) and str(log) in str(failure.value)
+    assert "net.channels" in log.read_text(encoding="utf-8")
+    assert started == ["train.txt", "heldout.txt", "model_bad_s0.bin"]
+    assert not os.path.exists(tmp_path / "model_bad_s0.bin.manifest.json")
