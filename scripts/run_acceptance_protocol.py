@@ -9,9 +9,13 @@ and logs are produced as in normal use, and up to --jobs steps run at
 once. Results land in acceptance_cache/ next to the repository root.
 
 A step is done when its output's .manifest.json exists (the CLI writes it
-last, atomically), so a restarted run skips every finished step. After a
-step fails no queued step starts, the running ones finish, and the driver
-exits non-zero naming the failed step and its log.
+last, atomically) and, for the steps that train or evaluate a network,
+records --steps as train.steps, so a restarted run skips every finished
+step. A restart whose --steps differs from the count a cached model was
+trained with exits non-zero before any step starts, naming each such
+model; nothing is retrained or overwritten. After a step fails no queued
+step starts, the running ones finish, and the driver exits non-zero
+naming the failed step and its log.
 
 Usage: python3 scripts/run_acceptance_protocol.py [--jobs 2] [--steps N]
 """
@@ -70,20 +74,19 @@ def write_configs(steps):
 
 def run_cli(args, log):
     """One CLI command, single-threaded, with its output in `log`; raises if it fails."""
-    env = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MALLOC_MMAP_MAX_": "0",
-           **os.environ}
+    env = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", **os.environ}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     with open(log, "w", encoding="utf-8") as out:
         subprocess.run([sys.executable, "-m", "twoview.cli", *args], check=True, env=env,
                        stdout=out, stderr=subprocess.STDOUT, cwd=ROOT)
 
 
-def step(command, out, *args):
-    """(output path, CLI arguments) of one protocol step."""
-    return out, [command, "--out", out, *map(str, args)]
+def step(command, out, *args, steps=None):
+    """(output path, CLI arguments, train.steps its manifest must record or None) of one step."""
+    return out, [command, "--out", out, *map(str, args)], steps
 
 
-def protocol_steps():
+def protocol_steps(steps):
     """Generation, training and evaluation steps; each list needs the ones before it."""
     train, heldout = in_cache("train.txt"), in_cache("heldout.txt")
     runs = [(variant, seed) for variant in VARIANTS for seed in SEEDS]
@@ -92,14 +95,38 @@ def protocol_steps():
         step("gen", heldout, "--seed", HELDOUT_SEED, "--config", REGIME, "--pairs", HELDOUT_PAIRS),
     ]
     training = [step("train", in_cache(f"model_{v}_s{s}.bin"), "--seed", s,
-                     "--config", in_cache(f"{v}.cfg"), "--dataset", train) for v, s in runs]
+                     "--config", in_cache(f"{v}.cfg"), "--dataset", train, steps=steps)
+                for v, s in runs]
     evaluation = [step("eval", in_cache("metrics_ransac.csv"), "--seed", EVAL_SEED,
                        "--config", REGIME, "--dataset", heldout, "--method", "ransac")]
     evaluation += [step("compare", in_cache(f"metrics_{v}_s{s}.csv"), "--seed", EVAL_SEED,
                         "--config", in_cache(f"{v}.cfg"), "--dataset", heldout,
                         "--methods", "net,net+ransac",
-                        "--checkpoint", in_cache(f"model_{v}_s{s}.bin")) for v, s in runs]
+                        "--checkpoint", in_cache(f"model_{v}_s{s}.bin"), steps=steps)
+                   for v, s in runs]
     return generation, training, evaluation
+
+
+def read_manifest(out):
+    with open(out + ".manifest.json", "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def done(out, steps):
+    """The step's manifest exists and, if `steps` is set, records it as train.steps."""
+    if not os.path.exists(out + ".manifest.json"):
+        return False
+    return steps is None or read_manifest(out)["config"]["train.steps"] == steps
+
+
+def check_cached_models(training):
+    """Exit if a finished training step was trained for another step count."""
+    stale = [f"{os.path.basename(out)} (trained {read_manifest(out)['config']['train.steps']}, "
+             f"--steps {steps})" for out, _, steps in training
+             if os.path.exists(out + ".manifest.json") and not done(out, steps)]
+    if stale:
+        raise SystemExit(f"[protocol] cached models trained for another step count: "
+                         f"{', '.join(stale)}; delete them or rerun with their --steps")
 
 
 def run_steps(steps, jobs):
@@ -117,8 +144,8 @@ def run_steps(steps, jobs):
             raise
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {out: pool.submit(run, out, args) for out, args in steps
-                   if not os.path.exists(out + ".manifest.json")}
+        futures = {out: pool.submit(run, out, args) for out, args, count in steps
+                   if not done(out, count)}
     for out, future in futures.items():
         if future.exception() is not None:
             raise SystemExit(f"[protocol] {os.path.basename(out)} failed: {future.exception()}; "
@@ -131,10 +158,8 @@ def read_metrics(path):
                 for row in csv.DictReader(fh)}
 
 
-def step_seconds(out):
+def step_seconds(manifest):
     """Wall seconds of a finished step, from the start and finish its manifest records."""
-    with open(out + ".manifest.json", "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
     started, finished = (datetime.fromisoformat(manifest[k]) for k in ("started", "finished"))
     return round((finished - started).total_seconds(), 3)
 
@@ -154,9 +179,11 @@ def write_summary(steps, outputs):
                 "net_failures": rows["net"]["failures"],
             }
         summary[variant] = per_seed
-    seconds = {os.path.basename(out): step_seconds(out) for out in outputs}
-    summary["step_seconds"] = seconds
-    summary["step_seconds_total"] = round(sum(seconds.values()), 3)
+    manifests = {os.path.basename(out): read_manifest(out) for out in outputs}
+    summary["step_seconds"] = {name: step_seconds(m) for name, m in manifests.items()}
+    summary["step_seconds_total"] = round(sum(summary["step_seconds"].values()), 3)
+    # None for a step whose manifest predates the field
+    summary["step_peak_rss_mb"] = {name: m.get("peak_rss_mb") for name, m in manifests.items()}
     text = json.dumps(summary, indent=2, sort_keys=True)
     write_atomically(in_cache("summary.json"), lambda fh: fh.write(text.encode("utf-8")),
                      prefix=".summary-")
@@ -168,11 +195,12 @@ def main(argv=None):
     parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument("--steps", type=int, default=10_000)
     args = parser.parse_args(argv)
+    phases = protocol_steps(args.steps)
+    check_cached_models(phases[1])
     write_configs(args.steps)
-    phases = protocol_steps()
     for steps in phases:
         run_steps(steps, args.jobs)
-    print(write_summary(args.steps, [out for steps in phases for out, _ in steps]))
+    print(write_summary(args.steps, [out for steps in phases for out, _, _ in steps]))
     print(f"[protocol] wrote {in_cache('summary.json')}")
 
 

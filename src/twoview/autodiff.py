@@ -23,6 +23,10 @@ class NonScalarLoss(ValueError):
     """backward() started from a tensor that is not a scalar."""
 
 
+class GraphConsumed(RuntimeError):
+    """backward() reached a node of a graph that an earlier backward() consumed."""
+
+
 class NotFinite(FloatingPointError):
     """A NaN or Inf reached a place where it could be lost, or was created.
 
@@ -78,8 +82,8 @@ class Tensor:
 
     def _accum(self, g, owned=False):
         if self.grad is None:
-            # adopt freshly allocated gradients; copy views/shared buffers
-            self.grad = g if owned else np.array(g, dtype=np.float64)
+            # adopt an array the caller gives up (owned); copy views, shared buffers and numpy scalars
+            self.grad = g if owned and isinstance(g, np.ndarray) else np.array(g, dtype=np.float64)
         else:
             self.grad += g
 
@@ -139,14 +143,14 @@ def _make(data, parents, op, backward_fn):
 
 
 def _unbroadcast(g, shape):
-    """Sum a broadcast gradient back down to the original operand shape."""
+    """Sum a broadcast gradient back down to the operand shape: g itself, or a new array."""
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
+    return g if g.shape == shape else g.reshape(shape)
 
 
 def _broadcastable(a_shape, b_shape, op):
@@ -166,12 +170,12 @@ def add(a, b):
     out = a.data + b.data
 
     def bwd(g):
+        # a may adopt the donated g; b then gets a copy (x + x adds g to itself)
         if a.requires_grad:
-            ga = _unbroadcast(g, a.shape)
-            a._accum(ga, owned=ga is not g)
+            a._accum(_unbroadcast(g, a.shape), owned=True)
         if b.requires_grad:
             gb = _unbroadcast(g, b.shape)
-            b._accum(gb, owned=gb is not g)
+            b._accum(gb, owned=gb is not g or a.grad is not g)
 
     return _make(out, (a, b), "add", bwd)
 
@@ -183,10 +187,11 @@ def sub(a, b):
 
     def bwd(g):
         if a.requires_grad:
-            ga = _unbroadcast(g, a.shape)
-            a._accum(ga, owned=ga is not g)
+            a._accum(_unbroadcast(g, a.shape), owned=True)
         if b.requires_grad:
-            b._accum(_unbroadcast(-g, b.shape), owned=True)
+            # negate g in place unless a adopted it
+            gb = -g if a.grad is g else np.negative(g, out=g)
+            b._accum(_unbroadcast(gb, b.shape), owned=True)
 
     return _make(out, (a, b), "sub", bwd)
 
@@ -236,8 +241,9 @@ def relu(a):
     out = np.maximum(a.data, 0.0)
 
     def bwd(g):
-        # subgradient at exactly 0 is defined as 0
-        a._accum(np.where(a.data > 0.0, g, 0.0), owned=True)
+        # np.where(a > 0, g, 0.0) in g: the subgradient at 0 (and at a NaN) is +0.0
+        np.copyto(g, 0.0, where=~(a.data > 0.0))
+        a._accum(g, owned=True)
 
     return _make(out, (a,), "relu", bwd)
 
@@ -248,7 +254,9 @@ def tanh(a):
     out = np.tanh(a.data)
 
     def bwd(g):
-        a._accum(g * (1.0 - out * out), owned=True)
+        d = out * out
+        g *= np.subtract(1.0, d, out=d)
+        a._accum(g, owned=True)
 
     return _make(out, (a,), "tanh", bwd)
 
@@ -348,7 +356,7 @@ def reshape(a, shape):
     out = a.data.reshape(shape)
 
     def bwd(g):
-        a._accum(g.reshape(a.shape))
+        a._accum(g.reshape(a.shape), owned=True)
 
     return _make(out, (a,), "reshape", bwd)
 
@@ -415,9 +423,9 @@ def softmax(a, axis):
     out /= out.sum(axis=axis, keepdims=True)
 
     def bwd(g):
-        ga = g - np.expand_dims(_dot_axes(g, out, (axis,)), axis)
-        ga *= out
-        a._accum(ga, owned=True)
+        g -= np.expand_dims(_dot_axes(g, out, (axis,)), axis)
+        g *= out
+        a._accum(g, owned=True)
 
     return _make(out, (a,), "softmax", bwd)
 
@@ -458,10 +466,10 @@ def normalize(a, axes, eps=1e-5):
     def bwd(g):
         gm = np.expand_dims(_sum_axes(g, axes) * inv_n, axes)
         gy = np.expand_dims(_dot_axes(g, out, axes) * inv_n, axes)
-        ga = g - gm
-        ga -= out * gy
-        ga *= inv
-        a._accum(ga, owned=True)
+        g -= gm
+        g -= out * gy
+        g *= inv
+        a._accum(g, owned=True)
 
     return _make(out, (a,), "normalize", bwd)
 
@@ -513,7 +521,7 @@ def bn_relu_linear(h, gamma, beta, weight, bias, mean, inv, batch_stats):
             if batch_stats:
                 inv_n = 1.0 / (h.shape[0] * h.shape[1])
                 c = s * inv * g_gamma * inv_n
-                ga -= h.data * c
+                ga -= np.multiply(h.data, c, out=r)  # r is dead: the graph runs backward once
                 ga += mean * c - s * g_beta * inv_n
             h._accum(ga, owned=True)
 
@@ -541,8 +549,21 @@ def custom(inputs, out_data, backward_fn, op="custom"):
 # backward pass
 
 
+def _consumed(g):
+    """The backward closure of every consumed node; backward() checks for it before it starts."""
+    raise GraphConsumed("backward through a consumed graph")
+
+
 def backward(loss):
-    """Reverse accumulation from a scalar loss to all requires_grad tensors."""
+    """Reverse accumulation from a scalar loss to all requires_grad tensors; consumes the graph.
+
+    Each op node hands its gradient to its backward closure as a donated
+    buffer, which the closure may overwrite or pass on to one parent, and
+    then drops its gradient, closure and parent links, so gradients and the
+    activations the closures hold are freed as the pass goes. Leaves keep
+    .grad. Reaching a node of a consumed graph raises GraphConsumed before
+    any gradient moves.
+    """
     if loss.data.shape != ():
         raise NonScalarLoss(f"loss has shape {loss.data.shape}, expected a scalar")
     _check_finite(loss.data, "backward", "loss")
@@ -556,15 +577,23 @@ def backward(loss):
             continue
         if id(node) in seen:
             continue
+        if node._backward is _consumed:
+            raise GraphConsumed(f"{node.op} node of shape {node.shape} was consumed by an "
+                                f"earlier backward()")
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
-    loss._accum(np.ones((), dtype=np.float64))
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+    loss._accum(np.ones((), dtype=np.float64), owned=True)
+    while topo:
+        node = topo.pop()
+        fn, g = node._backward, node.grad
+        if fn is None:
+            continue  # a leaf
+        node.grad, node._backward, node._parents = None, _consumed, ()
+        if g is not None:
+            fn(g)
 
 
 def analytic_gradient(f, x):

@@ -11,9 +11,13 @@ import csv
 import hashlib
 import json
 import os
+import platform
+import resource
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+
+import numpy as np
 
 from . import __version__
 from .autodiff import save_checkpoint, write_atomically
@@ -46,6 +50,38 @@ def _sha256(path):
     return digest.hexdigest()
 
 
+def _git_sha():
+    """HEAD of the git checkout this package runs from, or None outside one."""
+    git = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, os.pardir, ".git")
+    try:
+        with open(os.path.join(git, "HEAD"), encoding="utf-8") as fh:
+            head = fh.read().strip()
+        if not head.startswith("ref: "):
+            return head
+        ref = head[5:]
+        if os.path.exists(os.path.join(git, ref)):
+            with open(os.path.join(git, ref), encoding="utf-8") as fh:
+                return fh.read().strip()
+        with open(os.path.join(git, "packed-refs"), encoding="utf-8") as fh:
+            return next((line.split()[0] for line in fh if line.rstrip("\n").endswith(" " + ref)), None)
+    except OSError:
+        return None
+
+
+def environment():
+    """What a run's speed and memory depend on besides its inputs."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                                    "MKL_NUM_THREADS")},
+        "nproc": os.cpu_count(),
+        "git_sha": _git_sha(),
+    }
+
+
 def write_manifest(out_path, command, args, config_echo, started, outputs):
     manifest = {
         "command": command,
@@ -56,6 +92,8 @@ def write_manifest(out_path, command, args, config_echo, started, outputs):
         "finished": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
         "outputs": {p: _sha256(p) for p in outputs if os.path.exists(p)},
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,  # Linux: KiB
+        "environment": environment(),
     }
     text = json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n"
     write_atomically(out_path, lambda fh: fh.write(text.encode("utf-8")), prefix=".manifest-")
@@ -107,6 +145,7 @@ def cmd_train(args):
     save_checkpoint(net.store, args.out)
     write_network_config(net.config, args.out + ".netconfig")
     echo = run.echo()
+    echo["train.steps"] = params.steps
     if counters.skipped_samples:
         print(f"warning: {counters.skipped_samples} degenerate-label samples skipped")
     write_manifest(args.out + ".manifest.json", "train", vars(args), echo, started,

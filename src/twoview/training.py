@@ -35,6 +35,23 @@ def validation_map5(net: Network, pairs):
     return pose_map(errors, 5)
 
 
+def _gradients(net, corr, labels, egts, loss_cfg, iteration, counters):
+    """Forward, loss and backward of one step into the parameters' .grad; returns the loss.
+
+    Nothing of the step's graph outlives the call, so validation and the
+    next forward run with only one step's memory in use.
+    """
+    needs_essential = loss_cfg.alpha > 0 and iteration >= loss_cfg.warmup
+    out = net.forward(corr, mode="train", solve=needs_essential)
+    loss = total_loss(out.logits, labels, out.essentials, egts, corr, loss_cfg, iteration, counters)
+    if out.stage1 is not None:
+        loss = loss + total_loss(out.stage1.logits, labels, out.stage1.essentials,
+                                 egts, corr, loss_cfg, iteration, counters)
+    net.store.zero_grad()
+    ad.backward(loss)
+    return float(loss.data)
+
+
 def run_training(pairs, net_cfg: NetworkConfig, loss_cfg: LossConfig, params: TrainParams,
                  seed, resume=None, log_cb=None):
     """Train a network on ScenePairs; returns (network, log rows, loss counters).
@@ -66,25 +83,15 @@ def run_training(pairs, net_cfg: NetworkConfig, loss_cfg: LossConfig, params: Tr
         iteration = net.store.step
         batch_rng = np.random.default_rng([seed, 1, iteration])
         idx = batch_rng.choice(n, size=params.batch_size, replace=n < params.batch_size)
-        corr = corr_all[idx]
-        labels = labels_all[idx]
-        egts = egt_all[idx]
-        needs_essential = loss_cfg.alpha > 0 and iteration >= loss_cfg.warmup
         try:
-            out = net.forward(corr, mode="train", solve=needs_essential)
-            loss = total_loss(out.logits, labels, out.essentials, egts, corr,
-                              loss_cfg, iteration, counters)
-            if out.stage1 is not None:
-                loss = loss + total_loss(out.stage1.logits, labels, out.stage1.essentials,
-                                         egts, corr, loss_cfg, iteration, counters)
-            net.store.zero_grad()
-            ad.backward(loss)
+            loss = _gradients(net, corr_all[idx], labels_all[idx], egt_all[idx], loss_cfg,
+                              iteration, counters)
         except ad.NotFinite as err:
             raise TrainingDiverged(iteration, str(err)) from None
         adam_step(net.store, lr=params.lr)
         step = net.store.step
         if step % params.log_every == 0 or k == params.steps - 1:
-            row = LogRow(step, float(loss.data), validation_map5(net, val_slice))
+            row = LogRow(step, loss, validation_map5(net, val_slice))
             rows.append(row)
             if log_cb is not None:
                 log_cb(row)

@@ -7,6 +7,7 @@ import pytest
 from twoview import autodiff as ad
 from twoview.autodiff import (
     CorruptCheckpoint,
+    GraphConsumed,
     NonScalarLoss,
     NotFinite,
     ParameterStore,
@@ -190,6 +191,64 @@ class TestBackward:
         y = ad.mul(x, x)  # both parents are the same tensor
         ad.backward(ad.reduce_sum(y))
         assert np.allclose(x.grad, [4.0])
+
+    def test_relu_backward_keeps_where_semantics(self):
+        """NaN and -0.0 in the upstream gradient pass where the input is positive; elsewhere +0.0."""
+        x = Tensor(np.array([1.0, 2.0, 3.0, 0.0, -1.0, -2.0]), requires_grad=True)
+        upstream = np.array([np.nan, -0.0, 1.5, np.nan, -0.0, 2.0])
+        out = ad.relu(x)
+        out._backward(upstream.copy())
+        expected = np.where(x.data > 0.0, upstream, 0.0)
+        assert np.array_equal(x.grad, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(x.grad), np.signbit(expected))
+
+    def test_residual_partner_keeps_its_own_gradient(self):
+        """x + y hands its gradient to one parent only: a later x.grad += ... must not move y.grad."""
+        x, y = (Tensor(np.ones((2, 3)), requires_grad=True) for _ in range(2))
+        ad.backward(ad.reduce_sum((x + y) * 3.0) + ad.reduce_sum(x * 5.0))
+        assert np.array_equal(x.grad, np.full((2, 3), 8.0))
+        assert np.array_equal(y.grad, np.full((2, 3), 3.0))
+
+
+class TestGraphConsumed:
+    def graph(self):
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        h = ad.tanh(ad.matmul(x, w))
+        return x, w, h, ad.reduce_sum(ad.softmax(h, axis=1) * np.arange(8.0).reshape(4, 2))
+
+    def test_second_backward_raises_and_leaf_grads_survive(self):
+        x, w, h, loss = self.graph()
+        ad.backward(loss)
+        grads = x.grad.copy(), w.grad.copy()
+        with pytest.raises(GraphConsumed):
+            ad.backward(loss)
+        assert np.array_equal(x.grad, grads[0]) and np.array_equal(w.grad, grads[1])
+
+    def test_new_graph_on_a_consumed_tensor_raises_before_any_gradient_moves(self):
+        x, w, h, loss = self.graph()
+        ad.backward(loss)
+        grads = x.grad.copy(), w.grad.copy()
+        with pytest.raises(GraphConsumed, match="tanh"):
+            ad.backward(ad.reduce_sum(h * 2.0) + ad.reduce_sum(x * w.data[:, 0]))
+        assert np.array_equal(x.grad, grads[0]) and np.array_equal(w.grad, grads[1])
+
+    def test_op_nodes_are_released_and_leaves_keep_grad(self):
+        x, w, h, loss = self.graph()
+        ad.backward(loss)
+        for node in (h, loss):
+            assert node.grad is None and node._parents == ()
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
+        assert x._backward is None and w._backward is None
+
+    def test_a_new_graph_on_the_same_leaves_adds_to_their_grads(self):
+        x, w, _, loss = self.graph()
+        ad.backward(loss)
+        first = x.grad.copy()
+        ad.backward(ad.reduce_sum(ad.tanh(ad.matmul(x, w))))
+        t = np.tanh(x.data @ w.data)
+        assert np.allclose(x.grad, first + (1.0 - t * t) @ w.data.T, rtol=1e-14, atol=0.0)
 
 
 class TestFiniteDifferenceCheck:

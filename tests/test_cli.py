@@ -293,6 +293,26 @@ class TestCompare:
         assert json.loads((tmp_path / "0.csv.manifest.json").read_text())["command"] == "eval"
 
 
+class TestManifest:
+    def test_records_steps_peak_memory_and_environment(self, workspace, tmp_path):
+        out = tmp_path / "c.csv"
+        assert main(["compare", "--seed", "4", "--config", str(workspace["cfg"]),
+                     "--dataset", str(workspace["data"]), "--checkpoint", str(workspace["ckpt"]),
+                     "--methods", "ransac,net", "--out", str(out)]) == 0
+        for path in (workspace["data"], workspace["ckpt"], out):
+            manifest = json.loads((path.parent / f"{path.name}.manifest.json").read_text())
+            assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 10
+            env = manifest["environment"]
+            assert set(env) == {"python", "numpy", "blas", "threads", "nproc", "git_sha"}
+            assert env["numpy"] == np.__version__ and env["nproc"] == os.cpu_count()
+            assert set(env["blas"]) == {"name", "version"}
+            assert env["threads"] == {v: os.environ.get(v) for v in
+                                      ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+            assert env["git_sha"] is None or len(env["git_sha"]) == 40
+        train = json.loads((workspace["root"] / "model.bin.manifest.json").read_text())
+        assert train["config"]["train.steps"] == 10  # --steps, not the config's count
+
+
 class TestTextDataset:
     def test_same_outputs_as_from_base64_records(self, workspace, tmp_path):
         """A dataset whose correspondences are JSON lists of reals, as earlier `gen` wrote them,

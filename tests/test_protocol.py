@@ -1,6 +1,7 @@
 """The acceptance-protocol driver at toy scale: a run, its restarts and a failed step."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -52,6 +53,31 @@ def test_restart_runs_only_the_steps_without_a_manifest(protocol, tmp_path):
     driver.main(["--steps", "2"])
     assert started == ["metrics_full_s0.csv"]
     assert (tmp_path / "metrics_full_s0.csv").read_bytes() == before["metrics_full_s0.csv"]
+
+
+def test_restart_with_another_step_count_exits_before_any_step(protocol, tmp_path):
+    driver, started = protocol
+    driver.main(["--steps", "2"])
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["steps"] == 2
+    assert set(summary["step_peak_rss_mb"]) == set(summary["step_seconds"])
+    assert all(mb > 0 for mb in summary["step_peak_rss_mb"].values())
+    before = snapshot(tmp_path)
+
+    started.clear()
+    with pytest.raises(SystemExit) as stale:
+        driver.main(["--steps", "3"])
+    assert started == []
+    assert snapshot(tmp_path) == before
+    for model in ("model_pointcn_s0.bin", "model_full_s0.bin"):
+        assert f"{model} (trained 2, --steps 3)" in str(stale.value)
+
+    (tmp_path / "model_full_s0.bin.manifest.json").unlink()
+    (tmp_path / "model_pointcn_s0.bin.manifest.json").unlink()
+    driver.main(["--steps", "3"])
+    assert sorted(started) == sorted(["model_pointcn_s0.bin", "model_full_s0.bin",
+                                      "metrics_pointcn_s0.csv", "metrics_full_s0.csv"])
+    assert json.loads((tmp_path / "summary.json").read_text())["steps"] == 3
 
 
 def test_failed_step_stops_the_queue_and_names_its_log(protocol, tmp_path):
