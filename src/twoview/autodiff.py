@@ -1,10 +1,26 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 Graphs are built eagerly: every op computes its value immediately and
-records a backward closure. Ops that only see constant inputs skip graph
-construction entirely, so evaluation without gradients carries no
-bookkeeping cost. The module also provides the central finite-difference
-checker, the Adam optimizer, and the binary parameter checkpoint format.
+records a backward closure. The graph is separate from the values: a
+Tensor is its array plus a Node, or None when no gradient flows to it,
+and a Node holds the gradient, the backward closure and the parent
+*nodes*. Each closure keeps only the arrays its backward reads:
+
+- mul, div and matmul keep an operand's data only when the other operand
+  takes a gradient (div always keeps its divisor);
+- add, sub, neg, reshape, concat, transpose_last2, reduce_sum and
+  take_batch keep only shapes;
+- relu, minimum_const, tanh, sqrt, softmax and normalize keep their own
+  output (normalize also its scale), softplus its input and output;
+- bn_relu_linear keeps its ReLU output, its input's and weight's data and
+  the per-channel statistics.
+
+So a training forward frees every value that no backward reads as soon as
+its tensor goes, such as a unit's output once the next context norm has
+read it. Ops that only see constant inputs, or run under no_grad, build
+no node, so evaluation without gradients carries no bookkeeping cost. The
+module also provides the central finite-difference checker, the Adam
+optimizer, and the binary parameter checkpoint format.
 """
 
 import math
@@ -57,35 +73,71 @@ def _check_nonempty(data, op):
         raise ShapeMismatch(f"{op}: empty tensor")
 
 
-class Tensor:
-    """A dense float64 array plus its place in the backward graph.
+class Node:
+    """A tensor's place in the backward graph: its gradient, backward closure and parent nodes.
 
-    Built directly it is a leaf, and its data must be finite; op outputs
-    come from _make and are checked only where NotFinite says.
+    A leaf's node (an input or parameter that requires grad) has no closure.
+    An op's closure holds only the arrays its backward reads, never the
+    tensors it was called on, so a forward value that no backward reads is
+    freed with its tensor. op names the node in GraphConsumed.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward")
+    __slots__ = ("grad", "backward", "parents", "op")
 
-    def __init__(self, data, requires_grad=False, op="leaf"):
-        self.data = np.asarray(data, dtype=np.float64)
-        _check_nonempty(self.data, op)
-        _check_finite(self.data, op)
+    def __init__(self, op, backward=None, parents=()):
         self.grad = None
-        self.requires_grad = requires_grad
+        self.backward = backward
+        self.parents = parents
         self.op = op
-        self._parents = ()
-        self._backward = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def _accum(self, g, owned=False):
+    def accum(self, g, owned=False):
         if self.grad is None:
             # adopt an array the caller gives up (owned); copy views, shared buffers and numpy scalars
             self.grad = g if owned and isinstance(g, np.ndarray) else np.array(g, dtype=np.float64)
         else:
             self.grad += g
+
+
+class Tensor:
+    """A dense float64 array and, when a gradient flows to it, its graph node.
+
+    Built directly it is a leaf, and its data must be finite; op outputs
+    come from _make and are checked only where NotFinite says.
+    """
+
+    __slots__ = ("data", "op", "node")
+
+    def __init__(self, data, requires_grad=False, op="leaf"):
+        self.data = np.asarray(data, dtype=np.float64)
+        _check_nonempty(self.data, op)
+        _check_finite(self.data, op)
+        self.op = op
+        self.node = Node(op) if requires_grad else None
+
+    @property
+    def requires_grad(self):
+        return self.node is not None
+
+    @property
+    def grad(self):
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, g):
+        self.node.grad = g
+
+    @property
+    def _backward(self):
+        """The node's backward closure, None for a leaf or a constant; assignable, to wrap it."""
+        return None if self.node is None else self.node.backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self.node.backward = fn
+
+    @property
+    def shape(self):
+        return self.data.shape
 
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -132,13 +184,16 @@ class no_grad:
 
 
 def _make(data, parents, op, backward_fn):
-    """An op's output node; its finiteness is the op's own business (see NotFinite)."""
+    """An op's output; it gets a node when grad is enabled and a parent has one.
+
+    Its finiteness is the op's own business (see NotFinite).
+    """
     t = Tensor.__new__(Tensor)
     t.data = np.asarray(data, dtype=np.float64)
     _check_nonempty(t.data, op)
-    t.grad, t.op = None, op
-    t.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
-    t._parents, t._backward = (tuple(parents), backward_fn) if t.requires_grad else ((), None)
+    t.op = op
+    nodes = tuple(p.node for p in parents if p.node is not None) if _grad_enabled else ()
+    t.node = Node(op, backward_fn, nodes) if nodes else None
     return t
 
 
@@ -161,21 +216,22 @@ def _broadcastable(a_shape, b_shape, op):
 
 
 # ---------------------------------------------------------------------------
-# elementwise ops
+# elementwise ops (each closure captures parent nodes, shapes and the arrays it reads)
 
 
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
     _broadcastable(a.shape, b.shape, "add")
     out = a.data + b.data
+    na, nb, a_shape, b_shape = a.node, b.node, a.shape, b.shape
 
     def bwd(g):
         # a may adopt the donated g; b then gets a copy (x + x adds g to itself)
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.shape), owned=True)
-        if b.requires_grad:
-            gb = _unbroadcast(g, b.shape)
-            b._accum(gb, owned=gb is not g or a.grad is not g)
+        if na is not None:
+            na.accum(_unbroadcast(g, a_shape), owned=True)
+        if nb is not None:
+            gb = _unbroadcast(g, b_shape)
+            nb.accum(gb, owned=gb is not g or na is None or na.grad is not g)
 
     return _make(out, (a, b), "add", bwd)
 
@@ -184,14 +240,15 @@ def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
     _broadcastable(a.shape, b.shape, "sub")
     out = a.data - b.data
+    na, nb, a_shape, b_shape = a.node, b.node, a.shape, b.shape
 
     def bwd(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.shape), owned=True)
-        if b.requires_grad:
+        if na is not None:
+            na.accum(_unbroadcast(g, a_shape), owned=True)
+        if nb is not None:
             # negate g in place unless a adopted it
-            gb = -g if a.grad is g else np.negative(g, out=g)
-            b._accum(_unbroadcast(gb, b.shape), owned=True)
+            gb = -g if na is not None and na.grad is g else np.negative(g, out=g)
+            nb.accum(_unbroadcast(gb, b_shape), owned=True)
 
     return _make(out, (a, b), "sub", bwd)
 
@@ -200,12 +257,15 @@ def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     _broadcastable(a.shape, b.shape, "mul")
     out = a.data * b.data
+    na, nb, a_shape, b_shape = a.node, b.node, a.shape, b.shape
+    a_data = a.data if nb is not None else None
+    b_data = b.data if na is not None else None
 
     def bwd(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g * b.data, a.shape), owned=True)
-        if b.requires_grad:
-            b._accum(_unbroadcast(g * a.data, b.shape), owned=True)
+        if na is not None:
+            na.accum(_unbroadcast(g * b_data, a_shape), owned=True)
+        if nb is not None:
+            nb.accum(_unbroadcast(g * a_data, b_shape), owned=True)
 
     return _make(out, (a, b), "mul", bwd)
 
@@ -216,21 +276,24 @@ def div(a, b):
     with np.errstate(divide="ignore", invalid="ignore"):  # NotFinite handles it
         out = a.data / b.data
     _check_finite(out, "div")
+    na, nb, a_shape, b_shape = a.node, b.node, a.shape, b.shape
+    a_data, b_data = a.data if nb is not None else None, b.data
 
     def bwd(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g / b.data, a.shape), owned=True)
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.shape), owned=True)
+        if na is not None:
+            na.accum(_unbroadcast(g / b_data, a_shape), owned=True)
+        if nb is not None:
+            nb.accum(_unbroadcast(-g * a_data / (b_data * b_data), b_shape), owned=True)
 
     return _make(out, (a, b), "div", bwd)
 
 
 def neg(a):
     a = as_tensor(a)
+    na = a.node
 
     def bwd(g):
-        a._accum(-g, owned=True)
+        na.accum(-g, owned=True)
 
     return _make(-a.data, (a,), "neg", bwd)
 
@@ -239,11 +302,12 @@ def relu(a):
     a = as_tensor(a)
     _check_finite(a.data, "relu", "input")  # a -inf would come out as 0
     out = np.maximum(a.data, 0.0)
+    na = a.node
 
     def bwd(g):
-        # np.where(a > 0, g, 0.0) in g: the subgradient at 0 (and at a NaN) is +0.0
-        np.copyto(g, 0.0, where=~(a.data > 0.0))
-        a._accum(g, owned=True)
+        # np.where(a > 0, g, 0.0) in g: the subgradient at 0 is +0.0; out > 0 exactly where a > 0
+        np.copyto(g, 0.0, where=~(out > 0.0))
+        na.accum(g, owned=True)
 
     return _make(out, (a,), "relu", bwd)
 
@@ -252,11 +316,12 @@ def tanh(a):
     a = as_tensor(a)
     _check_finite(a.data, "tanh", "input")  # +-inf would come out as +-1
     out = np.tanh(a.data)
+    na = a.node
 
     def bwd(g):
         d = out * out
         g *= np.subtract(1.0, d, out=d)
-        a._accum(g, owned=True)
+        na.accum(g, owned=True)
 
     return _make(out, (a,), "tanh", bwd)
 
@@ -266,9 +331,10 @@ def softplus(a):
     a = as_tensor(a)
     _check_finite(a.data, "softplus", "input")  # a -inf would come out as 0
     out = np.logaddexp(0.0, a.data)
+    na, a_data = a.node, a.data
 
     def bwd(g):
-        a._accum(g * np.exp(a.data - out), owned=True)
+        na.accum(g * np.exp(a_data - out), owned=True)
 
     return _make(out, (a,), "softplus", bwd)
 
@@ -278,9 +344,10 @@ def sqrt(a):
     with np.errstate(invalid="ignore"):  # NotFinite handles negatives
         out = np.sqrt(a.data)
     _check_finite(out, "sqrt")
+    na = a.node
 
     def bwd(g):
-        a._accum(g / (2.0 * out), owned=True)
+        na.accum(g / (2.0 * out), owned=True)
 
     return _make(out, (a,), "sqrt", bwd)
 
@@ -291,9 +358,10 @@ def minimum_const(a, cap):
     cap = float(cap)
     _check_finite(a.data, "minimum_const", "input")  # +inf would come out as cap
     out = np.minimum(a.data, cap)
+    na = a.node
 
     def bwd(g):
-        a._accum(np.where(a.data < cap, g, 0.0), owned=True)
+        na.accum(np.where(out < cap, g, 0.0), owned=True)  # out < cap exactly where a < cap
 
     return _make(out, (a,), "minimum_const", bwd)
 
@@ -322,19 +390,22 @@ def matmul(a, b):
     if a.shape[-1] != b.shape[-2]:
         raise ShapeMismatch(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     out = _matmul_data(a.data, b.data)
+    na, nb, a_shape, b_shape = a.node, b.node, a.shape, b.shape
+    a_data = a.data if nb is not None else None
+    b_data = b.data if na is not None else None
 
     def bwd(g):
-        if a.requires_grad:
-            ga = _matmul_data(g, np.swapaxes(b.data, -1, -2))
-            a._accum(_unbroadcast(ga, a.shape), owned=True)
-        if b.requires_grad:
-            if b.data.ndim == 2 and g.ndim == 3:
+        if na is not None:
+            ga = _matmul_data(g, np.swapaxes(b_data, -1, -2))
+            na.accum(_unbroadcast(ga, a_shape), owned=True)
+        if nb is not None:
+            if len(b_shape) == 2 and g.ndim == 3:
                 # weight shared across the batch: single fused GEMM
-                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-                b._accum(gb, owned=True)
+                gb = a_data.reshape(-1, a_shape[-1]).T @ g.reshape(-1, g.shape[-1])
+                nb.accum(gb, owned=True)
             else:
-                gb = _matmul_data(np.swapaxes(a.data, -1, -2), g)
-                b._accum(_unbroadcast(gb, b.shape), owned=True)
+                gb = _matmul_data(np.swapaxes(a_data, -1, -2), g)
+                nb.accum(_unbroadcast(gb, b_shape), owned=True)
 
     return _make(out, (a, b), "matmul", bwd)
 
@@ -343,9 +414,10 @@ def transpose_last2(a):
     a = as_tensor(a)
     if a.data.ndim < 2:
         raise ShapeMismatch(f"transpose_last2: need rank >= 2, got {a.shape}")
+    na = a.node
 
     def bwd(g):
-        a._accum(np.swapaxes(g, -1, -2))
+        na.accum(np.swapaxes(g, -1, -2))
 
     return _make(np.swapaxes(a.data, -1, -2).copy(), (a,), "transpose_last2", bwd)
 
@@ -354,9 +426,10 @@ def reshape(a, shape):
     a = as_tensor(a)
     shape = tuple(shape)
     out = a.data.reshape(shape)
+    na, a_shape = a.node, a.shape
 
     def bwd(g):
-        a._accum(g.reshape(a.shape), owned=True)
+        na.accum(g.reshape(a_shape), owned=True)
 
     return _make(out, (a,), "reshape", bwd)
 
@@ -374,13 +447,14 @@ def concat(tensors, axis=-1):
     out = np.concatenate([t.data for t in ts], axis=ax)
     sizes = [t.shape[ax] for t in ts]
     offsets = np.cumsum([0] + sizes)
+    nodes = [t.node for t in ts]
 
     def bwd(g):
-        for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
+        for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            if n is not None:
                 idx = [slice(None)] * nd
                 idx[ax] = slice(lo, hi)
-                t._accum(g[tuple(idx)])
+                n.accum(g[tuple(idx)])
 
     return _make(out, ts, "concat", bwd)
 
@@ -391,11 +465,12 @@ def take_batch(a, index):
     if not 0 <= index < a.shape[0]:
         raise ShapeMismatch(f"take_batch: index {index} out of range for {a.shape}")
     out = a.data[index].copy()
+    na, a_shape = a.node, a.shape
 
     def bwd(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(a_shape)
         full[index] = g
-        a._accum(full, owned=True)
+        na.accum(full, owned=True)
 
     return _make(out, (a,), "take_batch", bwd)
 
@@ -405,11 +480,12 @@ def reduce_sum(a, axis=None, keepdims=False):
     if axis is not None and not isinstance(axis, tuple):
         axis = (axis,)
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    na, a_shape = a.node, a.shape
 
     def bwd(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a._accum(np.broadcast_to(g, a.shape))  # _accum copies the view
+        na.accum(np.broadcast_to(g, a_shape))  # accum copies the view
 
     return _make(out, (a,), "reduce_sum", bwd)
 
@@ -421,11 +497,12 @@ def softmax(a, axis):
     out = a.data - a.data.max(axis=axis, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=axis, keepdims=True)
+    na = a.node
 
     def bwd(g):
         g -= np.expand_dims(_dot_axes(g, out, (axis,)), axis)
         g *= out
-        a._accum(g, owned=True)
+        na.accum(g, owned=True)
 
     return _make(out, (a,), "softmax", bwd)
 
@@ -462,6 +539,7 @@ def normalize(a, axes, eps=1e-5):
     var = np.expand_dims(_dot_axes(out, out, axes) * inv_n, axes)
     inv = 1.0 / np.sqrt(var + eps)
     out *= inv
+    na = a.node
 
     def bwd(g):
         gm = np.expand_dims(_sum_axes(g, axes) * inv_n, axes)
@@ -469,7 +547,7 @@ def normalize(a, axes, eps=1e-5):
         g -= gm
         g -= out * gy
         g *= inv
-        a._accum(g, owned=True)
+        na.accum(g, owned=True)
 
     return _make(out, (a,), "normalize", bwd)
 
@@ -500,30 +578,34 @@ def bn_relu_linear(h, gamma, beta, weight, bias, mean, inv, batch_stats):
     out = _matmul_data(r, weight.data)
     if bias is not None:
         out += bias.data
+    # the closure keeps r, h's data and weight's data, not out
+    nh, ngamma, nbeta, nw = h.node, gamma.node, beta.node, weight.node
+    nbias = None if bias is None else bias.node
+    h_data, w_data, h_shape = h.data, weight.data, h.shape
 
     def bwd(g):
         g2 = g.reshape(-1, g.shape[-1])
         r2 = r.reshape(-1, d)
-        if weight.requires_grad:
-            weight._accum(r2.T @ g2, owned=True)
-        if bias is not None and bias.requires_grad:
-            bias._accum(np.einsum("bnk->k", g), owned=True)
-        ga = (g2 @ weight.data.T).reshape(h.shape)
+        if nw is not None:
+            nw.accum(r2.T @ g2, owned=True)
+        if nbias is not None:
+            nbias.accum(np.einsum("bnk->k", g), owned=True)
+        ga = (g2 @ w_data.T).reshape(h_shape)
         np.multiply(ga, r > 0.0, out=ga)  # ReLU mask; r > 0 exactly where a > 0
         g_beta = np.einsum("bnd->d", ga)
-        g_gamma = inv * (np.einsum("bnd,bnd->d", ga, h.data) - mean * g_beta)
-        if beta.requires_grad:
-            beta._accum(g_beta, owned=True)
-        if gamma.requires_grad:
-            gamma._accum(g_gamma, owned=True)
-        if h.requires_grad:
+        g_gamma = inv * (np.einsum("bnd,bnd->d", ga, h_data) - mean * g_beta)
+        if nbeta is not None:
+            nbeta.accum(g_beta, owned=True)
+        if ngamma is not None:
+            ngamma.accum(g_gamma, owned=True)
+        if nh is not None:
             ga *= s
             if batch_stats:
-                inv_n = 1.0 / (h.shape[0] * h.shape[1])
+                inv_n = 1.0 / (h_shape[0] * h_shape[1])
                 c = s * inv * g_gamma * inv_n
-                ga -= np.multiply(h.data, c, out=r)  # r is dead: the graph runs backward once
+                ga -= np.multiply(h_data, c, out=r)  # r is dead: the graph runs backward once
                 ga += mean * c - s * g_beta * inv_n
-            h._accum(ga, owned=True)
+            nh.accum(ga, owned=True)
 
     return _make(out, [t for t in (h, gamma, beta, weight, bias) if t is not None], "bn_relu_linear", bwd)
 
@@ -531,14 +613,15 @@ def bn_relu_linear(h, gamma, beta, weight, bias, mean, inv, batch_stats):
 def custom(inputs, out_data, backward_fn, op="custom"):
     """Custom-gradient hook: backward_fn(g) returns one gradient per input (or None)."""
     ts = tuple(as_tensor(t) for t in inputs)
+    operands = [(t.node, t.shape) for t in ts]
 
     def bwd(g):
         grads = backward_fn(g)
-        for t, gt in zip(ts, grads):
-            if t.requires_grad and gt is not None:
-                if gt.shape != t.shape:
-                    raise ShapeMismatch(f"{op}: backward produced {gt.shape} for input {t.shape}")
-                t._accum(gt)
+        for (n, shape), gt in zip(operands, grads):
+            if n is not None and gt is not None:
+                if gt.shape != shape:
+                    raise ShapeMismatch(f"{op}: backward produced {gt.shape} for input {shape}")
+                n.accum(gt)
 
     out_data = np.asarray(out_data, dtype=np.float64)
     _check_finite(out_data, op)
@@ -557,19 +640,21 @@ def _consumed(g):
 def backward(loss):
     """Reverse accumulation from a scalar loss to all requires_grad tensors; consumes the graph.
 
-    Each op node hands its gradient to its backward closure as a donated
-    buffer, which the closure may overwrite or pass on to one parent, and
-    then drops its gradient, closure and parent links, so gradients and the
-    activations the closures hold are freed as the pass goes. Leaves keep
-    .grad. Reaching a node of a consumed graph raises GraphConsumed before
-    any gradient moves.
+    It walks nodes, not tensors. Each op node hands its gradient to its
+    backward closure as a donated buffer, which the closure may overwrite
+    or pass on to one parent, and then drops its gradient, closure and
+    parent links, so gradients and the arrays the closures hold are freed
+    as the pass goes. Leaves keep .grad. Reaching a node of a consumed
+    graph raises GraphConsumed before any gradient moves.
     """
     if loss.data.shape != ():
         raise NonScalarLoss(f"loss has shape {loss.data.shape}, expected a scalar")
     _check_finite(loss.data, "backward", "loss")
+    if loss.node is None:
+        return  # a constant: no gradient flows
     topo = []
     seen = set()
-    stack = [(loss, False)]
+    stack = [(loss.node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -577,21 +662,20 @@ def backward(loss):
             continue
         if id(node) in seen:
             continue
-        if node._backward is _consumed:
-            raise GraphConsumed(f"{node.op} node of shape {node.shape} was consumed by an "
-                                f"earlier backward()")
+        if node.backward is _consumed:
+            raise GraphConsumed(f"{node.op} node was consumed by an earlier backward()")
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+        for p in node.parents:
+            if id(p) not in seen:
                 stack.append((p, False))
-    loss._accum(np.ones((), dtype=np.float64), owned=True)
+    loss.node.accum(np.ones((), dtype=np.float64), owned=True)
     while topo:
         node = topo.pop()
-        fn, g = node._backward, node.grad
+        fn, g = node.backward, node.grad
         if fn is None:
             continue  # a leaf
-        node.grad, node._backward, node._parents = None, _consumed, ()
+        node.grad, node.backward, node.parents = None, _consumed, ()
         if g is not None:
             fn(g)
 
@@ -678,8 +762,8 @@ class ParameterStore:
         return [n for n, t in self._trainable.items() if t]
 
     def zero_grad(self):
-        for t in self._tensors.values():
-            t.grad = None
+        for name in self.trainable_names():
+            self[name].grad = None
 
 
 def adam_step(store: ParameterStore, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -47,6 +47,7 @@ def _gradients(net, corr, labels, egts, loss_cfg, iteration, counters):
     if out.stage1 is not None:
         loss = loss + total_loss(out.stage1.logits, labels, out.stage1.essentials,
                                  egts, corr, loss_cfg, iteration, counters)
+    del out  # its assignments then die with their softmax backward, not at the end of the step
     net.store.zero_grad()
     ad.backward(loss)
     return float(loss.data)

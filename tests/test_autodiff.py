@@ -1,5 +1,6 @@
 import os
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -78,7 +79,7 @@ class TestForwardSemantics:
 
     def test_constant_inputs_build_no_graph(self):
         out = ad.mul(Tensor(np.ones(3)), Tensor(np.ones(3)))
-        assert not out.requires_grad and out._parents == ()
+        assert not out.requires_grad and out.node is None
 
     def test_no_grad_suppresses_graph(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -237,10 +238,10 @@ class TestGraphConsumed:
     def test_op_nodes_are_released_and_leaves_keep_grad(self):
         x, w, h, loss = self.graph()
         ad.backward(loss)
-        for node in (h, loss):
-            assert node.grad is None and node._parents == ()
+        for t in (h, loss):
+            assert t.node.grad is None and t.node.parents == () and t.node.backward is ad._consumed
         assert x.grad.shape == x.shape and w.grad.shape == w.shape
-        assert x._backward is None and w._backward is None
+        assert x.node.backward is None and w.node.backward is None
 
     def test_a_new_graph_on_the_same_leaves_adds_to_their_grads(self):
         x, w, _, loss = self.graph()
@@ -249,6 +250,69 @@ class TestGraphConsumed:
         ad.backward(ad.reduce_sum(ad.tanh(ad.matmul(x, w))))
         t = np.tanh(x.data @ w.data)
         assert np.allclose(x.grad, first + (1.0 - t * t) @ w.data.T, rtol=1e-14, atol=0.0)
+
+
+class TestClosuresKeepOnlyWhatBackwardReads:
+    """Dropping an operand tensor frees its data unless a backward reads it; its node lives on."""
+
+    @staticmethod
+    def dropped(t):
+        """t's node and a weak reference to its data; the caller then drops t."""
+        return t.node, weakref.ref(t.data)
+
+    def test_mul_by_a_constant_keeps_no_reference_to_the_variable(self):
+        a = Tensor(np.arange(1.0, 7.0).reshape(2, 3), requires_grad=True)
+        c = np.full((2, 3), 2.5)
+        node, data = self.dropped(a)
+        out = ad.mul(a, c)
+        del a
+        assert data() is None
+        ad.backward(ad.reduce_sum(out))
+        assert np.array_equal(node.grad, c)
+
+    def test_matmul_with_a_constant_lhs_keeps_no_reference_to_the_rhs(self):
+        x = np.arange(6.0).reshape(2, 3)
+        w = Tensor(np.ones((3, 4)), requires_grad=True)
+        node, data = self.dropped(w)
+        out = ad.matmul(x, w)
+        del w
+        assert data() is None
+        ad.backward(ad.reduce_sum(out))
+        assert np.array_equal(node.grad, x.T @ np.ones((2, 4)))
+
+    def test_an_operand_that_the_other_gradient_reads_is_kept(self):
+        a, b = (Tensor(np.full((2, 3), v), requires_grad=True) for v in (2.0, 3.0))
+        (na, ra), (nb, rb) = self.dropped(a), self.dropped(b)
+        out = ad.mul(a, b)
+        del a, b
+        assert ra() is not None and rb() is not None
+        ad.backward(ad.reduce_sum(out))
+        assert np.array_equal(na.grad, np.full((2, 3), 3.0)) and np.array_equal(nb.grad, np.full((2, 3), 2.0))
+        del out
+        assert ra() is None and rb() is None
+
+    SHAPE_ONLY = {
+        "add": lambda x, y: ad.add(x, y),
+        "sub": lambda x, y: ad.sub(x, y),
+        "neg": lambda x, y: ad.neg(x),
+        "concat": lambda x, y: ad.concat([x, y], axis=1),
+        "transpose_last2": lambda x, y: ad.transpose_last2(x),
+        "reduce_sum": lambda x, y: ad.reduce_sum(x, axis=1),
+        "take_batch": lambda x, y: ad.take_batch(x, 1),
+        "relu": lambda x, y: ad.relu(x),
+        "minimum_const": lambda x, y: ad.minimum_const(x, 0.5),
+    }
+
+    @pytest.mark.parametrize("op", sorted(SHAPE_ONLY))
+    def test_ops_that_read_no_operand_free_it(self, op):
+        rng = np.random.default_rng(11)
+        x, y = (Tensor(rng.normal(size=(3, 4)), requires_grad=True) for _ in range(2))
+        (nx, rx), (ny, ry) = self.dropped(x), self.dropped(y)
+        out = self.SHAPE_ONLY[op](x, y)
+        del x, y
+        assert rx() is None and ry() is None
+        ad.backward(ad.reduce_sum(out))
+        assert nx.grad.shape == (3, 4)
 
 
 class TestFiniteDifferenceCheck:

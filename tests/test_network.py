@@ -221,21 +221,26 @@ class TestFusedUnit:
         _, unit = self.make_unit()
         with ad.no_grad():
             out = unit(Tensor(rand((B, N, D), seed=42)), "eval")
-        assert out._backward is None and out._parents == ()
+        assert out.node is None
 
     def test_shape_mismatch(self):
         _, unit = self.make_unit()
         with pytest.raises(ShapeMismatch):
             unit(Tensor(rand((B, N, D + 1))), "train")
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_network_step_matches_reference(self, monkeypatch, mode):
+    @pytest.mark.parametrize("mode, seed, solved", [
+        pytest.param("train", 8, 2, id="train"),
+        pytest.param("eval", 8, 0, id="eval"),
+        pytest.param("eval", 9, 2, id="eval-through-solve"),
+    ])
+    def test_network_step_matches_reference(self, monkeypatch, mode, seed, solved):
         """The 1e-12 gradient gate holds through the solve only where it is well conditioned.
 
         Its backward scales rounding differences by about 1/eigengap, so the
-        test pins which samples reach the solve and that each has a gap of
-        at least 1e-4. In eval mode no sample has 8 positive weights, so
-        there the gate never passes through the solver.
+        test pins how many samples reach the solve (each with at least 8
+        weights above 1e-8) and that each has a gap of at least 1e-4. In eval
+        mode the seed-8 network gives no sample 8 positive weights; the
+        seed-9 one gates a gradient through the solver of both samples.
         """
         from twoview import eightpoint
         from twoview.losses import LossConfig, total_loss
@@ -257,7 +262,7 @@ class TestFusedUnit:
         results = []
         for call in (PointCNUnit.__call__, reference_unit):
             monkeypatch.setattr(PointCNUnit, "__call__", call)
-            net = Network(tiny_config(), seed=8)
+            net = Network(tiny_config(), seed=seed)
             rng = np.random.default_rng(9)
             for name in net.store.names():
                 if name == "net.l1b.0.unit1.bn.running_mean":
@@ -274,7 +279,7 @@ class TestFusedUnit:
             ad.backward(loss)
             results.append((net.store, out.logits.data))
         (fused, z_f), (ref, z_r) = results
-        assert len(gaps) == 2 * {"train": 2, "eval": 0}[mode]  # samples solved, by each path
+        assert len(gaps) == 2 * solved  # samples solved, by each path
         assert min(gaps, default=np.inf) >= 1e-4
         assert np.abs(z_f - z_r).max() <= 1e-12 * np.abs(z_r).max()
         assert gradient_gap(fused, ref) <= 1e-12

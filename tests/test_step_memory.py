@@ -1,4 +1,5 @@
-"""Memory of a training step: backward consumes its graph, and no step's graph outlives it."""
+"""Memory of a training step: the forward keeps only what backward reads, backward consumes
+its graph, and no step's graph outlives it."""
 
 import tracemalloc
 import weakref
@@ -13,26 +14,34 @@ from twoview.synthdata import SceneConfig, generate_dataset
 
 
 def _graph_refs(loss):
-    """Weak references to the data and backward closure of every op node under loss."""
-    refs, stack, seen = [], [loss], set()
+    """Weak references to the backward closure of every op node under loss."""
+    refs, stack, seen = [], [loss.node], set()
     while stack:
         node = stack.pop()
-        if id(node) in seen or node._backward is None:
+        if id(node) in seen or node.backward is None:
             continue
         seen.add(id(node))
-        refs += [weakref.ref(node.data), weakref.ref(node._backward)]
-        stack.extend(node._parents)
+        refs.append(weakref.ref(node.backward))
+        stack.extend(node.parents)
     return refs
 
 
 def test_backward_peak_is_the_forward_and_no_graph_outlives_its_step(monkeypatch):
     pairs = generate_dataset(SceneConfig(n=256, outlier_ratio=0.6, pixel_noise=1.0), 8,
                              base_seed=4100)
-    graphs, peaks = [], []
-    backward, forward = ad.backward, network.Network.forward
+    graphs, peaks, made = [], [], []
+    backward, forward, make = ad.backward, network.Network.forward, ad._make
+
+    def recording_make(*args):
+        # the data of every op output that joins a graph, whether or not a closure holds it
+        t = make(*args)
+        if t.node is not None:
+            made.append(weakref.ref(t.data))
+        return t
 
     def measured_backward(loss):
-        graphs.append(_graph_refs(loss))
+        graphs.append(_graph_refs(loss) + made)
+        made.clear()
         live = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         backward(loss)
@@ -44,6 +53,7 @@ def test_backward_peak_is_the_forward_and_no_graph_outlives_its_step(monkeypatch
         return forward(self, *args, **kwargs)
 
     monkeypatch.setattr(ad, "backward", measured_backward)
+    monkeypatch.setattr(ad, "_make", recording_make)
     monkeypatch.setattr(network.Network, "forward", checked_forward)
     tracemalloc.start()
     try:
@@ -57,4 +67,34 @@ def test_backward_peak_is_the_forward_and_no_graph_outlives_its_step(monkeypatch
     for live, peak in peaks:
         assert peak <= 1.05 * live, f"backward peaked at {peak / live:.3f}x the live forward memory"
     assert not any(ref() is not None for refs in graphs for ref in refs)
+    assert all(net.store[n].grad is not None for n in net.store.trainable_names())
+
+
+def test_train_forward_frees_values_no_backward_reads(monkeypatch):
+    """Unit outputs, residual sums and the pool logits die during the forward; what a backward
+    reads, such as the head's input, stays."""
+    pairs = generate_dataset(SceneConfig(n=256, outlier_ratio=0.6, pixel_noise=1.0), 4,
+                             base_seed=4200)
+    corr = np.stack([p.correspondences for p in pairs])
+    net = network.Network(network.desk_config(expected_points=256), seed=1)
+    stage = net.stage
+    watched = {stage.before[0].unit1: "unit output", stage.before[0]: "residual sum",
+               stage.pool.head: "pool logits", stage.after[-1]: "head input"}
+    refs = {}
+
+    def watching(call):
+        def wrapper(self, *args, **kwargs):
+            out = call(self, *args, **kwargs)
+            if self in watched:
+                refs[watched[self]] = weakref.ref(out.data)
+            return out
+        return wrapper
+
+    for cls in (network.PointCNUnit, network.PointCNResBlock):
+        monkeypatch.setattr(cls, "__call__", watching(cls.__call__))
+    out = net.forward(corr, mode="train")
+    assert sorted(refs) == ["head input", "pool logits", "residual sum", "unit output"]
+    assert refs.pop("head input")() is not None  # the head's weight gradient reads it
+    assert [what for what, ref in refs.items() if ref() is not None] == []
+    ad.backward(ad.reduce_sum(out.logits * np.linspace(-1.0, 1.0, 256)))
     assert all(net.store[n].grad is not None for n in net.store.trainable_names())
