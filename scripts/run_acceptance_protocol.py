@@ -184,6 +184,7 @@ def write_summary(steps, outputs):
     summary["step_seconds_total"] = round(sum(summary["step_seconds"].values()), 3)
     # None for a step whose manifest predates the field
     summary["step_peak_rss_mb"] = {name: m.get("peak_rss_mb") for name, m in manifests.items()}
+    summary["step_minor_faults"] = {name: m.get("minor_faults") for name, m in manifests.items()}
     text = json.dumps(summary, indent=2, sort_keys=True)
     write_atomically(in_cache("summary.json"), lambda fh: fh.write(text.encode("utf-8")),
                      prefix=".summary-")

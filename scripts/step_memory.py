@@ -10,12 +10,20 @@ before tracing starts, so the figures are the step's own memory:
 - backward peak: the highest traced memory inside backward;
 - live after backward: what is left when it returns (the parameters' .grad).
 
+A second line times the steady state: the same batch trained through
+`run_training` for 5 warm-up and 10 measured steps, with the process's
+minor page faults and the wall time per step (forward, backward and Adam),
+each the median over the measured steps. A step that faults in thousands
+of pages is one whose heap was handed back to the OS after the last step.
+
 Usage: python3 scripts/step_memory.py [--net desk|paper] [--batch 8] [--points 512]
 """
 
 import argparse
 import os
+import resource
 import sys
+import time
 import tracemalloc
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
@@ -24,17 +32,23 @@ import numpy as np  # noqa: E402
 
 from twoview import autodiff as ad  # noqa: E402
 from twoview import training  # noqa: E402
+from twoview.config import TrainParams  # noqa: E402
 from twoview.losses import LossConfig, LossCounters  # noqa: E402
 from twoview.network import Network, NetworkConfig, desk_config  # noqa: E402
 from twoview.synthdata import SceneConfig, generate_dataset  # noqa: E402
 
 MB = 1e6
+WARMUP, MEASURED = 5, 10
 
 
-def step_memory(net_cfg, batch, points):
+def hard_pairs(batch, points):
+    """`batch` hard-regime pairs (60% outliers) of `points` correspondences."""
+    return generate_dataset(SceneConfig(n=points, outlier_ratio=0.6, pixel_noise=1.0), batch,
+                            base_seed=4100)
+
+
+def step_memory(net_cfg, pairs):
     """(live after forward, backward peak, live after backward) in bytes for one step."""
-    pairs = generate_dataset(SceneConfig(n=points, outlier_ratio=0.6, pixel_noise=1.0), batch,
-                             base_seed=4100)
     corr = np.stack([p.correspondences for p in pairs])
     labels = np.stack([p.labels for p in pairs])
     egts = np.stack([p.essential for p in pairs])
@@ -61,6 +75,25 @@ def step_memory(net_cfg, batch, points):
     return live, peak, after
 
 
+def steady_state(net_cfg, pairs):
+    """Median (minor faults, seconds) per step over MEASURED steps of run_training after WARMUP."""
+    marks, gradients = [], training._gradients
+
+    def marked(*args):
+        marks.append((resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()))
+        return gradients(*args)
+
+    training._gradients = marked
+    try:
+        training.run_training(pairs, net_cfg, LossConfig(kind="geometry", warmup=0),
+                              TrainParams(steps=WARMUP + MEASURED + 1, batch_size=len(pairs),
+                                          log_every=10**6, val_pairs=1), seed=0)
+    finally:
+        training._gradients = gradients
+    per_step = np.diff(np.array(marks[WARMUP:]), axis=0)
+    return np.median(per_step[:, 0]), np.median(per_step[:, 1])
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--net", choices=("desk", "paper"), default="desk",
@@ -69,9 +102,13 @@ def main(argv=None):
     parser.add_argument("--points", type=int, default=512)
     args = parser.parse_args(argv)
     make = desk_config if args.net == "desk" else NetworkConfig
-    live, peak, after = step_memory(make(expected_points=args.points), args.batch, args.points)
+    net_cfg, pairs = make(expected_points=args.points), hard_pairs(args.batch, args.points)
+    live, peak, after = step_memory(net_cfg, pairs)
     print(f"{args.net} B={args.batch} N={args.points}: live after forward {live / MB:.1f} MB, "
           f"backward peak {peak / MB:.1f} MB, live after backward {after / MB:.1f} MB")
+    faults, seconds = steady_state(net_cfg, pairs)
+    print(f"{args.net} B={args.batch} N={args.points}: {faults:.0f} minor faults and "
+          f"{seconds * 1e3:.1f} ms per step (median of {MEASURED} after {WARMUP} warm-up steps)")
 
 
 if __name__ == "__main__":

@@ -83,6 +83,7 @@ def environment():
 
 
 def write_manifest(out_path, command, args, config_echo, started, outputs):
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     manifest = {
         "command": command,
         "argv": {k: v for k, v in args.items() if k != "fn"},  # fn: the handler, not an argument
@@ -92,7 +93,8 @@ def write_manifest(out_path, command, args, config_echo, started, outputs):
         "finished": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
         "outputs": {p: _sha256(p) for p in outputs if os.path.exists(p)},
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,  # Linux: KiB
+        "peak_rss_mb": usage.ru_maxrss / 1024.0,  # Linux: KiB
+        "minor_faults": usage.ru_minflt,
         "environment": environment(),
     }
     text = json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n"

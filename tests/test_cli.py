@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+import resource
 
 import numpy as np
 import pytest
@@ -311,6 +312,16 @@ class TestManifest:
             assert env["git_sha"] is None or len(env["git_sha"]) == 40
         train = json.loads((workspace["root"] / "model.bin.manifest.json").read_text())
         assert train["config"]["train.steps"] == 10  # --steps, not the config's count
+
+    def test_records_the_process_minor_faults(self, workspace, tmp_path):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        out = tmp_path / "r.csv"
+        assert main(["eval", "--seed", "4", "--config", str(workspace["cfg"]),
+                     "--dataset", str(workspace["data"]), "--method", "ransac",
+                     "--out", str(out)]) == 0
+        faults = json.loads((tmp_path / "r.csv.manifest.json").read_text())["minor_faults"]
+        assert isinstance(faults, int)
+        assert before <= faults <= resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 class TestTextDataset:

@@ -80,6 +80,23 @@ def test_restart_with_another_step_count_exits_before_any_step(protocol, tmp_pat
     assert json.loads((tmp_path / "summary.json").read_text())["steps"] == 3
 
 
+def test_summary_records_each_steps_minor_faults(protocol, tmp_path):
+    driver, _ = protocol
+    driver.main(["--steps", "2"])
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    faults = summary["step_minor_faults"]
+    assert set(faults) == set(summary["step_seconds"])
+    assert all(isinstance(n, int) and n > 0 for n in faults.values())
+
+    older = tmp_path / "metrics_ransac.csv.manifest.json"  # as written before the field existed
+    manifest = json.loads(older.read_text())
+    del manifest["minor_faults"]
+    older.write_text(json.dumps(manifest))
+    driver.main(["--steps", "2"])
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["step_minor_faults"] == {**faults, "metrics_ransac.csv": None}
+
+
 def test_failed_step_stops_the_queue_and_names_its_log(protocol, tmp_path):
     driver, started = protocol
     driver.VARIANTS = {"bad": ["net.channels = 0"], "after": []}

@@ -1,16 +1,23 @@
 """Memory of a training step: the forward keeps only what backward reads, backward consumes
-its graph, and no step's graph outlives it."""
+its graph, no step's graph outlives it, and steady-state steps reuse the heap."""
 
+import ctypes
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
 import numpy as np
+import pytest
 
 from twoview import autodiff as ad
 from twoview import network, training
 from twoview.config import TrainParams
 from twoview.losses import LossConfig
 from twoview.synthdata import SceneConfig, generate_dataset
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
 
 def _graph_refs(loss):
@@ -98,3 +105,21 @@ def test_train_forward_frees_values_no_backward_reads(monkeypatch):
     assert [what for what, ref in refs.items() if ref() is not None] == []
     ad.backward(ad.reduce_sum(out.logits * np.linspace(-1.0, 1.0, 256)))
     assert all(net.store[n].grad is not None for n in net.store.trainable_names())
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="needs glibc's mallopt")
+def test_steady_state_train_steps_do_not_refault_the_heap():
+    """Backward frees most of a step's memory; run_training keeps it mapped for the next forward
+    instead of letting the allocator return it to the OS and fault it back in.
+
+    scripts/step_memory.py counts the faults of desk steps at B=8, N=256 after its warm-up steps.
+    They run in a fresh interpreter: glibc's default thresholds grow with what a process has
+    freed, and earlier tests in this one can raise them far enough to hide the churn.
+    """
+    code = (f"import sys; sys.path.insert(0, {SCRIPTS!r}); import step_memory as s; "
+            "from twoview.network import desk_config; "
+            "print(s.steady_state(desk_config(expected_points=256), s.hard_pairs(8, 256))[0])")
+    child = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                           text=True, env={"OPENBLAS_NUM_THREADS": "1", **os.environ})
+    faults = float(child.stdout)
+    assert faults < 200, f"median minor faults per step: {faults}"
