@@ -15,7 +15,8 @@ step. A restart whose --steps differs from the count a cached model was
 trained with exits non-zero before any step starts, naming each such
 model; nothing is retrained or overwritten. After a step fails no queued
 step starts, the running ones finish, and the driver exits non-zero
-naming the failed step and its log.
+naming the failed step and its log. summary.json also records this
+invocation's wall time and how many steps it ran, as opposed to found done.
 
 Usage: python3 scripts/run_acceptance_protocol.py [--jobs 2] [--steps N]
 """
@@ -27,6 +28,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime
 
@@ -130,7 +132,10 @@ def check_cached_models(training):
 
 
 def run_steps(steps, jobs):
-    """Run every step whose manifest is missing, `jobs` at a time; exit on a failure."""
+    """Run every step whose manifest is missing, `jobs` at a time; exit on a failure.
+
+    Returns how many steps it ran.
+    """
     failed = threading.Event()
 
     def run(out, args):
@@ -150,6 +155,7 @@ def run_steps(steps, jobs):
         if future.exception() is not None:
             raise SystemExit(f"[protocol] {os.path.basename(out)} failed: {future.exception()}; "
                              f"see {out}.console.log")
+    return len(futures)
 
 
 def read_metrics(path):
@@ -164,8 +170,11 @@ def step_seconds(manifest):
     return round((finished - started).total_seconds(), 3)
 
 
-def write_summary(steps, outputs):
+def write_summary(steps, outputs, wall_seconds, steps_run):
+    """summary.json; the two `invocation_` fields describe this invocation alone."""
     summary = {"steps": steps, "seeds": list(SEEDS),
+               "invocation_wall_seconds": round(wall_seconds, 3),
+               "invocation_steps_run": steps_run,
                "ransac_map5": read_metrics(in_cache("metrics_ransac.csv"))["ransac"]["mAP5"]}
     for variant in VARIANTS:
         per_seed = {}
@@ -196,12 +205,13 @@ def main(argv=None):
     parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument("--steps", type=int, default=10_000)
     args = parser.parse_args(argv)
+    start = time.perf_counter()
     phases = protocol_steps(args.steps)
     check_cached_models(phases[1])
     write_configs(args.steps)
-    for steps in phases:
-        run_steps(steps, args.jobs)
-    print(write_summary(args.steps, [out for steps in phases for out, _, _ in steps]))
+    steps_run = sum(run_steps(steps, args.jobs) for steps in phases)
+    print(write_summary(args.steps, [out for steps in phases for out, _, _ in steps],
+                        time.perf_counter() - start, steps_run))
     print(f"[protocol] wrote {in_cache('summary.json')}")
 
 

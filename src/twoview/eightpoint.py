@@ -30,6 +30,10 @@ class EigengapCollapse(ArithmeticError):
     """Two smallest eigenvalues coincide; the solution is not unique."""
 
 
+class SolverBreakdown(np.linalg.LinAlgError):
+    """The Gram matrix overflowed, or LAPACK's eigensolver did not converge on it."""
+
+
 def build_monomial_matrix(C):
     """N x 9 matrix with rows [x1x2, x1y2, x1, y1x2, y1y2, y1, x2, y2, 1]."""
     C = as_correspondences(C)
@@ -105,9 +109,15 @@ def _solve(C, w):
         raise ValueError("correspondences and weights must be finite")
     if np.count_nonzero(w > SUPPORT_WEIGHT_MIN) < 8:
         raise InsufficientSupport("fewer than 8 correspondences with weight above 1e-8")
-    X = build_monomial_matrix(C)
-    G = weighted_gram(X, w)
-    lam, V = symmetric_eig9(G)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the check below
+        X = build_monomial_matrix(C)
+        G = weighted_gram(X, w)
+    if not np.isfinite(G).all():
+        raise SolverBreakdown("weighted Gram matrix is not finite (coordinates too large)")
+    try:
+        lam, V = symmetric_eig9(G)
+    except np.linalg.LinAlgError as err:
+        raise SolverBreakdown(f"eigensolver failed: {err}") from None
     gap = float(lam[1] - lam[0])
     if gap < EIGENGAP_REL_MIN * np.linalg.norm(G):
         raise EigengapCollapse(f"eigengap {gap:.3e} below 1e-12 * ||G||")

@@ -115,12 +115,42 @@ def _scored(pair, essential, weights, mask):
     return PairOutcome(*pose_angular_errors(est, pair.pose()), False, mask)
 
 
-def _network_pair_outcome(pair, out):
-    mask = out.logits.data[0] > 0
-    e = out.essentials[0]
-    if e is None:
+# Rows per eval forward: 4 pairs at N=512. Desk-network forwards of 32 hard pairs
+# (2-core Xeon VM, one BLAS thread) ran about 20% faster at 4 pairs than at 1. At 8,
+# each (B, N, clusters) array reaches 4 MiB, where numpy asks for huge pages, and
+# under glibc's default malloc thresholds 8 ran no faster than 1.
+_FORWARD_ROWS = 2048
+
+
+def _network_outputs(net, pairs):
+    """(logits, weights, essential or None) of each pair, from eval forwards of same-N chunks.
+
+    Every layer acts within a sample in eval mode, so each pair's outputs
+    are bit-identical to a forward of that pair alone.
+    """
+    by_n = {}
+    for i, pair in enumerate(pairs):
+        by_n.setdefault(len(pair.correspondences), []).append(i)
+    outputs = [None] * len(pairs)
+    with ad.no_grad():
+        for n, indices in by_n.items():
+            size = max(1, _FORWARD_ROWS // n)
+            for start in range(0, len(indices), size):
+                chunk = indices[start:start + size]
+                out = net.forward(np.stack([pairs[i].correspondences for i in chunk]),
+                                  mode="eval")
+                for b, i in enumerate(chunk):
+                    e = out.essentials[b]
+                    outputs[i] = (out.logits.data[b], out.weights.data[b],
+                                  None if e is None else e.data)
+    return outputs
+
+
+def _network_pair_outcome(pair, logits, weights, essential):
+    mask = logits > 0
+    if essential is None:
         return PairOutcome(np.inf, np.inf, True, mask)
-    return _scored(pair, project_to_essential(e.data), out.weights.data[0], mask)
+    return _scored(pair, project_to_essential(essential), weights, mask)
 
 
 def _ransac_pair_outcome(pair, cfg, weights=None):
@@ -133,29 +163,36 @@ def _ransac_pair_outcome(pair, cfg, weights=None):
     return _scored(pair, res.essential, res.mask.astype(np.float64), res.mask)
 
 
-def evaluate_method(pairs, method, ransac_cfg: RansacConfig = None, net: Network = None,
-                    seed=0):
-    """Per-pair outcomes for one method; RANSAC seeds derive from seed + index."""
+def _check_request(pairs, method, net):
     if len(pairs) == 0:
         raise EmptyEvaluation("empty dataset")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method != "ransac" and net is None:
         raise MissingCheckpoint(f"method {method!r} needs a network")
+
+
+def _method_result(pairs, method, ransac_cfg, seed, outputs):
+    """Outcomes of one method; `outputs` are the pairs' `_network_outputs` for a learned one."""
     ransac_cfg = ransac_cfg or RansacConfig()
     outcomes = []
     for i, pair in enumerate(pairs):
         cfg_i = replace(ransac_cfg, seed=seed + i)
         if method == "ransac":
             outcomes.append(_ransac_pair_outcome(pair, cfg_i))
-            continue
-        with ad.no_grad():
-            out = net.forward(pair.correspondences[None], mode="eval")
-        if method == "net":
-            outcomes.append(_network_pair_outcome(pair, out))
+        elif method == "net":
+            outcomes.append(_network_pair_outcome(pair, *outputs[i]))
         else:
-            outcomes.append(_ransac_pair_outcome(pair, cfg_i, weights=out.weights.data[0]))
+            outcomes.append(_ransac_pair_outcome(pair, cfg_i, weights=outputs[i][1]))
     return MethodResult(method, outcomes)
+
+
+def evaluate_method(pairs, method, ransac_cfg: RansacConfig = None, net: Network = None,
+                    seed=0):
+    """Per-pair outcomes for one method; RANSAC seeds derive from seed + index."""
+    _check_request(pairs, method, net)
+    outputs = None if method == "ransac" else _network_outputs(net, pairs)
+    return _method_result(pairs, method, ransac_cfg, seed, outputs)
 
 
 def aggregate(result: MethodResult, pairs):
@@ -181,8 +218,17 @@ def aggregate(result: MethodResult, pairs):
 
 
 def compare_methods(pairs, methods, ransac_cfg=None, net=None, seed=0):
-    """One MetricsReport per method, in the given order; `net` serves every learned method."""
-    return [aggregate(evaluate_method(pairs, m, ransac_cfg, net, seed), pairs) for m in methods]
+    """One MetricsReport per method, in the given order, as `evaluate_method` gives them.
+
+    The learned methods share one network pass over the pairs.
+    """
+    reports, outputs = [], None
+    for method in methods:
+        _check_request(pairs, method, net)
+        if method != "ransac" and outputs is None:
+            outputs = _network_outputs(net, pairs)
+        reports.append(aggregate(_method_result(pairs, method, ransac_cfg, seed, outputs), pairs))
+    return reports
 
 
 def write_metrics_csv(reports, path):

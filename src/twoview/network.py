@@ -322,7 +322,8 @@ def _solve_batch(corr, weights):
         wb = ad.take_batch(weights, b)
         try:
             e, ctx = eightpoint.weighted_eightpoint_with_context(corr[b], wb.data)
-        except (eightpoint.InsufficientSupport, eightpoint.EigengapCollapse) as err:
+        except (eightpoint.InsufficientSupport, eightpoint.EigengapCollapse,
+                eightpoint.SolverBreakdown) as err:
             essentials.append(None)
             failures.append(type(err).__name__)
             continue

@@ -226,6 +226,24 @@ class TestWeightedEightpoint:
         with pytest.raises(ValueError, match="finite"):
             e8.weighted_eightpoint(C, np.ones(len(C)))
 
+    @pytest.mark.parametrize("scale", [1e80, 1e200])
+    def test_overflowing_gram_is_a_solver_breakdown(self, scale):
+        # finite coordinates whose monomial products overflow the Gram matrix
+        pair = toy_scene()
+        with pytest.raises(e8.SolverBreakdown, match="not finite"):
+            e8.weighted_eightpoint(pair.correspondences * scale, np.ones(len(pair.correspondences)))
+
+    def test_eigensolver_failure_is_a_solver_breakdown(self, monkeypatch):
+        def no_convergence(G):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(e8, "symmetric_eig9", no_convergence)
+        pair = toy_scene()
+        with pytest.raises(e8.SolverBreakdown, match="did not converge"):
+            e8.weighted_eightpoint(pair.correspondences, np.ones(len(pair.correspondences)))
+        # still a LinAlgError, and so a ValueError, for callers that catch those
+        assert issubclass(e8.SolverBreakdown, np.linalg.LinAlgError)
+
     def test_eigengap_collapse_on_rank_deficient_support(self):
         # 8 rows with a duplicate leave a 2-dimensional null space
         pair = toy_scene(n=8, outliers=0.0, noise=0.0)

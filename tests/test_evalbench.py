@@ -6,7 +6,7 @@ import pytest
 
 from twoview import autodiff as ad
 from twoview import evalbench
-from twoview.autodiff import save_checkpoint
+from twoview.autodiff import ShapeMismatch, save_checkpoint
 from twoview.config import write_network_config
 from twoview.epipolar import NoValidCandidate, RankDeficient
 from twoview.evalbench import (
@@ -161,6 +161,133 @@ class TestCompareMethods:
                                  6, base_seed=60)
         report = aggregate(evaluate_method(pairs, "ransac", RansacConfig(), seed=0), pairs)
         assert report.map5 <= report.map10 <= report.map20
+
+
+def hard_pairs(count, n=512, seed=300):
+    return generate_dataset(SceneConfig(n=n, outlier_ratio=0.6, pixel_noise=1.0), count,
+                            base_seed=seed)
+
+
+def outcome_bytes(outcomes):
+    """The outcomes' pose errors, failure flags and masks, as bytes."""
+    return [(np.array([o.rotation_error_deg, o.translation_error_deg]).tobytes(), o.failed,
+             np.asarray(o.predicted_mask).tobytes()) for o in outcomes]
+
+
+def one_pair_forwards(net, pairs):
+    """(logits, weights, essential or None) of each pair from a forward of that pair alone."""
+    outputs = []
+    with ad.no_grad():
+        for pair in pairs:
+            out = net.forward(pair.correspondences[None], mode="eval")
+            e = out.essentials[0]
+            outputs.append((out.logits.data[0], out.weights.data[0],
+                            None if e is None else e.data))
+    return outputs
+
+
+def assert_bit_identical(outputs, reference):
+    assert len(outputs) == len(reference)
+    for (z, w, e), (z1, w1, e1) in zip(outputs, reference):
+        assert z.tobytes() == z1.tobytes() and w.tobytes() == w1.tobytes()
+        assert (e is None) == (e1 is None)
+        assert e is None or e.tobytes() == e1.tobytes()
+
+
+@pytest.fixture
+def forward_calls(monkeypatch):
+    """The (B, N) of every `Network.forward` input from here on."""
+    calls = []
+    forward = Network.forward
+
+    def counted(self, corr, *args, **kwargs):
+        calls.append(corr.shape[:2])
+        return forward(self, corr, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "forward", counted)
+    return calls
+
+
+VARIANTS = {
+    "pointcn": desk_config(use_pool=False),
+    "pool": desk_config(level2_kind="pointcn"),
+    "full": desk_config(),
+    "plain": desk_config(unpool_variant="plain"),   # built for N = 512
+    "iter": desk_config(iterative=True),
+}
+
+
+class TestBatchedNetworkOutputs:
+    """Evaluation runs the network on same-N chunks; each pair's outputs equal a one-pair forward."""
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_chunks_equal_one_pair_forwards(self, variant):
+        pairs = hard_pairs(11)
+        net = Network(VARIANTS[variant], seed=0)
+        reference = one_pair_forwards(net, pairs)
+        assert any(e is not None for _, _, e in reference)
+        for count in (1, 3, 8, 11):             # 11 pairs at N = 512 are chunks of 4, 4 and 3
+            assert_bit_identical(evalbench._network_outputs(net, pairs[:count]),
+                                 reference[:count])
+            expected = [evalbench._network_pair_outcome(pair, *out)
+                        for pair, out in zip(pairs[:count], reference)]
+            result = evaluate_method(pairs[:count], "net", net=net)
+            assert outcome_bytes(result.outcomes) == outcome_bytes(expected)
+
+    @pytest.mark.parametrize("variant", ["pointcn", "full", "iter"])
+    def test_mixed_point_counts_keep_pair_order(self, variant, monkeypatch, forward_calls):
+        sizes = [512, 256, 256, 512, 256, 512, 512, 256, 256, 256, 512]
+        pairs = [hard_pairs(1, n=n, seed=400 + i)[0] for i, n in enumerate(sizes)]
+        net = Network(VARIANTS[variant], seed=0)
+        reference = one_pair_forwards(net, pairs)
+        forward_calls.clear()
+        assert_bit_identical(evalbench._network_outputs(net, pairs), reference)
+        assert forward_calls == [(4, 512), (1, 512), (6, 256)]
+        forward_calls.clear()
+        monkeypatch.setattr(evalbench, "_FORWARD_ROWS", 1024)  # 2 pairs at 512, 4 at 256
+        assert_bit_identical(evalbench._network_outputs(net, pairs), reference)
+        assert forward_calls == [(2, 512), (2, 512), (1, 512), (4, 256), (2, 256)]
+
+    def test_plain_unpool_at_another_point_count_still_raises(self):
+        pairs = hard_pairs(2) + hard_pairs(2, n=256)
+        net = Network(VARIANTS["plain"], seed=0)
+        with pytest.raises(ShapeMismatch, match="plain unpool is built for N=512, got N=256"):
+            evaluate_method(pairs, "net", net=net)
+
+    def test_compare_runs_one_forward_per_chunk_for_both_learned_methods(self, forward_calls):
+        pairs = hard_pairs(9)
+        net = Network(desk_config(), seed=0)
+        cfg = RansacConfig(max_iterations=200)
+        separate = [aggregate(evaluate_method(pairs, m, cfg, net, seed=3), pairs)
+                    for m in ("net", "net+ransac")]
+        reference = one_pair_forwards(net, pairs)
+        expected = [replace(cfg, seed=3 + i) for i in range(len(pairs))]
+        expected = [evalbench._ransac_pair_outcome(p, c, weights=w)
+                    for p, c, (_, w, _) in zip(pairs, expected, reference)]
+        forward_calls.clear()
+        reports = compare_methods(pairs, ["net", "net+ransac"], cfg, net, seed=3)
+        assert forward_calls == [(4, 512), (4, 512), (1, 512)]
+        assert reports == separate
+        forward_calls.clear()
+        result = evaluate_method(pairs, "net+ransac", cfg, net, seed=3)
+        assert forward_calls == [(4, 512), (4, 512), (1, 512)]
+        assert outcome_bytes(result.outcomes) == outcome_bytes(expected)
+
+    def test_ransac_alone_runs_no_forward(self, forward_calls):
+        compare_methods(easy_pairs(count=2), ["ransac"], RansacConfig(), tiny_net(), seed=0)
+        assert forward_calls == []
+
+    def test_one_overflowing_pair_fails_alone(self):
+        # pair 3 scaled by 1e80 overflows its Gram matrix: that pair fails, and the
+        # other seven, three of them forwarded in its chunk, score as they do without it
+        pairs = hard_pairs(8)
+        net = Network(desk_config(), seed=0)
+        clean = evaluate_method(pairs, "net", net=net).outcomes
+        scaled = list(pairs)
+        scaled[3] = replace(pairs[3], correspondences=pairs[3].correspondences * 1e80)
+        outcomes = evaluate_method(scaled, "net", net=net).outcomes
+        assert outcomes[3].failed and not clean[3].failed
+        assert outcome_bytes(outcomes[:3] + outcomes[4:]) == outcome_bytes(clean[:3] + clean[4:])
 
 
 class TestRansacPairOutcome:

@@ -664,6 +664,19 @@ class TestNetworkForward:
         assert out.failures[0] == "InsufficientSupport"
         assert out.essentials[0] is None
 
+    def test_overflowing_sample_reports_solver_breakdown(self):
+        # a sample scaled by 1e80 overflows its Gram matrix; the other samples still solve
+        net = Network(tiny_config(), seed=4)
+        corr = np.stack([self.scene(seed=s).correspondences for s in range(3)])
+        with ad.no_grad():
+            clean = net.forward(corr, mode="eval")
+            corr[1] *= 1e80
+            out = net.forward(corr, mode="eval")
+        assert out.failures == [None, "SolverBreakdown", None]
+        assert out.essentials[1] is None
+        for b in (0, 2):
+            assert np.array_equal(out.essentials[b].data, clean.essentials[b].data)
+
 
 class TestIterative:
     def make(self):

@@ -30,8 +30,19 @@ def protocol(tmp_path):
     return module, started
 
 
+# summary.json fields that describe one invocation of the script, not the protocol's outputs
+INVOCATION = ("invocation_wall_seconds", "invocation_steps_run")
+
+
 def snapshot(directory):
-    return {name: (directory / name).read_bytes() for name in sorted(os.listdir(directory))}
+    """Every file's bytes; summary.json as its JSON without the per-invocation fields."""
+    files = {name: (directory / name).read_bytes() for name in sorted(os.listdir(directory))}
+    if "summary.json" in files:
+        summary = json.loads(files["summary.json"])
+        for key in INVOCATION:
+            del summary[key]
+        files["summary.json"] = summary
+    return files
 
 
 def test_restart_runs_only_the_steps_without_a_manifest(protocol, tmp_path):
@@ -107,3 +118,18 @@ def test_failed_step_stops_the_queue_and_names_its_log(protocol, tmp_path):
     assert "net.channels" in log.read_text(encoding="utf-8")
     assert started == ["train.txt", "heldout.txt", "model_bad_s0.bin"]
     assert not os.path.exists(tmp_path / "model_bad_s0.bin.manifest.json")
+
+
+def test_summary_records_the_invocations_wall_time_and_steps_run(protocol, tmp_path):
+    driver, started = protocol
+    driver.main(["--steps", "2"])
+    first = json.loads((tmp_path / "summary.json").read_text())
+    assert first["invocation_steps_run"] == len(started) == 7
+    assert first["invocation_wall_seconds"] >= first["step_seconds_total"] / 2 > 0
+
+    started.clear()
+    driver.main(["--steps", "2"])
+    restart = json.loads((tmp_path / "summary.json").read_text())
+    assert started == [] and restart["invocation_steps_run"] == 0
+    assert 0 < restart["invocation_wall_seconds"] < first["invocation_wall_seconds"]
+    assert restart["step_seconds"] == first["step_seconds"]
