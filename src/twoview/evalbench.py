@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import read_network_config
+from .eightpoint import SolverBreakdown
 from .epipolar import (NoValidCandidate, RankDeficient, pose_angular_errors, project_to_essential,
                        recover_pose)
 from .network import Network
@@ -157,7 +158,8 @@ def _ransac_pair_outcome(pair, cfg, weights=None):
     try:
         res = (ransac_essential(pair.correspondences, cfg) if weights is None
                else ransac_postprocess(pair.correspondences, weights, cfg))
-    except (InsufficientCorrespondences, NoModelFound, NoValidCandidate, RankDeficient):
+    except (InsufficientCorrespondences, NoModelFound, NoValidCandidate, RankDeficient,
+            SolverBreakdown):
         return PairOutcome(np.inf, np.inf, True, np.zeros(len(pair.correspondences), bool))
     # an empty consensus set gives no weight to recover a pose with: a failure
     return _scored(pair, res.essential, res.mask.astype(np.float64), res.mask)

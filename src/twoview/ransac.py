@@ -20,6 +20,7 @@ from .eightpoint import (
     EIGENGAP_REL_MIN,
     SUPPORT_WEIGHT_MIN,
     EigengapCollapse,
+    SolverBreakdown,
     build_monomial_matrix,
     symmetric_eig9_batched,
     weighted_eightpoint,
@@ -160,9 +161,19 @@ def _draw_octets(rng, N, chunk):
 
 
 def _solve_hypotheses(X_octets):
-    """Batched minimal solves: models (K, 3, 3) and a validity mask."""
-    G = X_octets.swapaxes(1, 2) @ X_octets
-    lam, V = symmetric_eig9_batched(G)
+    """Batched minimal solves: models (K, 3, 3) and a validity mask.
+
+    Raises SolverBreakdown when a Gram matrix overflows or LAPACK's
+    eigensolver fails on the stack: the pair cannot be solved.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the check below
+        G = X_octets.swapaxes(1, 2) @ X_octets
+    if not np.isfinite(G).all():
+        raise SolverBreakdown("hypothesis Gram matrices are not finite (coordinates too large)")
+    try:
+        lam, V = symmetric_eig9_batched(G)
+    except np.linalg.LinAlgError as err:
+        raise SolverBreakdown(f"eigensolver failed: {err}") from None
     gaps = lam[:, 1] - lam[:, 0]
     norms = np.sqrt(np.einsum("kab,kab->k", G, G))
     valid = gaps >= EIGENGAP_REL_MIN * norms
@@ -178,14 +189,16 @@ def _solve_hypotheses(X_octets):
 def _scoring_workspace(chunk, N):
     """Scratch for _distances_batch, allocated once per RANSAC call and shared by its chunks.
 
-    The lines E p1 and E^T p2 get an array each. numpy asks the kernel
-    for transparent huge pages for any array of 4 MiB or more, whose cost
+    Three (chunk, N) float arrays (the distances, one line term, the
+    denominator) and the mask. The four components of the lines E p1 and
+    E^T p2 are built one at a time in the term array, squared and added
+    into the denominator, so every pass reads contiguous rows and no
+    array needs two rows per hypothesis. numpy asks the kernel for
+    transparent huge pages for any array of 4 MiB or more, whose cost
     depends on the host's memory; at 256 rows and 512 correspondences
-    every array here stays below that size, and one array for both
-    line stacks would be exactly 4 MiB.
+    each array here is 1 MiB.
     """
-    return (np.empty((chunk, N)), np.empty((2 * chunk, N)), np.empty((2 * chunk, N)),
-            np.empty((chunk, N), dtype=bool))
+    return (*(np.empty((chunk, N)) for _ in range(3)), np.empty((chunk, N), dtype=bool))
 
 
 def _distances_batch(models, X, p1, p2, work):
@@ -193,22 +206,29 @@ def _distances_batch(models, X, p1, p2, work):
 
     X is the (N, 9) monomial matrix of the correspondences, p1 and p2
     their (N, 3) homogeneous points. The residual p2^T E p1 is the
-    monomial row times vec(E) taken column-major, so it is one GEMM; the
-    epipolar lines E p1 and E^T p2 are two more. Every product and step
-    writes into the first K rows of `work` (from _scoring_workspace), so
-    the returned array is a view that the next call overwrites.
+    monomial row times vec(E) taken column-major, so it is one GEMM; each
+    component of the epipolar lines E p1 and E^T p2 is one more. Every
+    product and step writes into the first K rows of `work` (from
+    _scoring_workspace), so the returned array is a view that the next
+    call overwrites.
     """
-    K, N = len(models), len(X)
-    dists, ep1, etp2, ok = work[0][:K], work[1][:2 * K], work[2][:2 * K], work[3][:K]
+    K = len(models)
+    dists, term, den, ok = (a[:K] for a in work)
     np.matmul(models.swapaxes(1, 2).reshape(K, 9), X.T, out=dists)
-    np.matmul(models[:, :2, :].reshape(2 * K, 3), p1.T, out=ep1)
-    np.matmul(models.swapaxes(1, 2)[:, :2, :].reshape(2 * K, 3), p2.T, out=etp2)
-    # rows: the x and y components of each model's line, model by model
-    a = np.square(ep1, out=ep1).reshape(K, 2, N)
-    b = np.square(etp2, out=etp2).reshape(K, 2, N)
-    den = a[:, 0]  # summed left to right, the order of a**2 + b**2 + c**2 + d**2
-    for term in (a[:, 1], b[:, 0], b[:, 1]):
-        np.add(den, term, out=den)
+    # a0**2 + a1**2 + b0**2 + b1**2, summed left to right, for the lines a = E p1, b = E^T p2
+    for i, (rows, p) in enumerate(((models, p1), (models.swapaxes(1, 2), p2))):
+        for c in range(2):
+            out = term if i or c else den
+            if K == 1:
+                # numpy sends a one-row product through GEMV, which rounds differently
+                # from GEMM: one hypothesis keeps the two-row product of its line
+                out[0] = (rows[:, :2, :].reshape(2, 3) @ p.T)[c]
+            else:
+                # contiguous, so the product goes to GEMM whatever numpy does with strided operands
+                np.matmul(np.ascontiguousarray(rows[:, c, :]), p.T, out=out)
+            np.square(out, out=out)
+            if out is term:
+                np.add(den, term, out=den)
     np.greater_equal(den, EPIPOLE_DENOM_MIN, out=ok)
     np.square(dists, out=dists)
     np.divide(dists, den, out=dists, where=ok)

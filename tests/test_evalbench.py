@@ -8,6 +8,7 @@ from twoview import autodiff as ad
 from twoview import evalbench
 from twoview.autodiff import ShapeMismatch, save_checkpoint
 from twoview.config import write_network_config
+from twoview.eightpoint import SolverBreakdown
 from twoview.epipolar import NoValidCandidate, RankDeficient
 from twoview.evalbench import (
     EmptyEvaluation,
@@ -277,22 +278,25 @@ class TestBatchedNetworkOutputs:
         compare_methods(easy_pairs(count=2), ["ransac"], RansacConfig(), tiny_net(), seed=0)
         assert forward_calls == []
 
-    def test_one_overflowing_pair_fails_alone(self):
-        # pair 3 scaled by 1e80 overflows its Gram matrix: that pair fails, and the
-        # other seven, three of them forwarded in its chunk, score as they do without it
+    @pytest.mark.parametrize("method", ["net", "ransac", "net+ransac"])
+    def test_one_overflowing_pair_fails_alone(self, method):
+        # pair 3 scaled by 1e80 overflows its Gram matrices (the network's solve or
+        # RANSAC's hypothesis solve): that pair fails, and the other seven, three of
+        # them forwarded in its chunk, score as they do without it
         pairs = hard_pairs(8)
         net = Network(desk_config(), seed=0)
-        clean = evaluate_method(pairs, "net", net=net).outcomes
+        cfg = RansacConfig(max_iterations=300)
+        clean = evaluate_method(pairs, method, cfg, net=net).outcomes
         scaled = list(pairs)
         scaled[3] = replace(pairs[3], correspondences=pairs[3].correspondences * 1e80)
-        outcomes = evaluate_method(scaled, "net", net=net).outcomes
+        outcomes = evaluate_method(scaled, method, cfg, net=net).outcomes
         assert outcomes[3].failed and not clean[3].failed
         assert outcome_bytes(outcomes[:3] + outcomes[4:]) == outcome_bytes(clean[:3] + clean[4:])
 
 
 class TestRansacPairOutcome:
     @pytest.mark.parametrize("error", [InsufficientCorrespondences, NoModelFound,
-                                       NoValidCandidate, RankDeficient])
+                                       NoValidCandidate, RankDeficient, SolverBreakdown])
     def test_expected_failures_count_as_failed(self, monkeypatch, error):
         def fail(C, cfg):
             raise error("by design")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twoview.eightpoint import build_monomial_matrix
+from twoview.eightpoint import SolverBreakdown, build_monomial_matrix
 from twoview.epipolar import (
     _epipolar_terms,
     pose_angular_errors,
@@ -55,6 +55,20 @@ class TestRansacEssential:
         C[5] = np.nan
         with pytest.raises(ValueError, match="finite"):
             ransac_essential(C, RansacConfig(seed=0))
+
+    def test_overflowing_gram_is_a_solver_breakdown(self):
+        pair = generate_pair(SceneConfig(n=64, outlier_ratio=0.3, pixel_noise=0.5, seed=24))
+        with pytest.raises(SolverBreakdown, match="not finite"):
+            ransac_essential(pair.correspondences * 1e80, RansacConfig(seed=0))
+
+    def test_eigensolver_failure_is_a_solver_breakdown(self, monkeypatch):
+        def no_convergence(G):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(ransac, "symmetric_eig9_batched", no_convergence)
+        pair = generate_pair(SceneConfig(n=64, outlier_ratio=0.3, pixel_noise=0.5, seed=24))
+        with pytest.raises(SolverBreakdown, match="did not converge"):
+            ransac_essential(pair.correspondences, RansacConfig(seed=0))
 
     def test_too_few_correspondences(self):
         with pytest.raises(InsufficientCorrespondences):
@@ -296,6 +310,30 @@ class TestBatchedHypotheses:
         assert np.array_equal(counts, ref_counts) and np.array_equal(losses, ref_losses)
         dists = _distances_batch(short, X, p1, p2, work)
         assert np.array_equal(dists, reference_distances_batch(short, X, p1, p2))
+
+    @pytest.mark.parametrize("n", [8, 9, 100, 512, 1000])
+    def test_bit_identical_at_every_chunk_size(self, n):
+        # a chunk of one hypothesis goes through its own two-row product: numpy sends a
+        # one-row product through GEMV, which rounds differently from GEMM
+        threshold = RansacConfig().threshold
+        work = _scoring_workspace(ransac._CHUNK, n)
+        for k in [*range(1, 18), 255, 256]:
+            models, X, p1, p2 = self._chunk(500 + k, n, k)
+            dists = _distances_batch(models, X, p1, p2, work)
+            assert np.array_equal(dists, reference_distances_batch(models, X, p1, p2)), k
+            counts, losses = _score_hypotheses(models, X, p1, p2, threshold, work)
+            ref_counts, ref_losses = reference_scores(models, X, p1, p2, threshold)
+            assert np.array_equal(counts, ref_counts) and np.array_equal(losses, ref_losses), k
+
+    @pytest.mark.parametrize("max_iterations", [1, 257])
+    def test_final_chunk_of_one_hypothesis_matches_the_reference(self, max_iterations):
+        pair = generate_pair(SceneConfig(n=200, outlier_ratio=0.6, pixel_noise=1.0, seed=47))
+        for seed in range(2):
+            cfg = RansacConfig(seed=seed, max_iterations=max_iterations)
+            res = ransac_essential(pair.correspondences, cfg)
+            E, mask, iterations = reference_ransac(pair.correspondences, cfg)
+            assert res.iterations == iterations == max_iterations
+            assert np.array_equal(res.essential, E) and np.array_equal(res.mask, mask)
 
     def test_workspace_arrays_stay_below_the_huge_page_size(self):
         # numpy madvises arrays of 4 MiB or more for transparent huge pages,
