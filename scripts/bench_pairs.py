@@ -2,9 +2,11 @@
 """Alternated parent/change benchmark pairs, written as one workload section of a BENCH file.
 
 Runs `perfbench/run.py` from two checkouts, the parent's and the change's,
-once per seed each, alternating which side runs first (the first pair
-starts with --first). Each run is a fresh process in its own checkout's
-directory, so each side builds what it runs from its own sources. The
+once per seed each for BENCHMARK.json's `run_seconds`, alternating which
+side runs first: a new workload starts with the parent, and added seeds
+continue the alternation of the pairs already in the file. Each run is a
+fresh process in its own checkout's directory, so each side builds what
+it runs from its own sources. The
 section keeps every run's end-to-end metrics and its correct, attempted
 and failed values, and summarises each metric by the quartiles of each
 side's runs, the pairs in which the change is better (ties count for
@@ -15,14 +17,14 @@ The section goes into --out under `end_to_end.<workload>` (and
 `per_layer_traced.<workload>`); other keys of an existing file are kept,
 so one file collects every workload, and the pairs of a workload already
 in the file stay, so a second invocation with new seeds adds pairs to
-the same summary. With --claim, the file's `claim`
-states whether the change is better in at least 9 of 10 pairs and its
-median beats the parent's by more than the parent's interquartile range.
+the same summary. With --claim METRIC, the file's `claim` states
+whether the change is better in at least 9 of 10 pairs of the workload
+and its median beats the parent's by more than the parent's
+interquartile range; later runs of the claimed workload recompute it.
 The exit code is 1 if any run was incorrect or did not report a result.
 
 Usage: python3 scripts/bench_pairs.py --parent DIR --change DIR --workload eval-hard
-           --seeds 1901-1910 --out BENCH_19.json [--seconds 35] [--first parent]
-           [--trace-seed 1931] [--claim items_per_s]
+           --seeds 1901-1910 --out BENCH_19.json [--trace-seed 1931] [--claim items_per_s]
 """
 
 import argparse
@@ -38,10 +40,11 @@ SIDES = ("parent", "change")
 CLAIM_SHARE = 0.9  # share of pairs the change must win for a claimed gain
 
 
-def end_to_end_metrics(benchmark_path=os.path.join(ROOT, "BENCHMARK.json")):
-    """{metric name: "higher" or "lower"} for the benchmark's end-to-end metrics."""
+def benchmark_settings(benchmark_path=os.path.join(ROOT, "BENCHMARK.json")):
+    """({end-to-end metric name: "higher" or "lower"}, seconds per run) from the benchmark."""
     with open(benchmark_path, encoding="utf-8") as fh:
-        return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        bench = json.load(fh)
+    return {m["name"]: m["better"] for m in bench["end_to_end"]}, bench["run_seconds"]
 
 
 def parse_seeds(text):
@@ -111,6 +114,8 @@ def workload_section(seeds, first, records, metrics):
 
 def claim(section, workload, metric):
     """Whether `metric` improved: better in 9 of 10 pairs, by more than the parent's IQR."""
+    if metric not in section["metrics"]:  # a run gave no value for it
+        return {"metric": metric, "workload": workload, "met": False}
     m = section["metrics"][metric]
     wins, pairs = (int(x) for x in m["change_wins"].split("/"))
     gain = m["change"]["median"] - m["parent"]["median"]
@@ -137,13 +142,13 @@ def main(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, type=parse_seeds)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--seconds", type=float, default=35.0)
-    parser.add_argument("--first", choices=SIDES, default="parent")
     parser.add_argument("--trace-seed", type=int)
-    parser.add_argument("--claim")
+    parser.add_argument("--claim", metavar="METRIC")
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent, "change": args.change}
-    metrics = end_to_end_metrics()
+    metrics, seconds = benchmark_settings()
+    if args.claim is not None and args.claim not in metrics:
+        parser.error(f"--claim {args.claim} is not an end-to-end metric: {sorted(metrics)}")
     bench = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
@@ -157,21 +162,22 @@ def main(argv=None):
         parser.error(f"{args.out} already has {args.workload} runs for seeds "
                      f"{sorted(set(seeds) & set(args.seeds))}")
 
-    for i, seed in enumerate(args.seeds):
-        order = SIDES if (args.first == "parent") == (i % 2 == 0) else SIDES[::-1]
+    for seed in args.seeds:
+        order = SIDES[::-1] if firsts and firsts[-1] == SIDES[0] else SIDES
         firsts.append(order[0])
         for side in order:
-            result = run_once(checkouts[side], args.workload, seed, args.seconds, 0)
+            result = run_once(checkouts[side], args.workload, seed, seconds, 0)
             records[side].append(run_record(seed, result, metrics))
             shown = {m: round(v, 4) for m, v in records[side][-1]["metrics"].items()}
             print(f"{args.workload} seed {seed} {side}: {shown}", flush=True)
     section = workload_section(seeds + args.seeds, firsts, records, metrics)
     bench.setdefault("end_to_end", {})[args.workload] = section
-    if args.claim and args.claim in section["metrics"]:
-        bench["claim"] = claim(section, args.workload, args.claim)
+    stated = bench.get("claim", {})
+    if args.claim is not None or stated.get("workload") == args.workload:
+        bench["claim"] = claim(section, args.workload, args.claim or stated["metric"])
     if args.trace_seed is not None:
-        traced = {side: run_once(checkouts[side], args.workload, args.trace_seed,
-                                 args.seconds, 1) for side in SIDES}
+        traced = {side: run_once(checkouts[side], args.workload, args.trace_seed, seconds, 1)
+                  for side in SIDES}
         if all(traced.values()):
             bench.setdefault("per_layer_traced", {})[args.workload] = traced_section(traced)
         section["correct"] = section["correct"] and all(t and t["correct"]

@@ -70,22 +70,36 @@ def _symmetrized(G, stacked):
     return 0.5 * (G + Gt)
 
 
+def _eigh(G, stacked):
+    """LAPACK's `eigh` of the symmetrized G; what it cannot decompose raises SolverBreakdown."""
+    G = np.asarray(G, dtype=np.float64)
+    if not np.isfinite(G).all():
+        raise SolverBreakdown("Gram matrix is not finite (coordinates too large)")
+    G = _symmetrized(G, stacked)
+    try:
+        return np.linalg.eigh(G)
+    except np.linalg.LinAlgError as err:
+        raise SolverBreakdown(f"eigensolver failed: {err}") from None
+
+
 def symmetric_eig9(G):
     """Eigendecomposition of a symmetric matrix by LAPACK (`eigh`).
 
     Returns eigenvalues in ascending order and the matching orthonormal
     eigenvectors as columns. Sized for the 9x9 Gram matrix but works for
-    any square symmetric input.
+    any square symmetric input. A non-finite G (an overflowed Gram
+    matrix) or LAPACK failing to converge raises SolverBreakdown.
     """
-    return np.linalg.eigh(_symmetrized(G, stacked=False))
+    return _eigh(G, stacked=False)
 
 
 def symmetric_eig9_batched(G):
     """symmetric_eig9 for a (K, n, n) stack, in one LAPACK `eigh` call.
 
-    Used to evaluate many minimal-sample hypotheses in parallel.
+    Used to evaluate many minimal-sample hypotheses in parallel. One
+    non-finite matrix, or a LAPACK failure anywhere, fails the stack.
     """
-    return np.linalg.eigh(_symmetrized(G, stacked=True))
+    return _eigh(G, stacked=True)
 
 
 @dataclass
@@ -109,15 +123,10 @@ def _solve(C, w):
         raise ValueError("correspondences and weights must be finite")
     if np.count_nonzero(w > SUPPORT_WEIGHT_MIN) < 8:
         raise InsufficientSupport("fewer than 8 correspondences with weight above 1e-8")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the check below
+    with np.errstate(over="ignore", invalid="ignore"):  # the eigensolver rejects an overflow
         X = build_monomial_matrix(C)
         G = weighted_gram(X, w)
-    if not np.isfinite(G).all():
-        raise SolverBreakdown("weighted Gram matrix is not finite (coordinates too large)")
-    try:
-        lam, V = symmetric_eig9(G)
-    except np.linalg.LinAlgError as err:
-        raise SolverBreakdown(f"eigensolver failed: {err}") from None
+    lam, V = symmetric_eig9(G)
     gap = float(lam[1] - lam[0])
     if gap < EIGENGAP_REL_MIN * np.linalg.norm(G):
         raise EigengapCollapse(f"eigengap {gap:.3e} below 1e-12 * ||G||")

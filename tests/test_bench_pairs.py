@@ -30,10 +30,12 @@ def test_seed_ranges():
     assert bench_pairs.parse_seeds("7") == [7]
 
 
-def test_end_to_end_metrics_come_from_the_benchmark_file():
-    metrics = bench_pairs.end_to_end_metrics()
+def test_metrics_and_run_length_come_from_the_benchmark_file():
+    metrics, seconds = bench_pairs.benchmark_settings()
     assert metrics["items_per_s"] == "higher" and metrics["peak_rss_mb"] == "lower"
     assert len(metrics) == 4
+    with open(os.path.join(bench_pairs.ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        assert seconds == json.load(fh)["run_seconds"]
 
 
 def test_metric_summary_counts_wins_by_direction_and_ties_for_neither_side():
@@ -80,7 +82,10 @@ def test_main_alternates_sides_merges_runs_and_fails_on_an_incorrect_run(tmp_pat
     calls = []
 
     def fake_run(checkout, workload, seed, seconds, trace):
+        assert seconds == bench_pairs.benchmark_settings()[1]
         calls.append((checkout, seed, trace))
+        if (checkout, seed) == ("c", 7):
+            return None  # a run that reported nothing
         if trace:
             return {"correct": True, "attempted": 1, "failed": 0,
                     "metrics": {"ransac.self_s": {"value": 1.0 if checkout == "p" else 0.8}}}
@@ -100,17 +105,31 @@ def test_main_alternates_sides_merges_runs_and_fails_on_an_incorrect_run(tmp_pat
     assert bench["claim"]["change_wins"] == "2/2"
     assert bench["per_layer_traced"]["eval-hard"] == {"ransac.self_s": {"parent": 1.0,
                                                                         "change": 0.8}}
-    # a second invocation adds its pairs to the workload's; a seed already there is refused
-    assert bench_pairs.main(args + ["--seeds", "4"]) == 0
-    section = json.loads(out.read_text())["end_to_end"]["eval-hard"]
-    assert section["seeds"] == [1, 2, 4] and section["first"] == ["parent", "change", "parent"]
-    assert section["metrics"]["items_per_s"]["change_wins"] == "3/3"
+    # a second invocation adds its pairs to the workload's, continuing the alternation, and
+    # restates the claim over all of them; a seed already there is refused
+    calls.clear()
+    assert bench_pairs.main(args + ["--seeds", "4-5"]) == 0
+    assert calls == [("p", 4, 0), ("c", 4, 0), ("c", 5, 0), ("p", 5, 0)]
+    bench = json.loads(out.read_text())
+    section = bench["end_to_end"]["eval-hard"]
+    assert section["seeds"] == [1, 2, 4, 5]
+    assert section["first"] == ["parent", "change", "parent", "change"]
+    assert section["metrics"]["items_per_s"]["change_wins"] == "4/4"
+    assert bench["claim"]["metric"] == "items_per_s" and bench["claim"]["change_wins"] == "4/4"
     with pytest.raises(SystemExit):
         bench_pairs.main(args + ["--seeds", "2-5"])
+    with pytest.raises(SystemExit):  # a claim needs an end-to-end metric
+        bench_pairs.main(args + ["--seeds", "6", "--claim", "items_per_second"])
+    # another workload starts with the parent and leaves the claim alone
     calls.clear()
-    assert bench_pairs.main(args + ["--seeds", "3", "--workload", "eval-easy",
-                                    "--first", "change"]) == 1
-    assert calls == [("c", 3, 0), ("p", 3, 0)]
+    assert bench_pairs.main(args + ["--seeds", "3", "--workload", "eval-easy"]) == 1
+    assert calls == [("p", 3, 0), ("c", 3, 0)]
     bench = json.loads(out.read_text())
     assert set(bench["end_to_end"]) == {"eval-hard", "eval-easy"}
     assert not bench["end_to_end"]["eval-easy"]["correct"]
+    assert bench["claim"]["workload"] == "eval-hard" and bench["claim"]["met"]
+    # a claim on a workload where a run gave no value is not met
+    assert bench_pairs.main(args + ["--seeds", "7", "--workload", "eval-easy",
+                                    "--claim", "items_per_s"]) == 1
+    assert json.loads(out.read_text())["claim"] == {"metric": "items_per_s",
+                                                    "workload": "eval-easy", "met": False}

@@ -131,6 +131,22 @@ class TestSymmetricEig9:
         with pytest.raises(e8.NotSymmetric):
             e8.symmetric_eig9(G)
 
+    def test_non_finite_or_unconverged_is_a_solver_breakdown(self, monkeypatch):
+        Gs = np.stack([np.eye(9)] * 3)
+        Gs[1, 4, 4] = np.inf
+        with pytest.raises(e8.SolverBreakdown, match="not finite"):
+            e8.symmetric_eig9_batched(Gs)
+        with pytest.raises(e8.SolverBreakdown, match="not finite"):
+            e8.symmetric_eig9(Gs[1])
+
+        def no_convergence(G):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        for eig, G in ((e8.symmetric_eig9, np.eye(9)), (e8.symmetric_eig9_batched, Gs[:1])):
+            with pytest.raises(e8.SolverBreakdown, match="did not converge"):
+                eig(G)
+
     def test_shape_rejected(self):
         with pytest.raises(e8.NotSymmetric):
             e8.symmetric_eig9(np.eye(9)[:8])
@@ -237,7 +253,7 @@ class TestWeightedEightpoint:
         def no_convergence(G):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(e8, "symmetric_eig9", no_convergence)
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
         pair = toy_scene()
         with pytest.raises(e8.SolverBreakdown, match="did not converge"):
             e8.weighted_eightpoint(pair.correspondences, np.ones(len(pair.correspondences)))

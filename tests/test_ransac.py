@@ -65,7 +65,7 @@ class TestRansacEssential:
         def no_convergence(G):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(ransac, "symmetric_eig9_batched", no_convergence)
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
         pair = generate_pair(SceneConfig(n=64, outlier_ratio=0.3, pixel_noise=0.5, seed=24))
         with pytest.raises(SolverBreakdown, match="did not converge"):
             ransac_essential(pair.correspondences, RansacConfig(seed=0))
