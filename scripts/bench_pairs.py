@@ -21,6 +21,9 @@ the same summary. With --claim METRIC, the file's `claim` states
 whether the change is better in at least 9 of 10 pairs of the workload
 and its median beats the parent's by more than the parent's
 interquartile range; later runs of the claimed workload recompute it.
+Each workload section also records its provenance: the commit of each
+side's checkout (null for a directory that is not a git checkout, such
+as a `git archive` copy), the host and `twoview.cli.environment()`.
 The exit code is 1 if any run was incorrect or did not report a result.
 
 Usage: python3 scripts/bench_pairs.py --parent DIR --change DIR --workload eval-hard
@@ -30,12 +33,16 @@ Usage: python3 scripts/bench_pairs.py --parent DIR --change DIR --workload eval-
 import argparse
 import json
 import os
+import platform
 import subprocess
 import sys
 
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+from twoview.cli import environment  # noqa: E402
+
 SIDES = ("parent", "change")
 CLAIM_SHARE = 0.9  # share of pairs the change must win for a claimed gain
 
@@ -68,6 +75,25 @@ def run_once(checkout, workload, seed, seconds, trace):
         print(f"{checkout}: no result (exit {proc.returncode}): {proc.stderr.strip()[-500:]}",
               file=sys.stderr)
         return None
+
+
+def commit(checkout):
+    """HEAD of the git checkout rooted at `checkout`, or None when it is not one."""
+    try:
+        proc = subprocess.run(["git", "-C", checkout, "rev-parse", "--show-toplevel", "HEAD"],
+                              capture_output=True, text=True)
+    except OSError:  # no git at all
+        return None
+    top, _, head = proc.stdout.strip().partition("\n")
+    if proc.returncode != 0 or os.path.realpath(top) != os.path.realpath(checkout):
+        return None  # not in a checkout, or a directory inside another one
+    return head
+
+
+def provenance(checkouts):
+    """Which commits ran where: each side's commit, the host and the environment."""
+    return {"commits": {side: commit(checkouts[side]) for side in SIDES},
+            "host": platform.node(), "environment": environment()}
 
 
 def run_record(seed, result, metrics):
@@ -171,6 +197,7 @@ def main(argv=None):
             shown = {m: round(v, 4) for m, v in records[side][-1]["metrics"].items()}
             print(f"{args.workload} seed {seed} {side}: {shown}", flush=True)
     section = workload_section(seeds + args.seeds, firsts, records, metrics)
+    section["provenance"] = provenance(checkouts)
     bench.setdefault("end_to_end", {})[args.workload] = section
     stated = bench.get("claim", {})
     if args.claim is not None or stated.get("workload") == args.workload:

@@ -56,7 +56,7 @@ class NotFinite(FloatingPointError):
 
 
 class CorruptCheckpoint(ValueError):
-    """A checkpoint file is truncated, garbled or not a checkpoint at all."""
+    """A checkpoint file is truncated, garbled, of another format or not for this network."""
 
 
 def _check_finite(data, op, what="output"):
@@ -793,7 +793,7 @@ def adam_step(store: ParameterStore, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
 
 
 _MAGIC = b"TWVC"
-_VERSION = 2  # 1: no checksum trailer; still read
+_VERSION = 2
 
 
 def _write_record(fh, name, array):
@@ -853,10 +853,10 @@ def read_checkpoint_arrays(path):
         raise CorruptCheckpoint(f"{path}: not a checkpoint file")
     try:
         (version,) = struct.unpack_from("<I", blob, 4)
-        if version not in (1, 2):
+        if version != _VERSION:
             raise CorruptCheckpoint(f"{path}: unsupported checkpoint version {version}")
-        end = len(blob) - 4 * (version == 2)  # version 2 ends with a CRC-32 of all bytes before it
-        if version == 2 and zlib.crc32(memoryview(blob)[:end]) != struct.unpack_from("<I", blob, end)[0]:
+        end = len(blob) - 4  # the file ends with a CRC-32 of all bytes before it
+        if zlib.crc32(memoryview(blob)[:end]) != struct.unpack_from("<I", blob, end)[0]:
             raise CorruptCheckpoint(f"{path}: checksum mismatch (truncated or altered)")
         (count,) = struct.unpack_from("<Q", blob, 8)
         off = 16
@@ -883,21 +883,20 @@ def read_checkpoint_arrays(path):
     return out
 
 
-def load_checkpoint(store: ParameterStore, path, retired=None):
-    """Restore a checkpoint into a store with matching structure; an unused record is corrupt.
+def load_checkpoint(store: ParameterStore, path):
+    """Restore a checkpoint into a store of the same structure.
 
-    retired(arrays) names records of state the store no longer holds, dropped with their moments.
+    A store entry the file lacks, a record of another shape or one the store does not take is
+    corrupt.
     """
     arrays = read_checkpoint_arrays(path)
-    for name in retired(arrays) if retired is not None else ():
-        for key in (name, _ADAM_M + name, _ADAM_V + name):
-            arrays.pop(key, None)
     for name in store.names():
         if name not in arrays:
-            raise ValueError(f"{path}: missing entry {name!r}")
+            raise CorruptCheckpoint(f"{path}: missing entry {name!r}")
         arr = arrays.pop(name)
         if arr.shape != store[name].data.shape:
-            raise ValueError(f"{path}: shape {arr.shape} != expected {store[name].data.shape} for {name!r}")
+            raise CorruptCheckpoint(f"{path}: shape {arr.shape} != expected {store[name].data.shape} "
+                                    f"for {name!r}")
         store[name].data[...] = arr
     for name in store.trainable_names():
         for key, moment in ((_ADAM_M + name, store._m[name]), (_ADAM_V + name, store._v[name])):

@@ -160,12 +160,7 @@ def load_run_config(path=None):
     return resolve_run_config(parse_config_file(path) if path else None)
 
 
-# retired network options: sidecars written while they existed still carry
-# them, always at the one value the network keeps
-_RETIRED_NET_VALUES = {"block_order": "norm_first", "pool_softmax": "clusters",
-                       "unpool_softmax": "nodes", "bn_momentum": 0.9, "eps": 1e-5}
 _SIDECAR_KEYS = {f.name: f.type for f in fields(NetworkConfig)}
-_SIDECAR_KEYS.update({key: type(kept) for key, kept in _RETIRED_NET_VALUES.items()})
 
 
 def write_network_config(cfg: NetworkConfig, path):
@@ -181,12 +176,6 @@ def write_network_config(cfg: NetworkConfig, path):
 
 
 def read_network_config(path):
-    values, lines = {}, {}
-    for key, (value, line) in parse_config_file(path, _SIDECAR_KEYS).items():
-        lines[key] = line
-        if key not in _RETIRED_NET_VALUES:
-            values[key] = value
-        elif value != _RETIRED_NET_VALUES[key]:
-            raise ConfigError(f"retired network config key {key!r} only accepts "
-                              f"{_RETIRED_NET_VALUES[key]!r}, got {value!r}", line)
-    return _build(NetworkConfig, values, lines)
+    parsed = parse_config_file(path, _SIDECAR_KEYS)
+    return _build(NetworkConfig, {key: value for key, (value, _) in parsed.items()},
+                  {key: line for key, (_, line) in parsed.items()})

@@ -103,7 +103,7 @@ def load_network(checkpoint_path):
     if not os.path.exists(config_path):
         raise MissingCheckpoint(f"network config not found: {config_path}")
     net = Network(read_network_config(config_path), seed=0)
-    net.load_checkpoint(checkpoint_path)
+    ad.load_checkpoint(net.store, checkpoint_path)
     return net
 
 

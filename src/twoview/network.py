@@ -348,27 +348,6 @@ class Network:
         else:
             self.stage = _Stage(self.store, "net", config, 4, rng)
 
-    def load_checkpoint(self, path):
-        """Restore a checkpoint, also one with the biases and buffers this network retired."""
-        ad.load_checkpoint(self.store, path, retired=self._retired)
-
-    def _retired(self, arrays):
-        """Names of the records in `arrays` of a bias or batch-norm buffer this network lacks.
-
-        half1's bias moves into the mixing unit's running mean (rm - b), which eval mode reads.
-        """
-        known = set(self.store.names())
-        sibling = {"bias": "weight", "running_mean": "gamma", "running_var": "gamma"}
-        retired = []
-        for name in arrays:
-            layer, _, field = name.rpartition(".")
-            if name not in known and f"{layer}.{sibling.get(field)}" in known:
-                retired.append(name)
-                mix = name.replace(".half1.perc.bias", ".mix.bn.running_mean")
-                if mix != name and mix in arrays:
-                    arrays[mix] -= arrays[name]
-        return retired
-
     def forward(self, corr, mode="eval", solve=True):
         """Run the network on a (B, N, 4) correspondence batch.
 

@@ -269,7 +269,12 @@ def pair_from_line(line, line_number):
     recomputed = essential_from_pose(r_gt, t_gt)
     if not np.max(np.abs(recomputed - e_gt)) <= 1e-12:  # a NaN in the pose fails too
         raise MalformedRecord(line_number, "stored e_gt does not match essential_from_pose(r_gt, t_gt)")
-    if not np.array_equal(label_inliers(e_gt, corr), labels):
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            inliers = label_inliers(e_gt, corr)
+    except FloatingPointError:
+        raise MalformedRecord(line_number, "correspondence coordinates overflow") from None
+    if not np.array_equal(inliers, labels):
         raise MalformedRecord(line_number, "stored labels do not match recomputed inlier labels")
     return ScenePair(corr, r_gt, t_gt, e_gt, labels, cfg, seed)
 

@@ -100,7 +100,7 @@ def run_training(pairs, net_cfg: NetworkConfig, loss_cfg: LossConfig, params: Tr
     _keep_heap()
     net = Network(net_cfg, seed=seed)
     if resume is not None:
-        net.load_checkpoint(resume)
+        ad.load_checkpoint(net.store, resume)
 
     corr_all = np.stack([p.correspondences for p in pairs])
     labels_all = np.stack([p.labels for p in pairs])

@@ -2,6 +2,8 @@
 
 import json
 import os
+import shutil
+import subprocess
 import sys
 
 import numpy as np
@@ -105,6 +107,11 @@ def test_main_alternates_sides_merges_runs_and_fails_on_an_incorrect_run(tmp_pat
     assert bench["claim"]["change_wins"] == "2/2"
     assert bench["per_layer_traced"]["eval-hard"] == {"ransac.self_s": {"parent": 1.0,
                                                                         "change": 0.8}}
+    # "p" and "c" are no git checkouts: their commits are null
+    provenance = bench["end_to_end"]["eval-hard"]["provenance"]
+    assert provenance["commits"] == {"parent": None, "change": None}
+    assert isinstance(provenance["host"], str)
+    assert {"python", "numpy", "blas", "threads", "nproc", "git_sha"} <= set(provenance["environment"])
     # a second invocation adds its pairs to the workload's, continuing the alternation, and
     # restates the claim over all of them; a seed already there is refused
     calls.clear()
@@ -133,3 +140,19 @@ def test_main_alternates_sides_merges_runs_and_fails_on_an_incorrect_run(tmp_pat
                                     "--claim", "items_per_s"]) == 1
     assert json.loads(out.read_text())["claim"] == {"metric": "items_per_s",
                                                     "workload": "eval-easy", "met": False}
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_commit_is_the_checkouts_head_or_null(tmp_path):
+    checkout, copy = tmp_path / "checkout", tmp_path / "copy"
+    checkout.mkdir()
+    copy.mkdir()
+    git = ["git", "-C", str(checkout), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "x"], check=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], check=True, capture_output=True,
+                          text=True).stdout.strip()
+    assert bench_pairs.commit(str(checkout)) == head
+    assert bench_pairs.commit(str(copy)) is None  # as a `git archive` copy
+    (checkout / "sub").mkdir()
+    assert bench_pairs.commit(str(checkout / "sub")) is None  # inside a checkout, not one

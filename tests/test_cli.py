@@ -2,13 +2,15 @@ import base64
 import json
 import os
 import resource
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from twoview.cli import main
 from twoview.autodiff import read_checkpoint_arrays
-from twoview.synthdata import read_dataset
+from twoview.synthdata import pair_to_line, read_dataset
 
 
 @pytest.fixture(scope="module")
@@ -102,22 +104,6 @@ class TestTrain:
         assert code == 0
         assert int(read_checkpoint_arrays(out)["__step__"]) == 15
 
-    def test_resume_from_format_1_checkpoint(self, tmp_path):
-        """A checkpoint with the retired biases and buffers resumes, and saves without them."""
-        fixture = os.path.join(os.path.dirname(__file__), "data", "legacy_v1.bin")
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("scene.n = 16\nscene.pairs = 4\nloss.kind = geometry\nloss.warmup = 0\n"
-                       "train.batch_size = 2\ntrain.val_pairs = 1\n")
-        data, out = tmp_path / "data.txt", tmp_path / "resumed.bin"
-        assert main(["gen", "--seed", "3", "--config", str(cfg), "--out", str(data)]) == 0
-        assert main(["train", "--seed", "3", "--config", str(cfg), "--dataset", str(data),
-                     "--out", str(out), "--steps", "2", "--resume", fixture]) == 0
-        old, new = read_checkpoint_arrays(fixture), read_checkpoint_arrays(out)
-        assert int(new["__step__"]) == int(old["__step__"]) + 2
-        assert "net.l1a.0.unit1.perc.bias" in old and "net.unpool.head.bn.running_mean" in old
-        assert set(new) < set(old)
-        assert len(old) - len(new) == 3 * 4 + 2  # 4 biases with their Adam moments, 2 buffers
-
     def test_resume_matches_uninterrupted_run(self, workspace, tmp_path):
         """N steps then --resume for M more give the checkpoint and log rows of N + M steps."""
         base = ["train", "--seed", "2", "--config", str(workspace["cfg"]),
@@ -183,12 +169,40 @@ class TestEval:
         ckpt = tmp_path / "legacy.bin"
         shutil.copy(workspace["ckpt"], ckpt)
         sidecar = workspace["ckpt"].with_name(workspace["ckpt"].name + ".netconfig").read_text()
-        (tmp_path / "legacy.bin.netconfig").write_text(sidecar + "block_order=perceptron_first\n")
+        (tmp_path / "legacy.bin.netconfig").write_text(sidecar + "block_order=norm_first\n")
         code = main(["eval", "--seed", "3", "--config", str(workspace["cfg"]),
                      "--dataset", str(workspace["data"]), "--method", "net",
                      "--checkpoint", str(ckpt), "--out", str(tmp_path / "m.csv")])
         assert code == 2
-        assert "block_order" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"line {len(sidecar.splitlines()) + 1}: unknown key 'block_order'" in err
+
+    def test_format_1_checkpoint_exit_2(self, workspace, tmp_path, capsys):
+        """Format 1 (no checksum trailer) is no longer read; it is a corrupt checkpoint."""
+        import shutil
+
+        blob = workspace["ckpt"].read_bytes()
+        ckpt = tmp_path / "v1.bin"
+        ckpt.write_bytes(blob[:4] + (1).to_bytes(4, "little") + blob[8:-4])
+        shutil.copy(str(workspace["ckpt"]) + ".netconfig", str(ckpt) + ".netconfig")
+        assert self.eval_net(workspace, tmp_path, ckpt) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "v1.bin: unsupported checkpoint version 1" in err
+
+    def test_overflowing_record_exit_2(self, workspace, tmp_path, capsys):
+        """A `gen` record scaled by 1e200 names its line instead of loading with every label 0."""
+        pairs = read_dataset(workspace["data"])
+        pairs[1] = replace(pairs[1], correspondences=pairs[1].correspondences * 1e200,
+                           labels=np.zeros_like(pairs[1].labels))
+        data = tmp_path / "scaled.txt"
+        data.write_text("".join(pair_to_line(pair) + "\n" for pair in pairs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["eval", "--seed", "3", "--config", str(workspace["cfg"]),
+                         "--dataset", str(data), "--method", "ransac",
+                         "--out", str(tmp_path / "m.csv")])
+        assert code == 2
+        assert "error: line 2: correspondence coordinates overflow" in capsys.readouterr().err
 
     @staticmethod
     def eval_net(workspace, tmp_path, ckpt):

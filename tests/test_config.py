@@ -195,34 +195,22 @@ expected_points=512
 bn_momentum=0.9
 eps=1e-05
 """
-RETIRED_SIDECAR = {"block_order": ("norm_first", "perceptron_first"),
-                   "pool_softmax": ("clusters", "nodes"),
-                   "unpool_softmax": ("nodes", "clusters"),
-                   "bn_momentum": ("0.9", "0.5"),
-                   "eps": ("1e-05", "0.5")}
+# each retired key at the one value it used to accept
+RETIRED_SIDECAR = {"block_order": "norm_first", "pool_softmax": "clusters",
+                   "unpool_softmax": "nodes", "bn_momentum": "0.9", "eps": "1e-05"}
 
 
 class TestRetiredNetworkKeys:
-    def test_legacy_sidecar_loads_as_desk(self, tmp_path):
-        path = tmp_path / "model.netconfig"
-        path.write_text(LEGACY_DESK_SIDECAR)
-        assert read_network_config(path) == desk_config()
-
-    def test_retired_values_compared_as_numbers(self, tmp_path):
-        path = tmp_path / "model.netconfig"
-        path.write_text(LEGACY_DESK_SIDECAR.replace("bn_momentum=0.9\n", "bn_momentum=0.90\n")
-                        .replace("eps=1e-05\n", "eps=0.00001\n"))
-        assert read_network_config(path) == desk_config()
-
     @pytest.mark.parametrize("key", sorted(RETIRED_SIDECAR))
     def test_other_value_rejected_with_key_and_line(self, tmp_path, key):
-        kept, other = RETIRED_SIDECAR[key]
+        """A retired key is an unknown key, also at the value it used to accept."""
+        kept = f"{key}={RETIRED_SIDECAR[key]}"
+        lines = [line for line in LEGACY_DESK_SIDECAR.splitlines()
+                 if line == kept or line.partition("=")[0] not in RETIRED_SIDECAR]
         path = tmp_path / "model.netconfig"
-        text = LEGACY_DESK_SIDECAR.replace(f"{key}={kept}\n", f"{key}={other}\n")
-        assert text != LEGACY_DESK_SIDECAR
-        path.write_text(text)
-        line = text.splitlines().index(f"{key}={other}") + 1
-        with pytest.raises(ConfigError, match=f"line {line}: .*{key}") as exc:
+        path.write_text("\n".join(lines) + "\n")
+        line = lines.index(kept) + 1
+        with pytest.raises(ConfigError, match=f"line {line}: unknown key '{key}'") as exc:
             read_network_config(path)
         assert exc.value.line == line
 

@@ -359,21 +359,6 @@ class TestLoadNetwork:
             assert np.array_equal(net.store[name].data, loaded.store[name].data)
         assert loaded.config == net.config
 
-    def test_sidecar_with_retired_keys_gives_same_logits(self, tmp_path):
-        net = Network(desk_config(), seed=0)
-        ckpt = tmp_path / "model.bin"
-        save_checkpoint(net.store, ckpt)
-        sidecar = str(ckpt) + ".netconfig"
-        write_network_config(net.config, sidecar)
-        with open(sidecar, "a", encoding="utf-8") as fh:
-            fh.write("block_order=norm_first\npool_softmax=clusters\nunpool_softmax=nodes\n"
-                     "bn_momentum=0.9\neps=1e-05\n")
-        loaded = load_network(str(ckpt))
-        assert loaded.config == desk_config()
-        corr = easy_pairs(count=2)[0].correspondences[None]
-        with ad.no_grad():
-            assert np.array_equal(loaded.forward(corr).logits.data, net.forward(corr).logits.data)
-
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingCheckpoint):
             load_network(str(tmp_path / "nope.bin"))

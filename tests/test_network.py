@@ -727,7 +727,7 @@ class TestConfig:
             desk_config(channels=0)
 
 
-LEGACY = os.path.join(os.path.dirname(__file__), "data", "legacy_v1")
+DESK_LOGITS = os.path.join(os.path.dirname(__file__), "data", "desk_logits.json")
 # the ablation variants of scripts/run_acceptance_protocol.py, plus the plain unpool
 VARIANTS = {
     "pointcn": {"use_pool": False},
@@ -739,9 +739,10 @@ VARIANTS = {
 }
 
 
-def legacy_record():
-    """What the last format-1 layout gave; see tests/data/make_v1_checkpoint.py."""
-    with open(LEGACY + ".json", encoding="utf-8") as fh:
+def desk_record():
+    """Eval logits of freshly built desk networks of each variant on one pair, as commit 264630f
+    gave them, before the network dropped the state that cannot change an output."""
+    with open(DESK_LOGITS, encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -751,7 +752,7 @@ def eval_logits(net, scene):
 
 
 class TestRetiredState:
-    """Every stored tensor can change an output, and older checkpoints give the same model."""
+    """Every stored tensor can change an output, and fresh networks keep their logits."""
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_every_parameter_gets_a_gradient(self, variant):
@@ -780,26 +781,9 @@ class TestRetiredState:
         save_checkpoint(store, tmp_path / "full.bin")
         assert len(read_checkpoint_arrays(tmp_path / "full.bin")) == 220
 
-    def test_format_1_checkpoint_gives_the_same_model(self):
-        from twoview.autodiff import read_checkpoint_arrays
-        from twoview.config import read_network_config
-        from twoview.evalbench import load_network
-
-        record = legacy_record()
-        assert read_network_config(LEGACY + ".bin.netconfig") == tiny_config()
-        net = load_network(LEGACY + ".bin")
-        scene = SceneConfig(n=N, outlier_ratio=0.25, pixel_noise=0.5, seed=record["tiny_pair_seed"])
-        z, z_old = eval_logits(net, scene), np.array(record["tiny_logits"])
-        assert np.abs(z - z_old).max() <= 1e-12 * np.abs(z_old).max()
-        # the fold carries the model: without it the logits move
-        bias = read_checkpoint_arrays(LEGACY + ".bin")["net.l2.0.half1.perc.bias"]
-        assert np.abs(bias).max() > 0.1
-        net.store["net.l2.0.mix.bn.running_mean"].data[...] += bias
-        assert np.abs(eval_logits(net, scene) - z_old).max() > 1e-3
-
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_fresh_desk_network_keeps_its_logits(self, variant):
-        record = legacy_record()
+        record = desk_record()
         net = Network(desk_config(**VARIANTS[variant]), seed=record["desk_seed"])
         z = eval_logits(net, SceneConfig(n=512, outlier_ratio=0.4, pixel_noise=0.5,
                                          seed=record["desk_pair_seed"]))

@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -147,6 +148,22 @@ class TestDatasetRoundTrip:
             assert np.array_equal(a.essential, b.essential)
             assert np.array_equal(a.labels, b.labels)
             assert a.config == b.config and a.seed == b.seed
+
+    @pytest.mark.parametrize("outlier_ratio, pixel_noise", [(0.6, 1.0), (0.4, 0.5)],
+                             ids=["hard", "easy"])
+    def test_generated_sets_read_without_floating_point_warnings(self, tmp_path, outlier_ratio,
+                                                                 pixel_noise):
+        """The inlier check runs with overflow as an error; generated sets never reach it."""
+        scene = SceneConfig(n=512, outlier_ratio=outlier_ratio, pixel_noise=pixel_noise)
+        pairs = generate_dataset(scene, 8, base_seed=300)
+        path = tmp_path / "data.txt"
+        write_dataset(pairs, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = read_dataset(path)
+        for a, b in zip(pairs, loaded, strict=True):
+            assert np.array_equal(a.correspondences, b.correspondences)
+            assert np.array_equal(a.labels, b.labels)
 
     def test_reals_are_shortest_repr(self):
         pair = generate_pair(SceneConfig(n=16, outlier_ratio=0.4, pixel_noise=1.0, seed=5))
@@ -314,19 +331,29 @@ class TestDatasetRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_any_finite_correspondences_round_trip_bit_for_bit(self, data):
-        """Both encodings give back the very bits, -0.0 and subnormals included."""
+        """Both encodings give back the very bits, -0.0 and subnormals included; reals so
+        large that the inlier check overflows are rejected as a malformed record."""
         n = data.draw(st.integers(8, 24))
         finite = st.floats(allow_nan=False, allow_infinity=False)
         special = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308])
         corr = data.draw(arrays(np.float64, (n, 4), elements=finite | special))
         pair = generate_pair(SceneConfig(n=8, seed=data.draw(st.integers(0, 50))))
-        with np.errstate(all="ignore"):  # huge reals overflow the distances; such rows label 0
-            pair = replace(pair, correspondences=corr, labels=label_inliers(pair.essential, corr))
-            for line in (pair_to_line(pair), text_line(pair)):
-                got = pair_from_line(line, 1)
-                assert got.correspondences.dtype == np.float64 and got.correspondences.flags.writeable
-                assert got.correspondences.tobytes() == corr.tobytes()
-                assert np.array_equal(got.labels, pair.labels)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                labels = label_inliers(pair.essential, corr)
+        except FloatingPointError:  # huge reals overflow the distances
+            labels = None
+        pair = replace(pair, correspondences=corr,
+                       labels=np.zeros(n, np.int64) if labels is None else labels)
+        for line in (pair_to_line(pair), text_line(pair)):
+            if labels is None:
+                with pytest.raises(MalformedRecord, match="line 1: correspondence coordinates overflow"):
+                    pair_from_line(line, 1)
+                continue
+            got = pair_from_line(line, 1)
+            assert got.correspondences.dtype == np.float64 and got.correspondences.flags.writeable
+            assert got.correspondences.tobytes() == corr.tobytes()
+            assert np.array_equal(got.labels, pair.labels)
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         pairs = generate_dataset(SceneConfig(n=16, seed=0), 4, base_seed=3)
