@@ -1,15 +1,19 @@
 """Finite-difference verification suite for every differentiable component.
 
-Each case returns the max relative error between analytic gradients and
-central finite differences; the CLI `gradcheck` command prints one row
-per case and fails if any exceeds the 1e-4 budget.
+Each case is a probe point and a scalar function of it, and its error is
+`autodiff.gradient_error`: the largest relative error of the analytic
+gradient against Richardson-extrapolated central differences, without the
+components probed at a kink. The CLI `gradcheck` command prints one row
+per case and fails if any exceeds the 1e-4 budget or writes into its probe.
 """
+
+import math
 
 import numpy as np
 
 from . import autodiff as ad
 from . import eightpoint
-from .autodiff import ParameterStore, analytic_gradient, central_differences, relative_errors
+from .autodiff import ParameterStore
 from .losses import LossConfig, classification_loss, essential_l2_loss, geometry_loss, total_loss
 from .network import (
     BatchNorm,
@@ -21,6 +25,7 @@ from .network import (
     PointCNUnit,
     SpatialCorrelationUnit,
     _Stage,
+    _solve_batch,
     context_norm,
     desk_config,
     shared_perceptron,
@@ -29,17 +34,12 @@ from .network import (
 from .synthdata import SceneConfig, generate_pair
 
 TOLERANCE = 1e-4
-STEP = 1e-5
 TOY_NETWORK = dict(channels=8, clusters=4, blocks_before_pool=1, blocks_after_unpool=1,
                    level2_blocks=1, expected_points=16)
 
 
-def _proj(rng, shape):
-    return rng.normal(size=shape)
-
-
-def _away_from(rng, shape, avoid, margin, spread=1.0):
-    x = rng.normal(scale=spread, size=shape)
+def _away_from(rng, shape, avoid, margin):
+    x = rng.normal(size=shape)
     x = np.where(np.abs(x - avoid) < margin, x + np.sign(x - avoid + 1e-12) * margin, x)
     return x
 
@@ -48,7 +48,7 @@ def _op_cases(rng):
     """(name, probe point, scalar function) for every engine op."""
     c34 = rng.normal(size=(3, 4))
     c4 = rng.normal(size=4)
-    p34 = _proj(rng, (3, 4))
+    p34 = rng.normal(size=(3, 4))
     cases = []
 
     def case(name, x, fn):
@@ -69,10 +69,10 @@ def _op_cases(rng):
     case("minimum_const", _away_from(rng, (3, 4), 0.5, 0.1),
          lambda t: ad.reduce_sum(ad.minimum_const(t, 0.5) * p34))
     m42 = rng.normal(size=(4, 2))
-    p32 = _proj(rng, (3, 2))
+    p32 = rng.normal(size=(3, 2))
     case("matmul(lhs)", rng.normal(size=(3, 4)), lambda t: ad.reduce_sum(ad.matmul(t, m42) * p32))
     case("matmul(rhs)", rng.normal(size=(4, 2)), lambda t: ad.reduce_sum(ad.matmul(c34, t) * p32))
-    p232 = _proj(rng, (2, 3, 2))
+    p232 = rng.normal(size=(2, 3, 2))
     case("matmul(batched)", rng.normal(size=(2, 3, 4)),
          lambda t: ad.reduce_sum(ad.matmul(t, m42) * p232))
     m242, c234 = rng.normal(size=(2, 4, 2)), rng.normal(size=(2, 3, 4))
@@ -82,34 +82,34 @@ def _op_cases(rng):
          lambda t: ad.reduce_sum(ad.matmul(c234, t) * p232))
     case("matmul(matrix @ batch)", rng.normal(size=(2, 4, 2)),
          lambda t: ad.reduce_sum(ad.matmul(c34, t) * p232))
-    p43 = _proj(rng, (4, 3))
+    p43 = rng.normal(size=(4, 3))
     case("transpose_last2", rng.normal(size=(3, 4)),
          lambda t: ad.reduce_sum(ad.transpose_last2(t) * p43))
-    p12 = _proj(rng, (12,))
+    p12 = rng.normal(size=(12,))
     case("reshape", rng.normal(size=(3, 4)), lambda t: ad.reduce_sum(ad.reshape(t, (12,)) * p12))
-    p38 = _proj(rng, (3, 8))
+    p38 = rng.normal(size=(3, 8))
     case("concat", rng.normal(size=(3, 4)), lambda t: ad.reduce_sum(ad.concat([t, c34], axis=1) * p38))
-    p4 = _proj(rng, (4,))
+    p4 = rng.normal(size=(4,))
     case("take_batch", rng.normal(size=(3, 4)), lambda t: ad.reduce_sum(ad.take_batch(t, 1) * p4))
     case("reduce_sum(all)", rng.normal(size=(3, 4)), lambda t: ad.reduce_sum(t))
     case("reduce_sum(axis)", rng.normal(size=(3, 4)),
          lambda t: ad.reduce_sum(ad.reduce_sum(t, axis=0) * p4))
-    p134 = _proj(rng, (1, 3, 4))
+    p134 = rng.normal(size=(1, 3, 4))
     case("reduce_sum(keepdims)", rng.normal(size=(2, 3, 4)),
          lambda t: ad.reduce_sum(ad.reduce_sum(t, axis=(0,), keepdims=True) * p134))
     case("softmax(last)", rng.normal(size=(3, 4)), lambda t: ad.reduce_sum(ad.softmax(t, axis=1) * p34))
-    p234 = _proj(rng, (2, 3, 4))
+    p234 = rng.normal(size=(2, 3, 4))
     case("softmax(mid)", rng.normal(size=(2, 3, 4)),
          lambda t: ad.reduce_sum(ad.softmax(t, axis=1) * p234))
-    p253a = _proj(rng, (2, 5, 3))
+    p253a = rng.normal(size=(2, 5, 3))
     case("normalize(points)", rng.normal(size=(2, 5, 3)),
          lambda t: ad.reduce_sum(ad.normalize(t, axes=(1,)) * p253a))
-    p253b = _proj(rng, (2, 5, 3))
+    p253b = rng.normal(size=(2, 5, 3))
     case("normalize(batch)", rng.normal(size=(2, 5, 3)),
          lambda t: ad.reduce_sum(ad.normalize(t, axes=(0, 1)) * p253b))
     gamma3, beta3 = rng.normal(1.0, 0.2, 3), rng.normal(0.0, 0.2, 3)
     w32, b2 = rng.normal(size=(3, 2)), rng.normal(size=2)
-    p252 = _proj(rng, (2, 5, 2))
+    p252 = rng.normal(size=(2, 5, 2))
     mean3, inv3 = rng.normal(size=3), rng.uniform(0.5, 2.0, 3)
 
     def bn_relu_linear(t, batch_stats):
@@ -131,8 +131,7 @@ def _op_cases(rng):
 
 
 def _toy_scene(seed=3, n=24, noise=0.5, outliers=0.25):
-    cfg = SceneConfig(n=n, outlier_ratio=outliers, pixel_noise=noise, seed=seed)
-    return generate_pair(cfg)
+    return generate_pair(SceneConfig(n=n, outlier_ratio=outliers, pixel_noise=noise, seed=seed))
 
 
 def _block_cases(rng):
@@ -144,7 +143,7 @@ def _block_cases(rng):
     w85 = rng.normal(size=(8, 5))
     b5 = rng.normal(size=5)
     x_bnd = rng.normal(size=(B, N, D))
-    p_bn5 = _proj(rng, (B, N, 5))
+    p_bn5 = rng.normal(size=(B, N, 5))
     cases.append(("shared_perceptron(input)", x_bnd,
                   lambda t: ad.reduce_sum(shared_perceptron(t, w85, b5) * p_bn5)))
     cases.append(("shared_perceptron(weight)", w85,
@@ -152,37 +151,25 @@ def _block_cases(rng):
     cases.append(("shared_perceptron(bias)", b5,
                   lambda t: ad.reduce_sum(shared_perceptron(x_bnd, w85, t) * p_bn5)))
 
-    p_bnd = _proj(rng, (B, N, D))
+    p_bnd = rng.normal(size=(B, N, D))
     cases.append(("context_norm", rng.normal(size=(B, N, D)),
                   lambda t: ad.reduce_sum(context_norm(t) * p_bnd)))
 
-    def bn_case(mode):
-        store = ParameterStore()
-        bn = BatchNorm(store, "bn", D)
+    for mode in ("train", "eval"):
+        x = rng.normal(size=(B, N, D))
+        bn = BatchNorm(ParameterStore(), "bn", D)
         bn.gamma.data[...] = rng.normal(1.0, 0.2, D)
         bn.beta.data[...] = rng.normal(0.0, 0.2, D)
+        cases.append((f"batch_norm({mode})", x,
+                      lambda t, bn=bn, mode=mode: ad.reduce_sum(bn(t, mode) * p_bnd)))
 
-        def fn(t):
-            return ad.reduce_sum(bn(t, mode) * p_bnd)
+    def layer_case(name, layer, shape):
+        proj = rng.normal(size=shape)
+        cases.append((name, rng.normal(size=shape),
+                      lambda t: ad.reduce_sum(layer(t, "train") * proj)))
 
-        return fn
-
-    cases.append(("batch_norm(train)", rng.normal(size=(B, N, D)), bn_case("train")))
-    cases.append(("batch_norm(eval)", rng.normal(size=(B, N, D)), bn_case("eval")))
-
-    def layer_case(factory, shape, proj_shape, mode="train"):
-        store = ParameterStore()
-        layer = factory(store)
-        proj = _proj(rng, proj_shape)
-
-        def fn(t):
-            return ad.reduce_sum(layer(t, mode) * proj)
-
-        return rng.normal(size=shape), fn
-
-    x, fn = layer_case(lambda s: PointCNResBlock(s, "blk", D, np.random.default_rng(0)),
-                       (B, N, D), (B, N, D))
-    cases.append(("pointcn_resnet_block", x, fn))
+    layer_case("pointcn_resnet_block",
+               PointCNResBlock(ParameterStore(), "blk", D, np.random.default_rng(0)), (B, N, D))
 
     # the fused BN -> ReLU -> perceptron node, probed through each of its inputs
     for mode in ("train", "eval"):
@@ -201,14 +188,12 @@ def _block_cases(rng):
                           _probe_attr(owner, attr, lambda unit=unit, x=x_unit, mode=mode:
                                       ad.reduce_sum(unit(x, mode) * p_bn5))))
 
-    store = ParameterStore()
-    pool = DiffPool(store, "pool", D, M, np.random.default_rng(1))
-    p_bmd = _proj(rng, (B, M, D))
+    pool = DiffPool(ParameterStore(), "pool", D, M, np.random.default_rng(1))
+    p_bmd = rng.normal(size=(B, M, D))
     cases.append(("diff_pool", rng.normal(size=(B, N, D)),
                   lambda t: ad.reduce_sum(pool(t, "train")[0] * p_bmd)))
 
-    store = ParameterStore()
-    unpool_oa = DiffUnpool(store, "up", D, M, cfg, np.random.default_rng(2))
+    unpool_oa = DiffUnpool(ParameterStore(), "up", D, M, cfg, np.random.default_rng(2))
     clusters_const = rng.normal(size=(B, M, D))
     x_pre_const = rng.normal(size=(B, N, D))
     cases.append(("diff_unpool(order_aware, nodes)", rng.normal(size=(B, N, D)),
@@ -216,15 +201,14 @@ def _block_cases(rng):
     cases.append(("diff_unpool(order_aware, clusters)", rng.normal(size=(B, M, D)),
                   lambda t: ad.reduce_sum(unpool_oa(ad.as_tensor(x_pre_const), t, "train")[0] * p_bnd)))
 
-    store = ParameterStore()
-    unpool_plain = DiffUnpool(store, "upp", D, M, desk_config(**TOY_NETWORK, unpool_variant="plain"),
-                              np.random.default_rng(3))
+    unpool_plain = DiffUnpool(ParameterStore(), "upp", D, M,
+                              desk_config(**TOY_NETWORK, unpool_variant="plain"), np.random.default_rng(3))
     cases.append(("diff_unpool(plain)", rng.normal(size=(B, M, D)),
                   lambda t: ad.reduce_sum(unpool_plain(ad.as_tensor(x_pre_const), t, "train")[0] * p_bnd)))
 
     wmm = rng.normal(size=(M, M))
     bm = rng.normal(size=M)
-    p_bmd2 = _proj(rng, (B, M, D))
+    p_bmd2 = rng.normal(size=(B, M, D))
     cases.append(("spatial_correlation(input)", rng.normal(size=(B, M, D)),
                   lambda t: ad.reduce_sum(spatial_correlation(t, wmm, bm) * p_bmd2)))
     cases.append(("spatial_correlation(weight)", wmm,
@@ -232,19 +216,16 @@ def _block_cases(rng):
     cases.append(("spatial_correlation(bias)", bm,
                   lambda t: ad.reduce_sum(spatial_correlation(clusters_const, wmm, t) * p_bmd2)))
 
-    x, fn = layer_case(lambda s: SpatialCorrelationUnit(s, "sc", M, D, np.random.default_rng(4)),
-                       (B, M, D), (B, M, D))
-    cases.append(("spatial_correlation_unit", x, fn))
-
-    x, fn = layer_case(lambda s: OrderAwareBlock(s, "oa", M, D, np.random.default_rng(5)),
-                       (B, M, D), (B, M, D))
-    cases.append(("order_aware_block", x, fn))
+    layer_case("spatial_correlation_unit",
+               SpatialCorrelationUnit(ParameterStore(), "sc", M, D, np.random.default_rng(4)), (B, M, D))
+    layer_case("order_aware_block",
+               OrderAwareBlock(ParameterStore(), "oa", M, D, np.random.default_rng(5)), (B, M, D))
 
     # pool and unpool heads reading one shared context norm of the level-1 features;
     # its own generator keeps the stream of the cases after it unchanged
     stage_rng = np.random.default_rng(7)
     stage = _Stage(ParameterStore(), "stage", cfg, 4, stage_rng)
-    p_bn = _proj(stage_rng, (B, N))
+    p_bn = stage_rng.normal(size=(B, N))
     cases.append(("stage(shared context norm)", stage_rng.normal(size=(B, N, 4)),
                   lambda t: ad.reduce_sum(stage(t, "train")[0] * p_bn)))
     return cases
@@ -287,22 +268,6 @@ def _loss_cases(rng):
     return cases
 
 
-def _eightpoint_backward_error(seed=5):
-    """Eigendecomposition backward vs central differences, outside the engine."""
-    rng = np.random.default_rng(seed)
-    pair = _toy_scene(seed=seed)
-    C = pair.correspondences
-    w = rng.uniform(0.2, 1.0, size=len(C))
-    upstream = rng.normal(size=(3, 3))
-    _, ctx = eightpoint.weighted_eightpoint_with_context(C, w)
-    if ctx.eigengap <= 1e-6:
-        raise RuntimeError("toy scene eigengap too small for a reliable check")
-    analytic = eightpoint.backward_from_context(ctx, upstream)
-    numeric = central_differences(
-        lambda t: ad.Tensor(np.sum(upstream * eightpoint.weighted_eightpoint(C, t.data))), w, STEP)
-    return float(np.max(relative_errors(analytic, numeric)))
-
-
 def _full_network_cases(rng):
     """Whole-graph probes: parameter gradients through the solver and both losses."""
     cfg = desk_config(**TOY_NETWORK)
@@ -326,32 +291,30 @@ def _full_network_cases(rng):
     return cases
 
 
-def _case_error(fn, x):
-    """Max relative gradient error of one case; a failing case is checked again without kinks.
-
-    A probe within the step of a ReLU kink makes the central difference, not
-    the gradient, wrong there, and that difference moves between the step and
-    a tenth of it. A wrong backward still fails on the other components.
-    """
-    analytic = analytic_gradient(fn, x)
-    coarse = central_differences(fn, x, STEP)
-    errors = relative_errors(analytic, coarse)
-    if errors.max() >= TOLERANCE:
-        kinked = relative_errors(coarse, central_differences(fn, x, STEP / 10)) >= TOLERANCE
-        if not kinked.all():
-            errors = errors[~kinked]
-    return float(errors.max())
+def _solver_cases(rng):
+    """The eigendecomposition backward, probed through the weights of the network's solve."""
+    C = _toy_scene(seed=int(rng.integers(2**31))).correspondences
+    w = rng.uniform(0.2, 1.0, size=len(C))
+    upstream = rng.normal(size=(3, 3))
+    if eightpoint.weighted_eightpoint_with_context(C, w)[1].eigengap <= 1e-6:
+        raise RuntimeError("toy scene eigengap too small for a reliable check")
+    return [("weighted_eightpoint_backward(eigendecomposition)", w,
+             lambda t: ad.reduce_sum(_solve_batch(C[None], ad.reshape(t, (1, -1)))[0][0] * upstream))]
 
 
 def run_gradcheck(seed=0):
-    """Run every case; returns (rows, all_passed) with rows of (name, err, passed)."""
+    """Run every case; returns (rows, all_passed) with rows of (name, err, passed).
+
+    A case whose function writes into its probe fails with an infinite error.
+    """
     rng = np.random.default_rng(seed)
-    cases = _op_cases(rng) + _block_cases(rng) + _loss_cases(rng) + _full_network_cases(rng)
+    cases = (_op_cases(rng) + _block_cases(rng) + _loss_cases(rng) + _full_network_cases(rng)
+             + _solver_cases(rng))
     rows = []
     for name, x, fn in cases:
-        err = _case_error(fn, x)
+        try:
+            err = ad.gradient_error(fn, x)
+        except ad.ProbeModified:
+            err = math.inf
         rows.append((name, err, err < TOLERANCE))
-    err = _eightpoint_backward_error()
-    rows.append(("weighted_eightpoint_backward(eigendecomposition)", err, err < TOLERANCE))
     return rows, all(passed for _, _, passed in rows)
-
