@@ -722,8 +722,10 @@ def numeric_gradient(f, x):
 
 
 def relative_errors(a, b):
-    """|a - b| / max(|a|, |b|, 1e-8), per component."""
-    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
+    """|a - b| / max(|a|, |b|, 1e-2 of their largest, 1e-8), per component."""
+    # rounding is about alike on every component of a row, up to 1.6e-7 of its largest
+    scale = np.maximum(np.abs(a), np.abs(b))
+    return np.abs(a - b) / np.maximum(scale, max(1e-2 * scale.max(), 1e-8))
 
 
 def gradient_error(f, x):

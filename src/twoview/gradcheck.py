@@ -259,12 +259,12 @@ def _loss_cases(rng):
     e_gt = pair.essential
     e_probe = e_gt + 0.3 * rng.normal(size=(3, 3))
     e_probe /= np.linalg.norm(e_probe)
-    cases.append(("essential_l2_loss", e_probe, lambda t: essential_l2_loss(t, e_gt)))
+    cases.append(("essential_l2_loss", e_probe[None], lambda t: ad.reduce_sum(essential_l2_loss(t, e_gt))))
 
-    inliers = pair.correspondences[pair.labels > 0]
     e_near = e_gt + 1e-3 * rng.normal(size=(3, 3))
     e_near /= np.linalg.norm(e_near)
-    cases.append(("geometry_loss", e_near, lambda t: geometry_loss(t, inliers, clamp=0.1)))
+    cases.append(("geometry_loss", e_near[None], lambda t: ad.reduce_sum(
+        geometry_loss(t, pair.correspondences[None], pair.labels[None], clamp=0.1))))
     return cases
 
 

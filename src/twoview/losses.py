@@ -82,68 +82,65 @@ def classification_loss(z, labels, balanced=True, counters: LossCounters = None)
 
 
 def essential_l2_loss(e_hat, e_gt):
-    """min over sign of the Frobenius distance between unit-norm essential matrices."""
-    e_hat = ad.as_tensor(e_hat)
-    e_gt = np.asarray(e_gt, dtype=np.float64).reshape(3, 3)
-    d_minus = ad.sqrt(ad.reduce_sum((e_hat - e_gt) * (e_hat - e_gt)))
-    d_plus = ad.sqrt(ad.reduce_sum((e_hat + e_gt) * (e_hat + e_gt)))
-    # eager values let us pick the branch; backward follows the chosen side
-    return d_minus if float(d_minus.data) <= float(d_plus.data) else d_plus
+    """K per-sample min over sign of the Frobenius distance between unit-norm essentials.
 
-
-def geometry_loss(e_hat, inlier_corr, clamp=0.1):
-    """Mean clamped symmetric epipolar distance of the ground-truth inliers.
-
-    Rows whose denominator degenerates contribute the clamp value and no
-    gradient.
+    The eager values pick each sample's sign; backward follows the chosen side.
     """
     e_hat = ad.as_tensor(e_hat)
-    C = np.asarray(inlier_corr, dtype=np.float64).reshape(-1, 4)
-    if len(C) == 0:
-        raise NoInliers("geometry loss needs at least one ground-truth inlier")
-    n = len(C)
-    p1 = np.column_stack([C[:, 0], C[:, 1], np.ones(n)])
-    p2 = np.column_stack([C[:, 2], C[:, 3], np.ones(n)])
-    ep1 = ad.matmul(ad.as_tensor(p1), ad.transpose_last2(e_hat))   # rows E @ p1_i
-    etp2 = ad.matmul(ad.as_tensor(p2), e_hat)                      # rows E^T @ p2_i
-    residual = ad.reduce_sum(ep1 * p2, axis=1)
+    e_gt = np.asarray(e_gt, dtype=np.float64).reshape(e_hat.shape)
+    d_minus = np.linalg.norm(e_hat.data - e_gt, axis=(1, 2))
+    d_plus = np.linalg.norm(e_hat.data + e_gt, axis=(1, 2))
+    diff = e_hat - e_gt * np.where(d_minus <= d_plus, 1.0, -1.0)[:, None, None]
+    return ad.sqrt(ad.reduce_sum(diff * diff, axis=(1, 2)))
+
+
+def geometry_loss(e_hat, corr, labels, clamp=0.1):
+    """K per-sample means of the clamped symmetric epipolar distance of the ground-truth inliers.
+
+    e_hat is (K, 3, 3), corr (K, N, 4) and labels (K, N). Each row is weighted by its inlier
+    indicator over the sample's inlier count, so outliers add exact zeros. Rows whose
+    denominator degenerates contribute the clamp value and no gradient.
+    """
+    C = np.asarray(corr, dtype=np.float64)
+    inlier = (np.asarray(labels) > 0).astype(np.float64)
+    n_in = inlier.sum(axis=1)
+    if not np.all(n_in > 0):
+        raise NoInliers("geometry loss needs at least one ground-truth inlier per sample")
+    ones = np.ones(C.shape[:2] + (1,))
+    p1 = np.concatenate([C[..., :2], ones], axis=2)
+    p2 = np.concatenate([C[..., 2:], ones], axis=2)
+    ep1 = ad.matmul(p1, ad.transpose_last2(e_hat))   # rows E @ p1_i
+    etp2 = ad.matmul(p2, e_hat)                      # rows E^T @ p2_i
+    residual = ad.reduce_sum(ep1 * p2, axis=2)
     num = residual * residual
-    den = ad.reduce_sum(ep1 * ep1 * _FIRST_TWO, axis=1) \
-        + ad.reduce_sum(etp2 * etp2 * _FIRST_TWO, axis=1)
+    den = ad.reduce_sum(ep1 * ep1 * _FIRST_TWO, axis=2) \
+        + ad.reduce_sum(etp2 * etp2 * _FIRST_TWO, axis=2)
     degenerate = (den.data < EPIPOLE_DENOM_MIN).astype(np.float64)
     good = 1.0 - degenerate
     # degenerate rows: constant clamp contribution, zero gradient
     dist = ad.minimum_const(num / (den + degenerate), clamp) * good + degenerate * clamp
-    return ad.reduce_sum(dist) * (1.0 / n)
+    return ad.reduce_sum(dist * (inlier / n_in[:, None]), axis=1)
 
 
 def total_loss(z, labels, essentials, e_gts, corr, cfg: LossConfig, iteration,
                counters: LossCounters = None):
     """Classification loss plus the alpha-scheduled essential term.
 
-    The essential term switches on after `cfg.warmup` iterations and
-    averages over the samples whose solver pass succeeded (entries of
-    `essentials` may be None).
+    The essential term switches on after `cfg.warmup` iterations and is
+    computed once over the samples whose solver pass succeeded (entries of
+    `essentials` may be None) and, for `geometry`, that have an inlier.
     """
     cls = classification_loss(z, labels, balanced=cfg.balanced, counters=counters)
     if iteration < cfg.warmup or cfg.alpha == 0.0:
         return cls
     labels = np.asarray(labels)
-    e_gts = np.asarray(e_gts, dtype=np.float64).reshape(-1, 3, 3)
-    terms = []
-    for b, e_hat in enumerate(essentials):
-        if e_hat is None:
-            continue
-        if cfg.kind == "l2":
-            terms.append(essential_l2_loss(e_hat, e_gts[b]))
-        else:
-            inliers = corr[b][labels[b] > 0]
-            if len(inliers) == 0:
-                continue
-            terms.append(geometry_loss(e_hat, inliers, cfg.clamp))
-    if not terms:
+    keep = [b for b, e_hat in enumerate(essentials)
+            if e_hat is not None and (cfg.kind == "l2" or np.any(labels[b] > 0))]
+    if not keep:
         return cls
-    ess = terms[0]
-    for t in terms[1:]:
-        ess = ess + t
-    return cls + (cfg.alpha / len(terms)) * ess
+    e_hat = ad.concat([ad.reshape(essentials[b], (1, 3, 3)) for b in keep], axis=0)
+    if cfg.kind == "l2":
+        terms = essential_l2_loss(e_hat, np.asarray(e_gts)[keep])
+    else:
+        terms = geometry_loss(e_hat, np.asarray(corr)[keep], labels[keep], cfg.clamp)
+    return cls + (cfg.alpha / len(keep)) * ad.reduce_sum(terms)

@@ -13,12 +13,19 @@ from twoview.losses import (
     geometry_loss,
     total_loss,
 )
-from twoview.epipolar import symmetric_epipolar_distances
+from twoview.epipolar import EPIPOLE_DENOM_MIN, symmetric_epipolar_distances
+from twoview.network import Network, desk_config
 from twoview.synthdata import SceneConfig, generate_pair
 
 
 def scene(seed=0, n=32, outliers=0.25, noise=0.5):
     return generate_pair(SceneConfig(n=n, outlier_ratio=outliers, pixel_noise=noise, seed=seed))
+
+
+def epipole_row(E):
+    """A correspondence at the two epipoles of E (E e1 = 0, E^T e2 = 0): its denominator vanishes."""
+    e1, e2 = np.linalg.svd(E)[2][2], np.linalg.svd(E.T)[2][2]
+    return np.r_[e1[:2] / e1[2], e2[:2] / e2[2]]
 
 
 class TestClassificationLoss:
@@ -98,21 +105,31 @@ class TestClassificationLoss:
             assert np.array_equal(z.grad, z_ref.grad)
 
 
+def one_l2(e_hat, e_gt):
+    """essential_l2_loss of a one-sample batch (K = 1)."""
+    return essential_l2_loss(ad.reshape(e_hat, (1, 3, 3)), np.reshape(e_gt, (1, 3, 3)))
+
+
+def one_geometry(e_hat, rows, clamp=0.1):
+    """geometry_loss of a one-sample batch (K = 1) whose rows are all inliers."""
+    return geometry_loss(ad.reshape(e_hat, (1, 3, 3)), rows[None], np.ones((1, len(rows))), clamp)
+
+
 class TestEssentialL2Loss:
     def test_equal_is_zero(self):
         pair = scene()
-        assert float(essential_l2_loss(Tensor(pair.essential), pair.essential).data) == 0.0
+        assert one_l2(Tensor(pair.essential), pair.essential).data[0] == 0.0
 
     def test_sign_flip_is_zero(self):
         pair = scene()
-        assert float(essential_l2_loss(Tensor(-pair.essential), pair.essential).data) == 0.0
+        assert one_l2(Tensor(-pair.essential), pair.essential).data[0] == 0.0
 
     def test_orthogonal_unit_matrices(self):
         a = np.zeros((3, 3))
         a[0, 0] = 1.0
         b = np.zeros((3, 3))
         b[1, 1] = 1.0
-        loss = float(essential_l2_loss(Tensor(a), b).data)
+        loss = one_l2(Tensor(a), b).data[0]
         assert abs(loss - np.sqrt(2.0)) < 1e-12
 
     def test_sign_symmetry_exact(self):
@@ -121,8 +138,7 @@ class TestEssentialL2Loss:
         e_hat /= np.linalg.norm(e_hat)
         pair = scene(seed=3)
         e = pair.essential
-        values = {float(essential_l2_loss(Tensor(s1 * e_hat), s2 * e).data)
-                  for s1 in (1, -1) for s2 in (1, -1)}
+        values = {one_l2(Tensor(s1 * e_hat), s2 * e).data[0] for s1 in (1, -1) for s2 in (1, -1)}
         assert len(values) == 1
 
     def test_gradient(self):
@@ -130,14 +146,14 @@ class TestEssentialL2Loss:
         pair = scene(seed=5)
         probe = pair.essential + 0.3 * rng.normal(size=(3, 3))
         probe /= np.linalg.norm(probe)
-        assert gradient_error(lambda t: essential_l2_loss(t, pair.essential), probe) < 1e-4
+        assert gradient_error(lambda t: ad.reduce_sum(one_l2(t, pair.essential)), probe) < 1e-4
 
 
 class TestGeometryLoss:
     def test_ground_truth_on_exact_inliers_is_zero(self):
         pair = scene(noise=0.0)
         inliers = pair.correspondences[pair.labels > 0]
-        loss = float(geometry_loss(Tensor(pair.essential), inliers).data)
+        loss = one_geometry(Tensor(pair.essential), inliers).data[0]
         assert loss < 1e-20
 
     def test_clamp_saturation(self):
@@ -145,31 +161,32 @@ class TestGeometryLoss:
         inliers = pair.correspondences[pair.labels > 0]
         far = np.zeros((3, 3))
         far[2, 2] = 1.0  # distances blow up for generic points
-        loss = float(geometry_loss(Tensor(far), inliers, clamp=0.1).data)
+        loss = one_geometry(Tensor(far), inliers, clamp=0.1).data[0]
         assert loss == pytest.approx(0.1, abs=1e-15)
 
     def test_rows_at_the_epipoles_contribute_the_clamp(self):
         pair = scene(seed=12)
         E = pair.essential
-        e1, e2 = np.linalg.svd(E)[2][2], np.linalg.svd(E.T)[2][2]   # E e1 = 0, E^T e2 = 0
-        at_epipoles = np.r_[e1[:2] / e1[2], e2[:2] / e2[2]]
-        rows = np.vstack([pair.correspondences[pair.labels > 0][:6], at_epipoles])
+        rows = np.vstack([pair.correspondences[pair.labels > 0][:6], epipole_row(E)])
         dist = symmetric_epipolar_distances(E, rows)
         assert np.isinf(dist[-1]) and np.isfinite(dist[:-1]).all()
-        loss = float(geometry_loss(Tensor(E), rows, clamp=0.1).data)
+        loss = one_geometry(Tensor(E), rows, clamp=0.1).data[0]
         assert loss == pytest.approx(np.minimum(dist, 0.1).mean(), rel=1e-12)
 
     def test_scale_invariance(self):
         pair = scene(seed=7)
         inliers = pair.correspondences[pair.labels > 0]
         e = pair.essential + 0.01 * np.random.default_rng(8).normal(size=(3, 3))
-        l1 = float(geometry_loss(Tensor(e), inliers).data)
-        l2 = float(geometry_loss(Tensor(3.7 * e), inliers).data)
+        l1 = one_geometry(Tensor(e), inliers).data[0]
+        l2 = one_geometry(Tensor(3.7 * e), inliers).data[0]
         assert abs(l1 - l2) < 1e-12
 
     def test_no_inliers_rejected(self):
+        pair = scene(seed=13)
+        corr = np.stack([pair.correspondences] * 2)
+        labels = np.stack([pair.labels, np.zeros_like(pair.labels)])  # the second has none
         with pytest.raises(NoInliers):
-            geometry_loss(Tensor(np.eye(3)), np.zeros((0, 4)))
+            geometry_loss(Tensor(np.stack([pair.essential] * 2)), corr, labels)
 
     def test_gradient_away_from_clamp(self):
         rng = np.random.default_rng(9)
@@ -177,7 +194,7 @@ class TestGeometryLoss:
         inliers = pair.correspondences[pair.labels > 0]
         probe = pair.essential + 1e-3 * rng.normal(size=(3, 3))
         probe /= np.linalg.norm(probe)
-        assert gradient_error(lambda t: geometry_loss(t, inliers, clamp=0.1), probe) < 1e-4
+        assert gradient_error(lambda t: ad.reduce_sum(one_geometry(t, inliers, clamp=0.1)), probe) < 1e-4
 
 
 class TestTotalLoss:
@@ -204,7 +221,7 @@ class TestTotalLoss:
         cfg = LossConfig(kind="l2", warmup=100)
         total = total_loss(z, labels, [e_hat], egts, corr, cfg, iteration=100)
         cls = float(classification_loss(z, labels).data)
-        ess = float(essential_l2_loss(e_hat, egts[0]).data)
+        ess = one_l2(e_hat, egts[0]).data[0]
         assert float(total.data) == pytest.approx(cls + 0.1 * ess, rel=1e-12)
 
     def test_alpha_zero_reduces_to_classification(self):
@@ -223,3 +240,111 @@ class TestTotalLoss:
         assert LossConfig(kind="geometry").alpha == 0.5
         assert LossConfig(kind="l2").alpha == 0.1
         assert LossConfig().warmup == 500
+
+    def test_desk_step_loss_builds_at_most_45_nodes(self, monkeypatch):
+        # B = 8 at N = 512 on 60% outliers; one graph per sample built 177 nodes here
+        pairs = [scene(seed=40 + b, n=512, outliers=0.6, noise=1.0) for b in range(8)]
+        corr = np.stack([p.correspondences for p in pairs])
+        labels = np.stack([p.labels for p in pairs])
+        out = Network(desk_config(), seed=0).forward(corr, mode="train")
+        assert all(e is not None for e in out.essentials)
+        nodes, make = [], ad._make
+
+        def counting_make(*args):
+            t = make(*args)
+            if t.node is not None:
+                nodes.append(t.op)
+            return t
+
+        monkeypatch.setattr(ad, "_make", counting_make)
+        total_loss(out.logits, labels, out.essentials, np.stack([p.essential for p in pairs]), corr,
+                   LossConfig(kind="geometry", warmup=0), 0)
+        assert len(nodes) <= 45, nodes
+
+
+def reference_l2(e_hat, e_gt):
+    """The per-sample essential_l2_loss that the batched term replaced."""
+    e_gt = np.asarray(e_gt, dtype=np.float64).reshape(3, 3)
+    d_minus = ad.sqrt(ad.reduce_sum((e_hat - e_gt) * (e_hat - e_gt)))
+    d_plus = ad.sqrt(ad.reduce_sum((e_hat + e_gt) * (e_hat + e_gt)))
+    return d_minus if float(d_minus.data) <= float(d_plus.data) else d_plus
+
+
+def reference_geometry(e_hat, C, clamp):
+    """The per-sample geometry_loss that the batched term replaced, on one sample's inlier rows."""
+    n = len(C)
+    p1 = np.column_stack([C[:, 0], C[:, 1], np.ones(n)])
+    p2 = np.column_stack([C[:, 2], C[:, 3], np.ones(n)])
+    ep1 = ad.matmul(ad.as_tensor(p1), ad.transpose_last2(e_hat))
+    etp2 = ad.matmul(ad.as_tensor(p2), e_hat)
+    residual = ad.reduce_sum(ep1 * p2, axis=1)
+    num = residual * residual
+    first_two = np.array([1.0, 1.0, 0.0])
+    den = ad.reduce_sum(ep1 * ep1 * first_two, axis=1) + ad.reduce_sum(etp2 * etp2 * first_two, axis=1)
+    degenerate = (den.data < EPIPOLE_DENOM_MIN).astype(np.float64)
+    good = 1.0 - degenerate
+    dist = ad.minimum_const(num / (den + degenerate), clamp) * good + degenerate * clamp
+    return ad.reduce_sum(dist) * (1.0 / n)
+
+
+def reference_total(z, labels, essentials, e_gts, corr, cfg):
+    """total_loss past warm-up as a loop that builds one essential term per sample."""
+    terms = []
+    for b, e_hat in enumerate(essentials):
+        if e_hat is None:
+            continue
+        if cfg.kind == "l2":
+            terms.append(reference_l2(e_hat, e_gts[b]))
+        elif np.any(labels[b] > 0):
+            terms.append(reference_geometry(e_hat, corr[b][labels[b] > 0], cfg.clamp))
+    ess = terms[0]
+    for t in terms[1:]:
+        ess = ess + t
+    return classification_loss(z, labels, balanced=cfg.balanced) + (cfg.alpha / len(terms)) * ess
+
+
+class TestBatchedTermAgainstPerSampleLoop:
+    @staticmethod
+    def batch():
+        """B = 8 rank-2 unit estimates: sample 2 did not solve, sample 5 has no inlier, sample 3
+        has an inlier row at its estimate's epipoles and sample 4 is sign-flipped."""
+        rng = np.random.default_rng(23)
+        pairs = [scene(seed=60 + b, n=64, outliers=0.5) for b in range(8)]
+        corr = np.stack([p.correspondences for p in pairs])
+        labels = np.stack([p.labels for p in pairs])
+        e_gts = np.stack([p.essential for p in pairs])
+        u, sv, vt = np.linalg.svd(e_gts + 0.3 * rng.normal(size=(8, 3, 3)))
+        sv[:, 2] = 0.0
+        e_hats = u @ (sv[:, :, None] * vt)
+        e_hats /= np.linalg.norm(e_hats, axis=(1, 2), keepdims=True)
+        e_hats[4] *= -1.0
+        labels[5] = 0
+        corr[3, 0], labels[3, 0] = epipole_row(e_hats[3]), 1
+        z = rng.normal(size=labels.shape)
+        return z, labels, e_hats, e_gts, corr
+
+    @pytest.mark.parametrize("kind", ["l2", "geometry"])
+    def test_matches_the_loop(self, kind):
+        z0, labels, e_hats, e_gts, corr = self.batch()
+        dist = [symmetric_epipolar_distances(e_hats[b], corr[b][labels[b] > 0]) for b in (0, 1, 3)]
+        assert all((d > 0.1).any() and (d < 0.1).any() for d in dist)  # rows on both sides of the clamp
+        assert np.isinf(dist[2][0]) and np.isfinite(dist[2][1:]).all()
+        cfg = LossConfig(kind=kind, warmup=0)
+        results = []
+        for loss_fn in (total_loss, reference_total):
+            z = Tensor(z0.copy(), requires_grad=True)
+            essentials = [None if b == 2 else Tensor(e.copy(), requires_grad=True)
+                          for b, e in enumerate(e_hats)]
+            extra = (cfg, 0) if loss_fn is total_loss else (cfg,)
+            loss = loss_fn(z, labels, essentials, e_gts, corr, *extra)
+            ad.backward(loss)
+            results.append((float(loss.data), z.grad, [e and e.grad for e in essentials]))
+        (loss, z_grad, grads), (ref, z_ref, ref_grads) = results
+        assert abs(loss - ref) <= 1e-15 * abs(ref)
+        assert np.array_equal(z_grad, z_ref)
+        skipped = {2} if kind == "l2" else {2, 5}
+        for b in range(8):
+            if b in skipped:
+                assert grads[b] is None and ref_grads[b] is None
+            else:
+                assert np.abs(grads[b] - ref_grads[b]).max() <= 1e-14 * np.abs(ref_grads[b]).max()
