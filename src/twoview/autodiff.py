@@ -8,8 +8,8 @@ and a Node holds the gradient, the backward closure and the parent
 
 - mul, div and matmul keep an operand's data only when the other operand
   takes a gradient (div always keeps its divisor);
-- add, sub, neg, reshape, concat, transpose_last2, reduce_sum and
-  take_batch keep only shapes;
+- add, sub, neg, reshape, concat, transpose_last2 and reduce_sum keep
+  only shapes;
 - relu, minimum_const, tanh, sqrt, softmax and normalize keep their own
   output (normalize also its scale), softplus its input and output;
 - bn_relu_linear keeps its ReLU output, its input's and weight's data and
@@ -462,22 +462,6 @@ def concat(tensors, axis=-1):
                 n.accum(g[tuple(idx)])
 
     return _make(out, ts, "concat", bwd)
-
-
-def take_batch(a, index):
-    """Select one slice along the leading axis."""
-    a = as_tensor(a)
-    if not 0 <= index < a.shape[0]:
-        raise ShapeMismatch(f"take_batch: index {index} out of range for {a.shape}")
-    out = a.data[index].copy()
-    na, a_shape = a.node, a.shape
-
-    def bwd(g):
-        full = np.zeros(a_shape)
-        full[index] = g
-        na.accum(full, owned=True)
-
-    return _make(out, (a,), "take_batch", bwd)
 
 
 def reduce_sum(a, axis=None, keepdims=False):

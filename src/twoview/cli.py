@@ -25,6 +25,7 @@ from .config import ConfigError, load_run_config, write_network_config
 from .evalbench import (
     METHODS,
     MissingCheckpoint,
+    checkpoint_config,
     compare_methods,
     export_cluster_responses,
     load_network,
@@ -123,13 +124,7 @@ def cmd_train(args):
     started = _now()
     run = load_run_config(args.config)
     pairs = read_dataset(args.dataset)
-    net_cfg = run.network
-    if args.resume:
-        from .config import read_network_config
-
-        if not os.path.exists(args.resume):
-            raise MissingCheckpoint(f"resume checkpoint not found: {args.resume}")
-        net_cfg = read_network_config(args.resume + ".netconfig")
+    net_cfg = checkpoint_config(args.resume) if args.resume else run.network
     params = run.train if args.steps is None else replace(run.train, steps=args.steps)
 
     log_path = args.out + ".trainlog.csv"

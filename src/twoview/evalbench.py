@@ -95,14 +95,20 @@ def classification_prf(predicted_mask, labels):
     return precision, recall, f, flagged
 
 
-def load_network(checkpoint_path):
-    """Rebuild a network from a checkpoint and its `.netconfig` sidecar."""
+def checkpoint_config(checkpoint_path):
+    """The network config in a checkpoint's `.netconfig` sidecar; MissingCheckpoint names
+    whichever of the two files is missing."""
     if not os.path.exists(checkpoint_path):
         raise MissingCheckpoint(f"checkpoint not found: {checkpoint_path}")
     config_path = checkpoint_path + ".netconfig"
     if not os.path.exists(config_path):
         raise MissingCheckpoint(f"network config not found: {config_path}")
-    net = Network(read_network_config(config_path), seed=0)
+    return read_network_config(config_path)
+
+
+def load_network(checkpoint_path):
+    """Rebuild a network from a checkpoint and its `.netconfig` sidecar."""
+    net = Network(checkpoint_config(checkpoint_path), seed=0)
     ad.load_checkpoint(net.store, checkpoint_path)
     return net
 
@@ -140,8 +146,7 @@ def _network_outputs(net, pairs):
                 chunk = indices[start:start + size]
                 out = net.forward(np.stack([pairs[i].correspondences for i in chunk]),
                                   mode="eval")
-                for b, i in enumerate(chunk):
-                    e = out.essentials[b]
+                for b, (i, e) in enumerate(zip(chunk, out.essentials)):
                     outputs[i] = (out.logits.data[b], out.weights.data[b],
                                   None if e is None else e.data)
     return outputs

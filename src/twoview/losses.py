@@ -15,10 +15,6 @@ class DegenerateLabels(ValueError):
     """Every sample in the batch is missing one of the two classes."""
 
 
-class NoInliers(ValueError):
-    """The geometry loss got a sample without a single ground-truth inlier."""
-
-
 @dataclass
 class LossCounters:
     skipped_samples: int = 0
@@ -98,14 +94,13 @@ def geometry_loss(e_hat, corr, labels, clamp=0.1):
     """K per-sample means of the clamped symmetric epipolar distance of the ground-truth inliers.
 
     e_hat is (K, 3, 3), corr (K, N, 4) and labels (K, N). Each row is weighted by its inlier
-    indicator over the sample's inlier count, so outliers add exact zeros. Rows whose
-    denominator degenerates contribute the clamp value and no gradient.
+    indicator over the sample's inlier count, so outliers add exact zeros and a sample without
+    an inlier gives exactly 0. Rows whose denominator degenerates contribute the clamp value
+    and no gradient.
     """
     C = np.asarray(corr, dtype=np.float64)
     inlier = (np.asarray(labels) > 0).astype(np.float64)
-    n_in = inlier.sum(axis=1)
-    if not np.all(n_in > 0):
-        raise NoInliers("geometry loss needs at least one ground-truth inlier per sample")
+    n_in = np.maximum(inlier.sum(axis=1), 1.0)
     ones = np.ones(C.shape[:2] + (1,))
     p1 = np.concatenate([C[..., :2], ones], axis=2)
     p2 = np.concatenate([C[..., 2:], ones], axis=2)
@@ -122,25 +117,24 @@ def geometry_loss(e_hat, corr, labels, clamp=0.1):
     return ad.reduce_sum(dist * (inlier / n_in[:, None]), axis=1)
 
 
-def total_loss(z, labels, essentials, e_gts, corr, cfg: LossConfig, iteration,
+def total_loss(z, labels, essential, solved, e_gts, corr, cfg: LossConfig, iteration,
                counters: LossCounters = None):
     """Classification loss plus the alpha-scheduled essential term.
 
-    The essential term switches on after `cfg.warmup` iterations and is
-    computed once over the samples whose solver pass succeeded (entries of
-    `essentials` may be None) and, for `geometry`, that have an inlier.
+    essential is the (K, 3, 3) stack of the samples whose solver pass
+    succeeded, `solved` their indices, or None when no sample solved. The
+    essential term switches on after `cfg.warmup` iterations and is the mean
+    over those samples, for `geometry` over those that have an inlier.
     """
     cls = classification_loss(z, labels, balanced=cfg.balanced, counters=counters)
-    if iteration < cfg.warmup or cfg.alpha == 0.0:
+    if iteration < cfg.warmup or cfg.alpha == 0.0 or essential is None:
         return cls
-    labels = np.asarray(labels)
-    keep = [b for b, e_hat in enumerate(essentials)
-            if e_hat is not None and (cfg.kind == "l2" or np.any(labels[b] > 0))]
-    if not keep:
-        return cls
-    e_hat = ad.concat([ad.reshape(essentials[b], (1, 3, 3)) for b in keep], axis=0)
+    labels = np.asarray(labels)[solved]
     if cfg.kind == "l2":
-        terms = essential_l2_loss(e_hat, np.asarray(e_gts)[keep])
+        terms, count = essential_l2_loss(essential, np.asarray(e_gts)[solved]), len(solved)
     else:
-        terms = geometry_loss(e_hat, np.asarray(corr)[keep], labels[keep], cfg.clamp)
-    return cls + (cfg.alpha / len(keep)) * ad.reduce_sum(terms)
+        terms = geometry_loss(essential, np.asarray(corr)[solved], labels, cfg.clamp)
+        count = np.count_nonzero(np.any(labels > 0, axis=1))
+        if count == 0:
+            return cls
+    return cls + (cfg.alpha / count) * ad.reduce_sum(terms)

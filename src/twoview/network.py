@@ -16,6 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from . import eightpoint
 from .autodiff import ParameterStore, ShapeMismatch, Tensor
+from .epipolar import symmetric_epipolar_distances
 
 
 @dataclass(frozen=True)
@@ -267,11 +268,20 @@ class DiffUnpool:
 class PredictionOutput:
     logits: Tensor                    # (B, N)
     weights: Tensor                   # (B, N)
-    essentials: list                  # per sample: Tensor (3, 3) or None
+    essential: Tensor                 # (K, 3, 3) of the K samples that solved, or None
+    solved: list                      # their K sample indices, ascending
     failures: list                    # per sample: error name or None
     pool_assign: Tensor = None        # (B, N, M) when pooling is enabled
     unpool_assign: Tensor = None      # (B, N, M)
     stage1: "PredictionOutput" = None
+
+    @property
+    def essentials(self):
+        """Per sample: None, or its essential as a constant (3, 3) Tensor."""
+        per_sample = [None] * len(self.failures)
+        for k, b in enumerate(self.solved):
+            per_sample[b] = Tensor(self.essential.data[k])
+        return per_sample
 
 
 class _Stage:
@@ -316,23 +326,35 @@ class _Stage:
 
 
 def _solve_batch(corr, weights):
-    """Per-sample differentiable eight-point solve; failures become None entries."""
-    essentials, failures = [], []
+    """Differentiable eight-point solve of every sample, as one graph node.
+
+    Returns (essential, solved, failures): the (K, 3, 3) essentials of the K
+    samples that solved (None if none did), their sample indices, and each
+    sample's failure name or None.
+    """
+    essentials, contexts, solved, failures = [], [], [], []
     for b in range(corr.shape[0]):
-        wb = ad.take_batch(weights, b)
         try:
-            e, ctx = eightpoint.weighted_eightpoint_with_context(corr[b], wb.data)
+            e, ctx = eightpoint.weighted_eightpoint_with_context(corr[b], weights.data[b])
         except (eightpoint.InsufficientSupport, eightpoint.EigengapCollapse,
                 eightpoint.SolverBreakdown) as err:
-            essentials.append(None)
             failures.append(type(err).__name__)
             continue
-        essentials.append(ad.custom(
-            (wb,), e,
-            lambda g, ctx=ctx: [eightpoint.backward_from_context(ctx, g)],
-            op="weighted_eightpoint"))
+        essentials.append(e)
+        contexts.append(ctx)
+        solved.append(b)
         failures.append(None)
-    return essentials, failures
+    if not solved:
+        return None, solved, failures
+
+    def backward(g):
+        grad = np.zeros(weights.shape)
+        for b, ctx, g_b in zip(solved, contexts, g):
+            grad[b] = eightpoint.backward_from_context(ctx, g_b)
+        return [grad]
+
+    essential = ad.custom((weights,), np.stack(essentials), backward, op="weighted_eightpoint")
+    return essential, solved, failures
 
 
 class Network:
@@ -371,21 +393,15 @@ class Network:
         z, pool_assign, unpool_assign = stage(inputs, mode)
         w = ad.tanh(ad.relu(z))
         if solve:
-            essentials, failures = _solve_batch(corr, w)
+            essential, solved, failures = _solve_batch(corr, w)
         else:
-            essentials = [None] * corr.shape[0]
-            failures = ["skipped"] * corr.shape[0]
-        return PredictionOutput(z, w, essentials, failures, pool_assign, unpool_assign)
+            essential, solved, failures = None, [], ["skipped"] * corr.shape[0]
+        return PredictionOutput(z, w, essential, solved, failures, pool_assign, unpool_assign)
 
     def _stage2_channels(self, corr, out1):
         """Refinement input: correspondences plus detached residuals and weights."""
-        from .epipolar import symmetric_epipolar_distances
-
-        B, N = corr.shape[0], corr.shape[1]
-        residuals = np.zeros((B, N))
-        for b in range(B):
-            e = out1.essentials[b]
-            if e is not None:
-                # residuals act as input features; cap them so degenerate rows stay finite
-                residuals[b] = np.minimum(symmetric_epipolar_distances(e.data, corr[b]), 1.0)
+        residuals = np.zeros(corr.shape[:2])
+        for k, b in enumerate(out1.solved):
+            # residuals act as input features; cap them so degenerate rows stay finite
+            residuals[b] = np.minimum(symmetric_epipolar_distances(out1.essential.data[k], corr[b]), 1.0)
         return np.concatenate([corr, residuals[..., None], out1.weights.data[..., None]], axis=2)

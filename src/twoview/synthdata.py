@@ -226,24 +226,20 @@ def _scene_config(obj):
 
 
 def _correspondences(field, n):
-    """(n, 4) float64 from a base64 string of n * 32 bytes or from a JSON list of reals."""
-    if isinstance(field, str):
-        try:
-            raw = base64.b64decode(field, validate=True)
-        except ValueError as err:  # binascii.Error, or a character outside ASCII
-            raise ValueError(f"correspondences are not base64: {err}") from None
-        if len(raw) != 32 * n:
-            raise ValueError(f"correspondences hold {len(raw)} bytes, expected 32 * n = {32 * n}")
-        return np.frombuffer(raw, "<f8").reshape(n, 4).astype(np.float64)
-    if isinstance(field, list):
-        return _json_reals(field, "correspondences").reshape(n, 4)
-    raise ValueError(f"correspondences must be a base64 string or a list of reals, "
-                     f"got {type(field).__name__}")
+    """(n, 4) float64 from a base64 string of n * 32 bytes."""
+    if not isinstance(field, str):
+        raise ValueError(f"correspondences must be a base64 string, got {type(field).__name__}")
+    try:
+        raw = base64.b64decode(field, validate=True)
+    except ValueError as err:  # binascii.Error, or a character outside ASCII
+        raise ValueError(f"correspondences are not base64: {err}") from None
+    if len(raw) != 32 * n:
+        raise ValueError(f"correspondences hold {len(raw)} bytes, expected 32 * n = {32 * n}")
+    return np.frombuffer(raw, "<f8").reshape(n, 4).astype(np.float64)
 
 
 def pair_from_line(line, line_number):
-    """A validated ScenePair; correspondences may be a base64 string or, as in older files, a
-    JSON list of reals."""
+    """A validated ScenePair from one record as `pair_to_line` writes it."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as err:

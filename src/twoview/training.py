@@ -72,9 +72,10 @@ def _gradients(net, corr, labels, egts, loss_cfg, iteration, counters):
     """
     needs_essential = loss_cfg.alpha > 0 and iteration >= loss_cfg.warmup
     out = net.forward(corr, mode="train", solve=needs_essential)
-    loss = total_loss(out.logits, labels, out.essentials, egts, corr, loss_cfg, iteration, counters)
+    loss = total_loss(out.logits, labels, out.essential, out.solved, egts, corr, loss_cfg,
+                      iteration, counters)
     if out.stage1 is not None:
-        loss = loss + total_loss(out.stage1.logits, labels, out.stage1.essentials,
+        loss = loss + total_loss(out.stage1.logits, labels, out.stage1.essential, out.stage1.solved,
                                  egts, corr, loss_cfg, iteration, counters)
     del out  # its assignments then die with their softmax backward, not at the end of the step
     net.store.zero_grad()

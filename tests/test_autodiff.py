@@ -302,7 +302,6 @@ class TestClosuresKeepOnlyWhatBackwardReads:
         "concat": lambda x, y: ad.concat([x, y], axis=1),
         "transpose_last2": lambda x, y: ad.transpose_last2(x),
         "reduce_sum": lambda x, y: ad.reduce_sum(x, axis=1),
-        "take_batch": lambda x, y: ad.take_batch(x, 1),
         "relu": lambda x, y: ad.relu(x),
         "minimum_const": lambda x, y: ad.minimum_const(x, 0.5),
     }

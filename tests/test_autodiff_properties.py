@@ -105,8 +105,6 @@ class TestStructural:
         other = rng.normal(size=shape)
         cat = tuple(2 * n if i == ax else n for i, n in enumerate(shape))
         assert_gradient(projected(lambda t: ad.concat([other, t], axis=ax), cat, rng), x)
-        i = data.draw(st.integers(0, shape[0] - 1))
-        assert_gradient(projected(lambda t: ad.take_batch(t, i), shape[1:], rng), x)
         if len(shape) >= 2:
             flipped = shape[:-2] + (shape[-1], shape[-2])
             assert_gradient(projected(ad.transpose_last2, flipped, rng), x)

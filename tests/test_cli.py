@@ -1,4 +1,3 @@
-import base64
 import json
 import os
 import resource
@@ -103,6 +102,18 @@ class TestTrain:
                      "--steps", "5", "--resume", str(workspace["ckpt"])])
         assert code == 0
         assert int(read_checkpoint_arrays(out)["__step__"]) == 15
+
+    def test_resume_without_sidecar_exit_4(self, workspace, tmp_path, capsys):
+        """As eval and compare do, train --resume names the missing .netconfig sidecar."""
+        import shutil
+
+        ckpt = tmp_path / "bare.bin"
+        shutil.copy(workspace["ckpt"], ckpt)
+        code = main(["train", "--seed", "2", "--config", str(workspace["cfg"]),
+                     "--dataset", str(workspace["data"]), "--out", str(tmp_path / "out.bin"),
+                     "--steps", "1", "--resume", str(ckpt)])
+        assert code == 4
+        assert f"error: network config not found: {ckpt}.netconfig" in capsys.readouterr().err.splitlines()
 
     def test_resume_matches_uninterrupted_run(self, workspace, tmp_path):
         """N steps then --resume for M more give the checkpoint and log rows of N + M steps."""
@@ -336,30 +347,6 @@ class TestManifest:
         faults = json.loads((tmp_path / "r.csv.manifest.json").read_text())["minor_faults"]
         assert isinstance(faults, int)
         assert before <= faults <= resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-
-
-class TestTextDataset:
-    def test_same_outputs_as_from_base64_records(self, workspace, tmp_path):
-        """A dataset whose correspondences are JSON lists of reals, as earlier `gen` wrote them,
-        gives the bytes that the same pairs in base64 give."""
-        text = tmp_path / "text.txt"
-        lines = []
-        for line in workspace["data"].read_text().splitlines():
-            record = json.loads(line)
-            raw = base64.b64decode(record["correspondences"], validate=True)
-            record["correspondences"] = np.frombuffer(raw, "<f8").tolist()
-            lines.append(json.dumps(record, separators=(",", ":")) + "\n")
-        text.write_text("".join(lines))
-        assert text.read_bytes() != workspace["data"].read_bytes()
-        outputs = []
-        for i, data in enumerate((workspace["data"], text)):
-            common = ["--config", str(workspace["cfg"]), "--dataset", str(data)]
-            csv, ckpt = tmp_path / f"{i}.csv", tmp_path / f"{i}.bin"
-            assert main(["compare", "--seed", "4", *common, "--methods", "ransac,net,net+ransac",
-                         "--checkpoint", str(workspace["ckpt"]), "--out", str(csv)]) == 0
-            assert main(["train", "--seed", "3", *common, "--out", str(ckpt), "--steps", "3"]) == 0
-            outputs.append((csv.read_bytes(), ckpt.read_bytes()))
-        assert outputs[0] == outputs[1]
 
 
 class TestResponses:

@@ -7,7 +7,6 @@ from twoview.losses import (
     DegenerateLabels,
     LossConfig,
     LossCounters,
-    NoInliers,
     classification_loss,
     essential_l2_loss,
     geometry_loss,
@@ -181,12 +180,16 @@ class TestGeometryLoss:
         l2 = one_geometry(Tensor(3.7 * e), inliers).data[0]
         assert abs(l1 - l2) < 1e-12
 
-    def test_no_inliers_rejected(self):
+    def test_sample_without_inliers_gives_zero(self):
         pair = scene(seed=13)
         corr = np.stack([pair.correspondences] * 2)
         labels = np.stack([pair.labels, np.zeros_like(pair.labels)])  # the second has none
-        with pytest.raises(NoInliers):
-            geometry_loss(Tensor(np.stack([pair.essential] * 2)), corr, labels)
+        e_hat = Tensor(np.stack([pair.essential] * 2) + 0.01, requires_grad=True)
+        terms = geometry_loss(e_hat, corr, labels)
+        ad.backward(ad.reduce_sum(terms))
+        assert terms.data[1] == 0.0 and terms.data[0] > 0.0
+        assert terms.data[0] == geometry_loss(Tensor(e_hat.data[:1]), corr[:1], labels[:1]).data[0]
+        assert not np.any(e_hat.grad[1]) and np.any(e_hat.grad[0])
 
     def test_gradient_away_from_clamp(self):
         rng = np.random.default_rng(9)
@@ -205,21 +208,21 @@ class TestTotalLoss:
         egts = pair.essential[None]
         rng = np.random.default_rng(seed)
         z = Tensor(rng.normal(size=(1, len(pair.correspondences))), requires_grad=True)
-        e_hat = Tensor(pair.essential + 0.1 * rng.normal(size=(3, 3)))
-        e_hat = ad.mul(e_hat, 1.0 / np.linalg.norm(e_hat.data))
+        e = pair.essential + 0.1 * rng.normal(size=(3, 3))
+        e_hat = Tensor(e[None] * (1.0 / np.linalg.norm(e)))  # the (K, 3, 3) stack, K = 1
         return pair, corr, labels, egts, z, e_hat
 
     def test_warmup_is_pure_classification(self):
         pair, corr, labels, egts, z, e_hat = self.build()
         cfg = LossConfig(kind="l2", warmup=100)
-        total = total_loss(z, labels, [e_hat], egts, corr, cfg, iteration=0)
+        total = total_loss(z, labels, e_hat, [0], egts, corr, cfg, iteration=0)
         cls = classification_loss(z, labels)
         assert float(total.data) == float(cls.data)
 
     def test_after_warmup_adds_scaled_term(self):
         pair, corr, labels, egts, z, e_hat = self.build()
         cfg = LossConfig(kind="l2", warmup=100)
-        total = total_loss(z, labels, [e_hat], egts, corr, cfg, iteration=100)
+        total = total_loss(z, labels, e_hat, [0], egts, corr, cfg, iteration=100)
         cls = float(classification_loss(z, labels).data)
         ess = one_l2(e_hat, egts[0]).data[0]
         assert float(total.data) == pytest.approx(cls + 0.1 * ess, rel=1e-12)
@@ -227,27 +230,42 @@ class TestTotalLoss:
     def test_alpha_zero_reduces_to_classification(self):
         pair, corr, labels, egts, z, e_hat = self.build()
         cfg = LossConfig(kind="l2", alpha=0.0, warmup=0)
-        total = total_loss(z, labels, [e_hat], egts, corr, cfg, iteration=10_000)
+        total = total_loss(z, labels, e_hat, [0], egts, corr, cfg, iteration=10_000)
         assert float(total.data) == float(classification_loss(z, labels).data)
 
     def test_failed_solves_skipped(self):
         pair, corr, labels, egts, z, _ = self.build()
         cfg = LossConfig(kind="l2", warmup=0)
-        total = total_loss(z, labels, [None], egts, corr, cfg, iteration=5)
+        total = total_loss(z, labels, None, [], egts, corr, cfg, iteration=5)
         assert float(total.data) == float(classification_loss(z, labels).data)
+
+    def test_geometry_mean_leaves_out_samples_without_inliers(self):
+        pairs = [scene(seed=s) for s in (14, 15, 16)]
+        corr = np.stack([p.correspondences for p in pairs])
+        labels = np.stack([p.labels for p in pairs])
+        labels[1] = 0  # sample 1 has no inlier
+        egts = np.stack([p.essential for p in pairs])
+        z = Tensor(np.random.default_rng(17).normal(size=labels.shape))
+        e_hat = egts + 0.05 * np.random.default_rng(18).normal(size=(3, 3, 3))
+        cfg = LossConfig(kind="geometry", warmup=0)
+        total = total_loss(z, labels, Tensor(e_hat), [0, 1, 2], egts, corr, cfg, 0)
+        others = total_loss(z, labels, Tensor(e_hat[[0, 2]]), [0, 2], egts, corr, cfg, 0)
+        assert float(total.data) == float(others.data)
+        terms = geometry_loss(Tensor(e_hat[[0, 2]]), corr[[0, 2]], labels[[0, 2]]).data
+        cls = float(classification_loss(z, labels).data)
+        assert float(total.data) == pytest.approx(cls + 0.5 * terms.mean(), rel=1e-15)
 
     def test_geometry_kind_default_alpha(self):
         assert LossConfig(kind="geometry").alpha == 0.5
         assert LossConfig(kind="l2").alpha == 0.1
         assert LossConfig().warmup == 500
 
-    def test_desk_step_loss_builds_at_most_45_nodes(self, monkeypatch):
-        # B = 8 at N = 512 on 60% outliers; one graph per sample built 177 nodes here
+    @staticmethod
+    def count_desk_step_nodes(monkeypatch):
+        """Graph nodes of a desk step's forward and of its loss: B = 8 at N = 512 on 60% outliers."""
         pairs = [scene(seed=40 + b, n=512, outliers=0.6, noise=1.0) for b in range(8)]
         corr = np.stack([p.correspondences for p in pairs])
         labels = np.stack([p.labels for p in pairs])
-        out = Network(desk_config(), seed=0).forward(corr, mode="train")
-        assert all(e is not None for e in out.essentials)
         nodes, make = [], ad._make
 
         def counting_make(*args):
@@ -257,9 +275,23 @@ class TestTotalLoss:
             return t
 
         monkeypatch.setattr(ad, "_make", counting_make)
-        total_loss(out.logits, labels, out.essentials, np.stack([p.essential for p in pairs]), corr,
-                   LossConfig(kind="geometry", warmup=0), 0)
-        assert len(nodes) <= 45, nodes
+        out = Network(desk_config(), seed=0).forward(corr, mode="train")
+        assert out.solved == list(range(8))
+        forward = list(nodes)
+        total_loss(out.logits, labels, out.essential, out.solved, np.stack([p.essential for p in pairs]),
+                   corr, LossConfig(kind="geometry", warmup=0), 0)
+        return forward, nodes[len(forward):]
+
+    def test_desk_step_loss_builds_at_most_35_nodes(self, monkeypatch):
+        # one graph per sample built 177 nodes here, one stack of per-sample essentials 40
+        _, loss = self.count_desk_step_nodes(monkeypatch)
+        assert len(loss) <= 35, loss
+
+    def test_desk_step_builds_at_most_100_nodes(self, monkeypatch):
+        # a take_batch and a solve node per sample built 123 here
+        forward, loss = self.count_desk_step_nodes(monkeypatch)
+        assert forward.count("weighted_eightpoint") == 1
+        assert len(forward) + len(loss) <= 100, forward + loss
 
 
 def reference_l2(e_hat, e_gt):
@@ -330,21 +362,20 @@ class TestBatchedTermAgainstPerSampleLoop:
         assert all((d > 0.1).any() and (d < 0.1).any() for d in dist)  # rows on both sides of the clamp
         assert np.isinf(dist[2][0]) and np.isfinite(dist[2][1:]).all()
         cfg = LossConfig(kind=kind, warmup=0)
-        results = []
-        for loss_fn in (total_loss, reference_total):
-            z = Tensor(z0.copy(), requires_grad=True)
-            essentials = [None if b == 2 else Tensor(e.copy(), requires_grad=True)
-                          for b, e in enumerate(e_hats)]
-            extra = (cfg, 0) if loss_fn is total_loss else (cfg,)
-            loss = loss_fn(z, labels, essentials, e_gts, corr, *extra)
-            ad.backward(loss)
-            results.append((float(loss.data), z.grad, [e and e.grad for e in essentials]))
-        (loss, z_grad, grads), (ref, z_ref, ref_grads) = results
-        assert abs(loss - ref) <= 1e-15 * abs(ref)
-        assert np.array_equal(z_grad, z_ref)
-        skipped = {2} if kind == "l2" else {2, 5}
-        for b in range(8):
-            if b in skipped:
-                assert grads[b] is None and ref_grads[b] is None
+        solved = [0, 1, 3, 4, 5, 6, 7]  # sample 2 did not solve
+        z = Tensor(z0.copy(), requires_grad=True)
+        stack = Tensor(e_hats[solved], requires_grad=True)
+        loss = total_loss(z, labels, stack, solved, e_gts, corr, cfg, 0)
+        z_ref = Tensor(z0.copy(), requires_grad=True)
+        essentials = [None if b == 2 else Tensor(e.copy(), requires_grad=True) for b, e in enumerate(e_hats)]
+        ref = reference_total(z_ref, labels, essentials, e_gts, corr, cfg)
+        ad.backward(loss)
+        ad.backward(ref)
+        assert abs(float(loss.data) - float(ref.data)) <= 1e-15 * abs(float(ref.data))
+        assert np.array_equal(z.grad, z_ref.grad)
+        for k, b in enumerate(solved):
+            if kind == "geometry" and b == 5:  # no inlier: the loop leaves it out, the stack adds 0
+                assert essentials[b].grad is None and not np.any(stack.grad[k])
             else:
-                assert np.abs(grads[b] - ref_grads[b]).max() <= 1e-14 * np.abs(ref_grads[b]).max()
+                ref_grad = essentials[b].grad
+                assert np.abs(stack.grad[k] - ref_grad).max() <= 1e-14 * np.abs(ref_grad).max()

@@ -274,7 +274,7 @@ class TestFusedUnit:
                 elif name.endswith(".running_var"):
                     net.store[name].data[...] = rng.uniform(0.5, 2.0, net.store[name].shape)
             out = net.forward(corr, mode=mode)
-            loss = total_loss(out.logits, labels, out.essentials, egts, corr,
+            loss = total_loss(out.logits, labels, out.essential, out.solved, egts, corr,
                               LossConfig(kind="geometry", warmup=0), 0)
             ad.backward(loss)
             results.append((net.store, out.logits.data))
@@ -299,8 +299,8 @@ class TestFusedUnit:
         net = Network(cfg, seed=10)
         for _ in range(3):
             out = net.forward(corr, mode="train")
-            loss = total_loss(out.logits, pair.labels[None], out.essentials, pair.essential[None],
-                              corr, LossConfig(kind="geometry", warmup=0), 0)
+            loss = total_loss(out.logits, pair.labels[None], out.essential, out.solved,
+                              pair.essential[None], corr, LossConfig(kind="geometry", warmup=0), 0)
             net.store.zero_grad()
             ad.backward(loss)
             adam_step(net.store, lr=1e-2)
@@ -390,7 +390,7 @@ class TestLeanStep:
         corr = np.stack([p.correspondences for p in pairs])
         net = Network(desk_config(), seed=12)
         out = net.forward(corr, mode=mode)
-        loss = total_loss(out.logits, np.stack([p.labels for p in pairs]), out.essentials,
+        loss = total_loss(out.logits, np.stack([p.labels for p in pairs]), out.essential, out.solved,
                           np.stack([p.essential for p in pairs]), corr,
                           LossConfig(kind="geometry", warmup=0), 0)
         ad.backward(loss)
@@ -677,6 +677,46 @@ class TestNetworkForward:
         for b in (0, 2):
             assert np.array_equal(out.essentials[b].data, clean.essentials[b].data)
 
+    def test_solve_node_backward_is_each_samples_backward(self):
+        """One node for the batch: each solved row's weight gradient is that sample's
+        backward_from_context bit for bit; a failed sample's row is exact zeros."""
+        from twoview import eightpoint
+        from twoview.network import _solve_batch
+
+        corr = np.stack([self.scene(seed=s).correspondences for s in range(3)])
+        rng = np.random.default_rng(19)
+        w0 = rng.uniform(0.2, 1.0, size=(3, N))
+        w0[1] = 0.0  # no support: sample 1 fails
+        w = Tensor(w0, requires_grad=True)
+        essential, solved, failures = _solve_batch(corr, w)
+        assert solved == [0, 2] and failures == [None, "InsufficientSupport", None]
+        assert essential.op == "weighted_eightpoint" and essential.node.parents == (w.node,)
+        upstream = rng.normal(size=(2, 3, 3))
+        ad.backward(ad.reduce_sum(essential * upstream))
+        for k, b in enumerate(solved):
+            e, ctx = eightpoint.weighted_eightpoint_with_context(corr[b], w0[b])
+            assert np.array_equal(essential.data[k], e)
+            assert np.array_equal(w.grad[b], eightpoint.backward_from_context(ctx, upstream[k]))
+        assert np.array_equal(w.grad[1], np.zeros(N))
+
+    def test_batch_without_a_solve_leaves_the_classification_loss(self):
+        from twoview.losses import LossConfig, classification_loss, total_loss
+
+        net = Network(tiny_config(), seed=6)
+        net.stage.head.weight.data[...] = 0.0
+        net.stage.head.bias.data[...] = -5.0  # w = 0 everywhere: no sample solves
+        pairs = [self.scene(seed=s) for s in range(2)]
+        corr = np.stack([p.correspondences for p in pairs])
+        labels = np.stack([p.labels for p in pairs])
+        out = net.forward(corr, mode="train")
+        assert out.essential is None and out.solved == []
+        assert out.failures == ["InsufficientSupport"] * 2 and out.essentials == [None, None]
+        for kind in ("l2", "geometry"):
+            loss = total_loss(out.logits, labels, out.essential, out.solved,
+                              np.stack([p.essential for p in pairs]), corr,
+                              LossConfig(kind=kind, warmup=0), 0)
+            assert float(loss.data) == float(classification_loss(out.logits, labels).data)
+
 
 class TestIterative:
     def make(self):
@@ -696,7 +736,7 @@ class TestIterative:
         pair = generate_pair(SceneConfig(n=N, outlier_ratio=0.25, pixel_noise=0.5, seed=9))
         corr = pair.correspondences[None]
         out = net.forward(corr, mode="train")
-        loss = total_loss(out.logits, pair.labels[None], out.essentials,
+        loss = total_loss(out.logits, pair.labels[None], out.essential, out.solved,
                           pair.essential[None], corr, LossConfig(warmup=0), iteration=10)
         net.store.zero_grad()
         ad.backward(loss)
