@@ -13,7 +13,9 @@ and a Node holds the gradient, the backward closure and the parent
 - relu, minimum_const, tanh, sqrt, softmax and normalize keep their own
   output (normalize also its scale), softplus its input and output;
 - bn_relu_linear keeps its ReLU output, its input's and weight's data and
-  the per-channel statistics.
+  the per-channel statistics; cn_bn_relu_linear, one whole PointCN unit,
+  keeps its ReLU output, its centred input (never the input itself), its
+  weight's data and per-sample and per-channel scales.
 
 So a training forward frees every value that no backward reads as soon as
 its tensor goes, such as a unit's output once the next context norm has
@@ -50,9 +52,10 @@ class NotFinite(FloatingPointError):
     Only a few places check: leaves (inputs and parameters) when they are
     built, ops that can create a non-finite value (div, sqrt, custom) on
     their output, ops that can hide one (relu, tanh, softplus,
-    minimum_const, softmax, the pre-activation of bn_relu_linear) on their
-    input, and backward() on the loss. Every other op carries NaN and Inf
-    through unchanged, so the next check names the op that would lose it.
+    minimum_const, softmax, the pre-activation of bn_relu_linear and of
+    cn_bn_relu_linear) on their input, and backward() on the loss. Every
+    other op carries NaN and Inf through unchanged, so the next check
+    names the op that would lose it.
     """
 
 
@@ -541,6 +544,54 @@ def normalize(a, axes, eps=1e-5):
     return _make(out, (a,), "normalize", bwd)
 
 
+def _check_unit_shapes(op, x, gamma, beta, weight, bias):
+    """The shape contract of a unit node: x is (B, N, D) and the parameters fit x @ weight."""
+    if x.data.ndim != 3:
+        raise ShapeMismatch(f"{op}: expected (B, N, D), got {x.shape}")
+    d = x.shape[2]
+    if weight.data.ndim != 2 or weight.shape[0] != d:
+        raise ShapeMismatch(f"{op}: {x.shape} @ {weight.shape}")
+    if gamma.shape != (d,) or beta.shape != (d,) or bias is not None and bias.shape != (weight.shape[1],):
+        raise ShapeMismatch(f"{op}: gamma {gamma.shape}, beta {beta.shape} or bias "
+                            f"{None if bias is None else bias.shape} do not fit {x.shape} @ {weight.shape}")
+
+
+def _relu_linear(a, weight, bias, op, bound=np.inf):
+    """(r, out): r = relu(a), taken in a's buffer, and out = r @ weight (+ bias).
+
+    bound is a ceiling on |a| that the caller worked out; below 1e300, a is
+    finite and the check for a -inf, which the ReLU would hide, is skipped.
+    """
+    if not bound < 1e300:  # also when bound is NaN
+        _check_finite(a, op, "pre-activation")
+    r = np.maximum(a, 0.0, out=a)
+    out = np.matmul(r, weight.data)  # one GEMM per sample (see _relu_linear_backward)
+    if bias is not None:
+        out += bias.data
+    return r, out
+
+
+def _relu_linear_backward(g, r, w_data, nw, nbias):
+    """Give the weight and bias their gradients from g; returns the pre-activation's gradient.
+
+    The forward product and the weight gradient take one GEMM per sample:
+    at a desk unit's 512 x 32 @ 32 x 32 they measured about 40% faster
+    under OpenBLAS than one GEMM over all B * N rows, and no slower at the
+    heads' 512 x 32 @ 32 x 128. The input gradient's GEMM measured the same
+    either way and stays one.
+    """
+    g2 = g.reshape(-1, g.shape[-1])
+    if nw is not None:
+        g_w = r[0].T @ g[0]
+        for r_b, g_b in zip(r[1:], g[1:]):
+            g_w += r_b.T @ g_b
+        nw.accum(g_w, owned=True)
+    if nbias is not None:
+        nbias.accum(np.ones(g2.shape[0]) @ g2, owned=True)  # a GEMV sums faster than einsum
+    ga = (g2 @ w_data.T).reshape(r.shape)
+    return np.multiply(ga, r > 0.0, out=ga)  # ReLU mask; r > 0 exactly where a > 0
+
+
 def bn_relu_linear(h, gamma, beta, weight, bias, mean, inv, batch_stats):
     """relu((h - mean) * inv * gamma + beta) @ weight (+ bias) as one graph node.
 
@@ -550,37 +601,19 @@ def bn_relu_linear(h, gamma, beta, weight, bias, mean, inv, batch_stats):
     constants (running statistics). bias may be None.
     """
     h, gamma, beta, weight, bias = (t if t is None else as_tensor(t) for t in (h, gamma, beta, weight, bias))
-    if h.data.ndim != 3:
-        raise ShapeMismatch(f"bn_relu_linear: expected (B, N, D), got {h.shape}")
-    d = h.shape[2]
-    if weight.data.ndim != 2 or weight.shape[0] != d:
-        raise ShapeMismatch(f"bn_relu_linear: {h.shape} @ {weight.shape}")
-    if gamma.shape != (d,) or beta.shape != (d,) or bias is not None and bias.shape != (weight.shape[1],):
-        raise ShapeMismatch(f"bn_relu_linear: gamma {gamma.shape}, beta {beta.shape} or bias "
-                            f"{None if bias is None else bias.shape} do not fit {h.shape} @ {weight.shape}")
+    _check_unit_shapes("bn_relu_linear", h, gamma, beta, weight, bias)
     mean = np.array(mean, dtype=np.float64)  # a copy: running buffers change in place
     s = inv * gamma.data
     a = h.data * s
     a += beta.data - mean * s
-    _check_finite(a, "bn_relu_linear", "pre-activation")  # the ReLU would hide a -inf
-    r = np.maximum(a, 0.0, out=a)
-    out = _matmul_data(r, weight.data)
-    if bias is not None:
-        out += bias.data
+    r, out = _relu_linear(a, weight, bias, "bn_relu_linear")
     # the closure keeps r, h's data and weight's data, not out
     nh, ngamma, nbeta, nw = h.node, gamma.node, beta.node, weight.node
     nbias = None if bias is None else bias.node
     h_data, w_data, h_shape = h.data, weight.data, h.shape
 
     def bwd(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        r2 = r.reshape(-1, d)
-        if nw is not None:
-            nw.accum(r2.T @ g2, owned=True)
-        if nbias is not None:
-            nbias.accum(np.einsum("bnk->k", g), owned=True)
-        ga = (g2 @ w_data.T).reshape(h_shape)
-        np.multiply(ga, r > 0.0, out=ga)  # ReLU mask; r > 0 exactly where a > 0
+        ga = _relu_linear_backward(g, r, w_data, nw, nbias)
         g_beta = np.einsum("bnd->d", ga)
         g_gamma = inv * (np.einsum("bnd,bnd->d", ga, h_data) - mean * g_beta)
         if nbeta is not None:
@@ -597,6 +630,75 @@ def bn_relu_linear(h, gamma, beta, weight, bias, mean, inv, batch_stats):
             nh.accum(ga, owned=True)
 
     return _make(out, [t for t in (h, gamma, beta, weight, bias) if t is not None], "bn_relu_linear", bwd)
+
+
+def cn_bn_relu_linear(x, gamma, beta, weight, bias, running=None, bn_eps=1e-5, cn_eps=1e-5):
+    """One PointCN unit, relu(bn(cn(x))) @ weight (+ bias), as one graph node; returns (out, moments).
+
+    x is (B, N, D) with N >= 2. cn is the context norm: each sample's
+    centred channels xc over c = 1/sqrt(var + cn_eps), var their mean
+    square over the points. bn normalizes with running = (mean, var),
+    constants, or, when running is None, with the batch statistics of
+    cn(x) over (B, N), through which the backward then passes; then it
+    scales by gamma and shifts by beta. cn(x) has a batch mean of exactly
+    0 and a per-sample mean square of var / (var + cn_eps), so the batch
+    statistics come from cn's own variances and are returned as moments
+    (None with running). The pre-activation is xc * (c * s) + shift, with
+    s = inv * gamma per channel. bias may be None.
+    """
+    x, gamma, beta, weight, bias = (t if t is None else as_tensor(t) for t in (x, gamma, beta, weight, bias))
+    _check_unit_shapes("cn_bn_relu_linear", x, gamma, beta, weight, bias)
+    b, n, d = x.shape
+    if n < 2:
+        raise ShapeMismatch("cn_bn_relu_linear: need at least 2 points")
+    # sums over each sample's points as batched GEMVs, which beat einsum
+    xc = x.data - (np.ones(n) @ x.data)[:, None] * (1.0 / n)
+    var = np.einsum("bnd,bnd->bd", xc, xc) * (1.0 / n)
+    c = 1.0 / np.sqrt(var + cn_eps)
+    if running is None:
+        mean, bn_var = np.zeros(d), np.einsum("bd,bd->d", var, c * c) * (1.0 / b)
+    else:
+        # a copy of the mean: running buffers change in place
+        mean, bn_var = np.array(running[0], dtype=np.float64), running[1]
+    inv = 1.0 / np.sqrt(bn_var + bn_eps)
+    s = inv * gamma.data
+    shift = beta.data - mean * s
+    a = np.einsum("bnd,bd->bnd", xc, c * s)
+    a += shift
+    # |xc| <= sqrt(n * var) at every point, so this bounds |a| without a pass over it
+    bound = np.max(np.sqrt(var * n) * np.abs(c * s) + np.abs(shift))
+    r, out = _relu_linear(a, weight, bias, "cn_bn_relu_linear", bound)
+    # the closure keeps r, xc, weight's data and the (B, D) scale c, never x
+    nx, ngamma, nbeta, nw = x.node, gamma.node, beta.node, weight.node
+    nbias = None if bias is None else bias.node
+    w_data = weight.data
+
+    def bwd(g):
+        ga = _relu_linear_backward(g, r, w_data, nw, nbias)
+        s1 = np.ones(n) @ ga
+        s2 = np.einsum("bnd,bnd->bd", ga, xc)
+        g_beta = s1.sum(axis=0)
+        g_gamma = inv * (np.einsum("bd,bd->d", c, s2) - mean * g_beta)
+        if nbeta is not None:
+            nbeta.accum(g_beta, owned=True)
+        if ngamma is not None:
+            ngamma.accum(g_gamma, owned=True)
+        if nx is not None:
+            # g_x = A ga + q xc - A s1 / n for A = c s: cn's backward of s ga, plus, with batch
+            # statistics, the path through bn's variance mean_b(var c^2), whose slope in var is
+            # cn_eps c^4 / B
+            A = c * s
+            k = s * inv * g_gamma * (1.0 / (b * n)) if running is None else 0.0
+            c2 = c * c
+            q = -c2 * (k * cn_eps * c2 + s * c * s2 * (1.0 / n))
+            ga *= A[:, None]
+            ga += np.einsum("bnd,bd->bnd", xc, q, out=r)  # r is dead: the graph runs backward once
+            ga -= (A * s1 * (1.0 / n))[:, None]
+            nx.accum(ga, owned=True)
+
+    moments = (mean, bn_var) if running is None else None
+    return _make(out, [t for t in (x, gamma, beta, weight, bias) if t is not None], "cn_bn_relu_linear",
+                 bwd), moments
 
 
 def custom(inputs, out_data, backward_fn, op="custom"):

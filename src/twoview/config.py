@@ -33,7 +33,7 @@ class TrainParams:
     batch_size: int = 8
     lr: float = 1e-4
     log_every: int = 100
-    val_pairs: int = 20
+    val_pairs: int = 20    # the first pairs of the training set, scored for val_map5: not held out
 
     def __post_init__(self):
         for key in ("steps", "batch_size", "log_every", "val_pairs"):

@@ -171,7 +171,7 @@ def _block_cases(rng):
     layer_case("pointcn_resnet_block",
                PointCNResBlock(ParameterStore(), "blk", D, np.random.default_rng(0)), (B, N, D))
 
-    # the fused BN -> ReLU -> perceptron node, probed through each of its inputs
+    # the unit's one node, CN -> BN -> ReLU -> perceptron, probed through each of its inputs
     for mode in ("train", "eval"):
         unit = PointCNUnit(ParameterStore(), "unit", D, 5, np.random.default_rng(6))
         unit.bn.gamma.data[...] = rng.normal(1.0, 0.2, D)

@@ -141,7 +141,7 @@ class BatchNorm:
 def _normed_input(x, mode):
     """context_norm(x) and, in train mode, its per-channel batch mean and variance.
 
-    Units that read the same x (the pool and unpool heads) share one of these.
+    The pool and unpool heads, which read the same x, share one of these.
     """
     h = context_norm(x)
     if mode != "train":
@@ -154,7 +154,11 @@ def _normed_input(x, mode):
 
 
 class PointCNUnit:
-    """One PointCN unit: CN -> BN -> ReLU -> perceptron, the last three as one node."""
+    """One PointCN unit: CN -> BN -> ReLU -> perceptron as one graph node.
+
+    A unit given a context norm it shares with another unit runs the last
+    three steps as one node on it.
+    """
 
     def __init__(self, store, name, d_in, d_out, rng, bias=True, shared_bn=None):
         self.bn = BatchNorm(store, f"{name}.bn", d_in, shared=shared_bn)
@@ -162,11 +166,16 @@ class PointCNUnit:
 
     def __call__(self, x, mode, normed=None):
         """normed: _normed_input(x, mode), when other units read the same x."""
-        h, moments = normed if normed is not None else _normed_input(x, mode)
-        bn, train = self.bn, mode == "train"
-        mean, var = moments if train else (bn.running_mean.data, bn.running_var.data)
-        out = ad.bn_relu_linear(h, bn.gamma, bn.beta, self.perceptron.weight, self.perceptron.bias,
-                                mean, 1.0 / np.sqrt(var + bn.eps), train)
+        bn, perc, train = self.bn, self.perceptron, mode == "train"
+        running = None if train else (bn.running_mean.data, bn.running_var.data)
+        if normed is None:
+            out, moments = ad.cn_bn_relu_linear(x, bn.gamma, bn.beta, perc.weight, perc.bias, running,
+                                                bn.eps)
+        else:
+            h, moments = normed
+            mean, var = moments if train else running
+            out = ad.bn_relu_linear(h, bn.gamma, bn.beta, perc.weight, perc.bias, mean,
+                                    1.0 / np.sqrt(var + bn.eps), train)
         bn.track(moments)
         return out
 

@@ -28,7 +28,12 @@ class LogRow:
 
 
 def validation_map5(net: Network, pairs):
-    """mAP5 over a validation slice; solver or cheirality failures count as misses."""
+    """mAP5 of the `net` method over pairs; solver or cheirality failures count as misses.
+
+    run_training passes the first `val_pairs` training pairs, which its
+    batches also draw from, so its val_map5 is a training-set score, not a
+    held-out one.
+    """
     from .evalbench import evaluate_method, pose_map
 
     result = evaluate_method(pairs, "net", net=net)

@@ -127,6 +127,23 @@ class TestFiniteness:
         with pytest.raises(NotFinite, match=rf"^{op}: 1 non-finite"):
             self.HIDING_OPS[op](t)
 
+    @pytest.mark.parametrize("running", [None, (np.zeros(1), np.ones(1))], ids=["train", "eval"])
+    def test_folded_unit_names_a_minus_inf_pre_activation(self, running):
+        # one spike among ten points: its context-normed value is 3, which a gamma of -1e308
+        # takes past the largest float; the ReLU would make that -inf a 0
+        x = np.zeros((1, 10, 1))
+        x[0, 9, 0] = 10.0
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NotFinite, match="^cn_bn_relu_linear: 1 non-finite entries in pre-activation"):
+            ad.cn_bn_relu_linear(Tensor(x), np.array([-1e308]), np.zeros(1), np.ones((1, 2)), None, running)
+
+    @pytest.mark.parametrize("kind", ["+inf", "-inf", "nan"])
+    def test_folded_unit_checks_a_non_finite_input(self, kind):
+        # the entry spreads over its channel, and no bound on the pre-activation holds
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NotFinite, match=r"^cn_bn_relu_linear: \d+ non-finite entries in pre-activation"):
+            ad.cn_bn_relu_linear(non_finite(kind), np.ones(4), np.zeros(4), np.ones((4, 3)), None)
+
     @pytest.mark.parametrize("kind", ["+inf", "-inf", "nan"])
     def test_pass_through_ops_leave_it_to_the_next_check(self, kind):
         t = non_finite(kind)

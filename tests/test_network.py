@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from twoview import autodiff as ad
+from twoview import network
 from twoview.autodiff import ParameterStore, ShapeMismatch, Tensor
 from twoview.network import (
     BatchNorm,
@@ -185,7 +186,7 @@ def running_gap(store_a, store_b):
 
 
 class TestFusedUnit:
-    """The fused BN -> ReLU -> perceptron node against the unfused ops it replaces.
+    """The one-node unit, CN -> BN -> ReLU -> perceptron, against the unfused ops it replaces.
 
     Gradients are compared over all parameters at once, relative to the
     largest entry.
@@ -361,8 +362,8 @@ def old_spatial_correlation(F, weight, bias):
 
 
 def old_pool(self, x, mode, normed=None):
-    """DiffPool with its own context norm and the (B, M, N) transpose of the assignment."""
-    assign = ad.softmax(self.head(x, mode), axis=2)
+    """DiffPool with its own two-node context norm and the (B, M, N) transpose of the assignment."""
+    assign = ad.softmax(self.head(x, mode, network._normed_input(x, mode)), axis=2)
     return ad.matmul(ad.transpose_last2(assign), x), assign
 
 
@@ -370,15 +371,15 @@ LEAN_UNPOOL = DiffUnpool.__call__
 
 
 def old_unpool(self, x_pre, clusters, mode, normed=None):
-    """DiffUnpool with its own context norm."""
-    return LEAN_UNPOOL(self, x_pre, clusters, mode)
+    """DiffUnpool with its own two-node context norm."""
+    return LEAN_UNPOOL(self, x_pre, clusters, mode, network._normed_input(x_pre, mode))
 
 
 class TestLeanStep:
     """One desk-network train step against the ops the leaner step replaced.
 
-    The reference runs the old softmax and normalize, a context norm per
-    pool and unpool head, DiffPool through the transposed assignment and the
+    The reference runs the old softmax and normalize, a two-node context
+    norm per pool and unpool head, DiffPool through the transposed assignment and the
     two-transpose spatial correlation.
     """
 
@@ -397,8 +398,6 @@ class TestLeanStep:
         return net.store, out, float(loss.data)
 
     def reference(self, monkeypatch):
-        import twoview.network as network
-
         monkeypatch.setattr(ad, "softmax", old_softmax)
         monkeypatch.setattr(ad, "normalize", old_normalize)
         monkeypatch.setattr(network, "spatial_correlation", old_spatial_correlation)
@@ -442,8 +441,6 @@ class TestLeanStep:
             assert np.array_equal(new.grad, old.grad)
 
     def test_one_context_norm_feeds_both_heads(self, monkeypatch):
-        import twoview.network as network
-
         calls = []
         counted = network.context_norm
 
@@ -452,11 +449,9 @@ class TestLeanStep:
             return counted(F, eps)
 
         monkeypatch.setattr(network, "context_norm", context_norm)
-        cfg = tiny_config()
-        Network(cfg, seed=3).forward(rand((B, N, 4), seed=92), mode="train", solve=False)
-        # 2 units per res-block, 2 half-units per order-aware block, one shared head norm
-        units = 2 * (cfg.blocks_before_pool + cfg.blocks_after_unpool + cfg.level2_blocks)
-        assert len(calls) == units + 1
+        Network(tiny_config(), seed=3).forward(rand((B, N, 4), seed=92), mode="train", solve=False)
+        # every other unit folds its context norm into its own node
+        assert calls == [(B, N, D)]
 
 
 class TestDiffPool:
