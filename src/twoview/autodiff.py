@@ -15,7 +15,8 @@ and a Node holds the gradient, the backward closure and the parent
 - bn_relu_linear keeps its ReLU output, its input's and weight's data and
   the per-channel statistics; cn_bn_relu_linear, one whole PointCN unit,
   keeps its ReLU output, its centred input (never the input itself), its
-  weight's data and per-sample and per-channel scales.
+  weight's data and per-sample and per-channel scales. Both unit ops take
+  running statistics or their own batch ones, and return (out, moments).
 
 So a training forward frees every value that no backward reads as soon as
 its tensor goes, such as a unit's output once the next context norm has
@@ -592,17 +593,26 @@ def _relu_linear_backward(g, r, w_data, nw, nbias):
     return np.multiply(ga, r > 0.0, out=ga)  # ReLU mask; r > 0 exactly where a > 0
 
 
-def bn_relu_linear(h, gamma, beta, weight, bias, mean, inv, batch_stats):
-    """relu((h - mean) * inv * gamma + beta) @ weight (+ bias) as one graph node.
+def bn_relu_linear(h, gamma, beta, weight, bias, running=None, bn_eps=1e-5):
+    """relu(bn(h)) @ weight (+ bias) as one graph node; returns (out, moments).
 
-    h is (B, N, D); mean and inv are the per-channel statistics the batch
-    norm uses. With batch_stats they are h's own mean and 1/sqrt(var + eps)
-    over (B, N), and the backward passes through them; otherwise they are
-    constants (running statistics). bias may be None.
+    h is (B, N, D) and must be a context norm's output. bn normalizes with
+    running = (mean, var), constants, or, when running is None, with h's
+    own mean and variance over (B, N), through which the backward then
+    passes, and returns them as moments (None with running); then it
+    scales by gamma and shifts by beta. bias may be None.
     """
     h, gamma, beta, weight, bias = (t if t is None else as_tensor(t) for t in (h, gamma, beta, weight, bias))
     _check_unit_shapes("bn_relu_linear", h, gamma, beta, weight, bias)
-    mean = np.array(mean, dtype=np.float64)  # a copy: running buffers change in place
+    if running is None:
+        inv_n = 1.0 / (h.shape[0] * h.shape[1])
+        mean = np.einsum("bnd->d", h.data) * inv_n
+        # h has a per-sample mean of ~0, so E[h^2] - mean^2 loses nothing
+        var = np.einsum("bnd,bnd->d", h.data, h.data) * inv_n - mean * mean
+    else:
+        # a copy of the mean: running buffers change in place
+        mean, var = np.array(running[0], dtype=np.float64), running[1]
+    inv = 1.0 / np.sqrt(var + bn_eps)
     s = inv * gamma.data
     a = h.data * s
     a += beta.data - mean * s
@@ -610,7 +620,7 @@ def bn_relu_linear(h, gamma, beta, weight, bias, mean, inv, batch_stats):
     # the closure keeps r, h's data and weight's data, not out
     nh, ngamma, nbeta, nw = h.node, gamma.node, beta.node, weight.node
     nbias = None if bias is None else bias.node
-    h_data, w_data, h_shape = h.data, weight.data, h.shape
+    h_data, w_data = h.data, weight.data
 
     def bwd(g):
         ga = _relu_linear_backward(g, r, w_data, nw, nbias)
@@ -622,14 +632,15 @@ def bn_relu_linear(h, gamma, beta, weight, bias, mean, inv, batch_stats):
             ngamma.accum(g_gamma, owned=True)
         if nh is not None:
             ga *= s
-            if batch_stats:
-                inv_n = 1.0 / (h_shape[0] * h_shape[1])
+            if running is None:
                 c = s * inv * g_gamma * inv_n
                 ga -= np.multiply(h_data, c, out=r)  # r is dead: the graph runs backward once
                 ga += mean * c - s * g_beta * inv_n
             nh.accum(ga, owned=True)
 
-    return _make(out, [t for t in (h, gamma, beta, weight, bias) if t is not None], "bn_relu_linear", bwd)
+    moments = (mean, var) if running is None else None
+    return _make(out, [t for t in (h, gamma, beta, weight, bias) if t is not None], "bn_relu_linear",
+                 bwd), moments
 
 
 def cn_bn_relu_linear(x, gamma, beta, weight, bias, running=None, bn_eps=1e-5, cn_eps=1e-5):

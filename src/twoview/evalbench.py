@@ -256,6 +256,8 @@ def export_cluster_responses(net: Network, pair, top_k=15):
     Rows come back as (cluster index, rank starting at 1, correspondence
     row index, response value), strongest first within each cluster.
     """
+    if not net.config.use_pool:
+        raise ValueError("cluster responses require a model with pooling (net.use_pool)")
     if net.config.unpool_variant != "order_aware":
         raise ValueError("cluster responses require the order-aware unpool variant")
     with ad.no_grad():

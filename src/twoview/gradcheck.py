@@ -111,20 +111,17 @@ def _op_cases(rng):
     w32, b2 = rng.normal(size=(3, 2)), rng.normal(size=2)
     p252 = rng.normal(size=(2, 5, 2))
     mean3, inv3 = rng.normal(size=3), rng.uniform(0.5, 2.0, 3)
+    running3 = mean3, 1.0 / inv3**2 - 1e-5  # the variance whose 1/sqrt(var + eps) is inv3
 
-    def bn_relu_linear(t, batch_stats):
+    def bn_relu_linear(t, running):
         # batch statistics follow the probe; an offset input keeps their mean away from 0
-        mean, inv = mean3, inv3
-        if batch_stats:
-            mean = t.data.mean(axis=(0, 1))
-            inv = 1.0 / np.sqrt(t.data.var(axis=(0, 1)) + 1e-5)
-        out = ad.bn_relu_linear(t, gamma3, beta3, w32, b2, mean, inv, batch_stats)
+        out, _ = ad.bn_relu_linear(t, gamma3, beta3, w32, b2, running)
         return ad.reduce_sum(out * p252)
 
     case("bn_relu_linear(batch stats)", rng.normal(0.7, 1.0, size=(2, 5, 3)),
-         lambda t: bn_relu_linear(t, True))
+         lambda t: bn_relu_linear(t, None))
     case("bn_relu_linear(fixed stats)", rng.normal(0.7, 1.0, size=(2, 5, 3)),
-         lambda t: bn_relu_linear(t, False))
+         lambda t: bn_relu_linear(t, running3))
     # probed at an existing draw, so later cases see the same random stream
     case("softmax(last, 3-D)", c234, lambda t: ad.reduce_sum(ad.softmax(t, axis=2) * p234))
     return cases

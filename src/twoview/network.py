@@ -138,21 +138,6 @@ class BatchNorm:
         return y * self.gamma + self.beta
 
 
-def _normed_input(x, mode):
-    """context_norm(x) and, in train mode, its per-channel batch mean and variance.
-
-    The pool and unpool heads, which read the same x, share one of these.
-    """
-    h = context_norm(x)
-    if mode != "train":
-        return h, None
-    n = h.shape[0] * h.shape[1]
-    mean = np.einsum("bnd->d", h.data) * (1.0 / n)
-    # h has a per-sample mean of ~0, so E[h^2] - mean^2 loses nothing
-    var = np.einsum("bnd,bnd->d", h.data, h.data) * (1.0 / n) - mean * mean
-    return h, (mean, var)
-
-
 class PointCNUnit:
     """One PointCN unit: CN -> BN -> ReLU -> perceptron as one graph node.
 
@@ -165,17 +150,11 @@ class PointCNUnit:
         self.perceptron = Perceptron(store, f"{name}.perc", d_in, d_out, rng, bias)
 
     def __call__(self, x, mode, normed=None):
-        """normed: _normed_input(x, mode), when other units read the same x."""
-        bn, perc, train = self.bn, self.perceptron, mode == "train"
-        running = None if train else (bn.running_mean.data, bn.running_var.data)
-        if normed is None:
-            out, moments = ad.cn_bn_relu_linear(x, bn.gamma, bn.beta, perc.weight, perc.bias, running,
-                                                bn.eps)
-        else:
-            h, moments = normed
-            mean, var = moments if train else running
-            out = ad.bn_relu_linear(h, bn.gamma, bn.beta, perc.weight, perc.bias, mean,
-                                    1.0 / np.sqrt(var + bn.eps), train)
+        """normed: context_norm(x), when other units read the same x."""
+        bn, perc = self.bn, self.perceptron
+        running = None if mode == "train" else (bn.running_mean.data, bn.running_var.data)
+        op, inp = (ad.cn_bn_relu_linear, x) if normed is None else (ad.bn_relu_linear, normed)
+        out, moments = op(inp, bn.gamma, bn.beta, perc.weight, perc.bias, running, bn.eps)
         bn.track(moments)
         return out
 
@@ -261,7 +240,7 @@ class DiffUnpool:
             self.head = PointCNUnit(store, f"{name}.head", channels, cfg.expected_points, rng)
 
     def __call__(self, x_pre, clusters, mode, normed=None):
-        """normed: _normed_input(x_pre, mode), shared with the pool head."""
+        """normed: context_norm(x_pre), shared with the pool head."""
         if self.cfg.unpool_variant == "order_aware":
             logits = self.head(x_pre, mode, normed)     # (B, N, M)
         else:
@@ -320,8 +299,8 @@ class _Stage:
             x = block(x, mode)
         pool_assign = unpool_assign = None
         if self.cfg.use_pool:
-            # both heads read x: one context norm, one set of moments and of running statistics
-            normed = _normed_input(x, mode)
+            # both heads read x: one context norm and one set of running statistics
+            normed = context_norm(x)
             clusters, pool_assign = self.pool(x, mode, normed)
             for block in self.level2:
                 clusters = block(clusters, mode)

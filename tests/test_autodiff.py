@@ -116,7 +116,7 @@ class TestFiniteness:
         "minimum_const": lambda t: ad.minimum_const(t, 0.5),
         "softmax": lambda t: ad.softmax(t, axis=2),
         "bn_relu_linear": lambda t: ad.bn_relu_linear(
-            t, np.ones(4), np.zeros(4), np.ones((4, 3)), np.zeros(3), np.zeros(4), np.ones(4), False),
+            t, np.ones(4), np.zeros(4), np.ones((4, 3)), np.zeros(3), (np.zeros(4), np.ones(4))),
     }
 
     @pytest.mark.parametrize("kind", ["+inf", "-inf", "nan"])

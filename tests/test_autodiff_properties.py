@@ -148,24 +148,39 @@ class TestNormalisations:
         args = {"h": rng.normal(size=(b, n, d)), "gamma": rng.uniform(0.5, 1.5, d),
                 "beta": rng.normal(size=d), "weight": rng.normal(size=(d, k)),
                 "bias": rng.normal(size=k) if with_bias else None}
-        running = rng.normal(size=d), rng.uniform(0.5, 2.0, d)
-
-        def stats(h):
-            """(mean, 1/sqrt(var + eps)) of h over (B, N) in batch-stats mode, else fixed ones."""
-            return (h.mean(axis=(0, 1)), 1.0 / np.sqrt(h.var(axis=(0, 1)) + 1e-5)) if batch_stats \
-                else running
-
-        mean, inv = stats(args["h"])
+        running = None if batch_stats else (rng.normal(size=d), rng.uniform(0.5, 2.0, d))
+        # the batch statistics, taken here in numpy: the op's own are what is under test
+        moments_ref = (args["h"].mean(axis=(0, 1)), args["h"].var(axis=(0, 1)))
+        mean, var = moments_ref if batch_stats else running
+        inv = 1.0 / np.sqrt(var + 1e-5)
         pre = (args["h"] - mean) * inv * args["gamma"] + args["beta"]
         assume(np.abs(pre).min() > 1e-3 * max(1.0, float(inv.max())))  # no ReLU kink within the FD step
 
+        _, moments = ad.bn_relu_linear(*args.values(), running)
+        if batch_stats:
+            scale = max(np.abs(m).max() for m in moments_ref)
+            for got, ref in zip(moments, moments_ref):
+                assert np.abs(got - ref).max() <= 1e-12 * scale
+        else:
+            assert moments is None
+
         def op(t):
             full = dict(args, **{probe: t})
-            m, i = stats(ad.as_tensor(full["h"]).data)
-            return ad.bn_relu_linear(full["h"], full["gamma"], full["beta"], full["weight"],
-                                     full["bias"], m, i, batch_stats)
+            return ad.bn_relu_linear(*full.values(), running)[0]
 
-        assert_gradient(projected(op, (b, n, k), rng), args[probe])
+        f = projected(op, (b, n, k), rng)
+        assert_gradient(f, args[probe])
+        if not batch_stats:
+            # the running buffers change in place after a train step's forward; the backward
+            # must not read them
+            def then_update_running(t):
+                loss = f(t)
+                for buffer in running:
+                    buffer += 1.0
+                return loss
+
+            expected = ad.analytic_gradient(f, args[probe])
+            assert np.array_equal(ad.analytic_gradient(then_update_running, args[probe]), expected)
 
 
 class TestFoldedUnit:
@@ -173,12 +188,10 @@ class TestFoldedUnit:
 
     @staticmethod
     def two_node(x, gamma, beta, weight, bias, running):
-        """The unit as a context-norm node and a bn_relu_linear node, with the moments of h."""
+        """The unit as a context-norm node and a bn_relu_linear node, with numpy's moments of h."""
         h = ad.normalize(x, axes=(1,))
-        mean, var = (h.data.mean(axis=(0, 1)), h.data.var(axis=(0, 1))) if running is None else running
-        out = ad.bn_relu_linear(h, gamma, beta, weight, bias, mean, 1.0 / np.sqrt(var + 1e-5),
-                                running is None)
-        return out, (mean, var)
+        out, _ = ad.bn_relu_linear(h, gamma, beta, weight, bias, running)
+        return out, (h.data.mean(axis=(0, 1)), h.data.var(axis=(0, 1))) if running is None else None
 
     @PROPERTY
     @given(b=st.integers(1, 3), n=st.integers(2, 6), d=st.integers(2, 5), k=st.integers(1, 4),

@@ -376,6 +376,24 @@ class TestResponses:
                      "--out", str(tmp_path / "r.csv")])
         assert code == 2
 
+    def test_model_without_pooling_exit_2(self, workspace, tmp_path, capsys):
+        """A PointCN model has no unpool assignment to export: one error line, no traceback."""
+        from twoview.autodiff import save_checkpoint
+        from twoview.config import write_network_config
+        from twoview.network import Network, desk_config
+
+        cfg = desk_config(channels=8, blocks_before_pool=1, blocks_after_unpool=1, use_pool=False)
+        ckpt = tmp_path / "pointcn.bin"
+        save_checkpoint(Network(cfg, seed=0).store, ckpt)
+        write_network_config(cfg, str(ckpt) + ".netconfig")
+        out = tmp_path / "r.csv"
+        code = main(["responses", "--seed", "0", "--dataset", str(workspace["data"]),
+                     "--checkpoint", str(ckpt), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: cluster responses require a model with pooling (net.use_pool)"]
+        assert not out.exists()
+
 
 class TestBadConfigValues:
     @pytest.mark.parametrize("command, setting", [

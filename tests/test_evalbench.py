@@ -404,12 +404,16 @@ class TestClusterResponses:
             assert (c, k, r) in mapped
             assert abs(mapped[(c, k, r)] - v) < 1e-9
 
-    def test_plain_variant_rejected(self):
+    @pytest.mark.parametrize("overrides, reason", [
+        ({"unpool_variant": "plain"}, "order-aware unpool"),
+        ({"use_pool": False}, "pooling"),
+    ], ids=["plain", "no-pool"])
+    def test_plain_variant_rejected(self, overrides, reason):
         cfg = desk_config(channels=8, clusters=4, blocks_before_pool=1,
                           blocks_after_unpool=1, level2_blocks=1,
-                          expected_points=64, unpool_variant="plain")
+                          expected_points=64, **overrides)
         net = Network(cfg, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^cluster responses require .*{reason}"):
             export_cluster_responses(net, easy_pairs(count=1)[0])
 
 

@@ -363,7 +363,7 @@ def old_spatial_correlation(F, weight, bias):
 
 def old_pool(self, x, mode, normed=None):
     """DiffPool with its own two-node context norm and the (B, M, N) transpose of the assignment."""
-    assign = ad.softmax(self.head(x, mode, network._normed_input(x, mode)), axis=2)
+    assign = ad.softmax(self.head(x, mode, network.context_norm(x)), axis=2)
     return ad.matmul(ad.transpose_last2(assign), x), assign
 
 
@@ -372,7 +372,7 @@ LEAN_UNPOOL = DiffUnpool.__call__
 
 def old_unpool(self, x_pre, clusters, mode, normed=None):
     """DiffUnpool with its own two-node context norm."""
-    return LEAN_UNPOOL(self, x_pre, clusters, mode, network._normed_input(x_pre, mode))
+    return LEAN_UNPOOL(self, x_pre, clusters, mode, network.context_norm(x_pre))
 
 
 class TestLeanStep:
