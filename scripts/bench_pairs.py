@@ -20,7 +20,8 @@ in the file stay, so a second invocation with new seeds adds pairs to
 the same summary. With --claim METRIC, the file's `claim` states
 whether the change is better in at least 9 of 10 pairs of the workload
 and its median beats the parent's by more than the parent's
-interquartile range; later runs of the claimed workload recompute it.
+interquartile range; later runs of the claimed workload recompute it, and
+each run of that workload prints the verdict after the metric lines.
 Each workload section also records its provenance: the commit of each
 side's checkout (null for a directory that is not a git checkout, such
 as a `git archive` copy), the host and `twoview.cli.environment()`.
@@ -154,6 +155,15 @@ def claim(section, workload, metric):
             "met": wins >= CLAIM_SHARE * pairs and gain > iqr}
 
 
+def verdict(c):
+    """One line stating a claim's verdict and the figures it rests on."""
+    head = f"claim {c['metric']} on {c['workload']}: {'met' if c['met'] else 'not met'}"
+    if "change_wins" not in c:
+        return f"{head} (a run gave no value)"
+    return (f"{head} (change better in {c['change_wins']}, median {c['parent_median']} -> "
+            f"{c['change_median']}, parent IQR {c['parent_iqr']})")
+
+
 def traced_section(results):
     """{metric: {side: value}} from one traced run per side."""
     names = [n for n in results["parent"]["metrics"] if n in results["change"]["metrics"]]
@@ -215,6 +225,8 @@ def main(argv=None):
     for name, m in section["metrics"].items():
         print(f"{args.workload} {name}: {m['parent']['median']} -> {m['change']['median']} "
               f"(change better in {m['change_wins']}, median ratio {m['median_ratio']})")
+    if bench.get("claim", {}).get("workload") == args.workload:
+        print(verdict(bench["claim"]))
     if not section["correct"]:
         print("error: a run was incorrect or gave no result", file=sys.stderr)
         return 1

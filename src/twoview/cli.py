@@ -1,9 +1,9 @@
 """Command-line interface: gen, train, eval, compare, responses, gradcheck.
 
 Every command requires an explicit --seed; determinism is part of the
-contract. Exit codes: 0 success, 2 configuration/usage error or a corrupt
-checkpoint, 3 training divergence (non-finite loss), 4 missing checkpoint,
-5 gradient check failure.
+contract. Exit codes: 0 success, 2 configuration/usage error, a corrupt
+checkpoint or a scene `gen` cannot place, 3 training divergence (non-finite
+loss), 4 missing checkpoint, 5 gradient check failure.
 """
 
 import argparse
@@ -33,7 +33,7 @@ from .evalbench import (
     write_responses_csv,
 )
 from .gradcheck import run_gradcheck
-from .synthdata import MalformedRecord, generate_dataset, read_dataset, write_dataset
+from .synthdata import MalformedRecord, RetryExhausted, generate_dataset, read_dataset, write_dataset
 from .training import TrainingDiverged, run_training
 
 EXIT_OK = 0
@@ -276,7 +276,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, MalformedRecord, ValueError) as err:
+    except (ConfigError, MalformedRecord, RetryExhausted, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except TrainingDiverged as err:

@@ -86,8 +86,8 @@ def essential_from_pose(R, t):
 def _epipolar_terms(E, C):
     """Residuals p2^T E p1 and the summed squared line gradients, vectorized."""
     C = as_correspondences(C)
-    p1 = np.column_stack([C[:, 0], C[:, 1], np.ones(len(C))])
-    p2 = np.column_stack([C[:, 2], C[:, 3], np.ones(len(C))])
+    p1, p2 = np.ones((2, len(C), 3))
+    p1[:, 0], p1[:, 1], p2[:, 0], p2[:, 1] = C.T
     Ep1 = p1 @ E.T      # row i = E @ p1_i
     Etp2 = p2 @ E       # row i = E^T @ p2_i
     residual = np.einsum("ij,ij->i", p2, Ep1)

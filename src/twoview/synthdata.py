@@ -7,11 +7,16 @@ matches replace the second view with a uniform random image point.
 Labels are derived from the geometry (symmetric epipolar distance under
 the ground-truth essential matrix), not from the injection flag, so a
 lucky random outlier that lands on the epipolar line counts as an inlier.
+
+A seed and config give the same bytes in every version: the generator and
+the record codec may change how many calls they make, never the random
+draws, their order and sizes, the floating-point operations on each value
+or the text written. tests/data/gen_*.txt pin this.
 """
 
 import base64
 import json
-from dataclasses import dataclass, asdict, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -21,7 +26,6 @@ from .epipolar import (
     Pose,
     essential_from_pose,
     label_inliers,
-    normalize_keypoints,
     skew,
 )
 
@@ -71,6 +75,10 @@ class SceneConfig:
                                 self.image_width / 2.0, self.image_height / 2.0)
 
 
+# field name -> type, in declaration order
+_CONFIG_FIELDS = {f.name: f.type for f in fields(SceneConfig)}
+
+
 @dataclass
 class ScenePair:
     correspondences: np.ndarray  # (N, 4) normalized coordinates
@@ -85,32 +93,58 @@ class ScenePair:
         return Pose(self.rotation, self.translation)
 
 
-def _axis_angle_rotation(axis, angle):
-    K = skew(axis / np.linalg.norm(axis))
+def _axis_angle_rotation(unit_axis, angle):
+    K = skew(unit_axis)
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
 
 
-def _sample_frustum_points(rng, cfg: SceneConfig, count):
-    """Random 3D points whose first-view projection is uniform in the image."""
+def _direction(rng):
+    """A standard normal 3-vector, redrawn while its norm is below 1e-9, and that norm."""
+    v = rng.normal(size=3)
+    while (norm := np.linalg.norm(v)) < 1e-9:
+        v = rng.normal(size=3)
+    return v, norm
+
+
+def _sample_frustum_points(rng, cfg: SceneConfig, K, count):
+    """Random 3D points whose first-view pixels (u, v) are uniform in the image:
+    (points, u, v)."""
     u = rng.uniform(0.0, cfg.image_width, count)
     v = rng.uniform(0.0, cfg.image_height, count)
     z = rng.uniform(cfg.depth_min, cfg.depth_max, count)
-    K = cfg.intrinsics()
-    xn = normalize_keypoints(np.column_stack([u, v]), K)
-    pts = np.column_stack([xn[:, 0] * z, xn[:, 1] * z, z])
-    return pts, np.column_stack([u, v])
+    points = np.empty((count, 3))
+    np.multiply((u - K.cx) / K.fx, z, out=points[:, 0])
+    np.multiply((v - K.cy) / K.fy, z, out=points[:, 1])
+    points[:, 2] = z
+    return points, u, v
 
 
-def _project(points, R, t, cfg: SceneConfig):
-    """Second-view pixels and a visibility mask (positive depth, inside the image)."""
-    K = cfg.intrinsics()
+def _project(points, R, t, cfg: SceneConfig, K):
+    """Second-view pixels (u, v) and a visibility mask (positive depth, inside the image)."""
     q = points @ R.T + t
     z = q[:, 2]
     safe = np.where(np.abs(z) > 1e-12, z, 1e-12)
     u = K.fx * q[:, 0] / safe + K.cx
     v = K.fy * q[:, 1] / safe + K.cy
     visible = (z > 0) & (u >= 0) & (u < cfg.image_width) & (v >= 0) & (v < cfg.image_height)
-    return np.column_stack([u, v]), visible
+    return u, v, visible
+
+
+def _draw_pose(rng, cfg: SceneConfig, K):
+    """random_pose's rotation and translation, unchecked."""
+    max_angle = np.radians(cfg.max_rotation_deg)
+    for _ in range(MAX_REDRAWS):
+        axis, axis_norm = _direction(rng)
+        R = (_axis_angle_rotation(axis / axis_norm, rng.uniform(0.0, max_angle))
+             if max_angle > 0 else np.eye(3))
+        t, t_norm = _direction(rng)
+        t = t / t_norm
+        probe, _, _ = _sample_frustum_points(rng, cfg, K, 64)
+        visible = _project(probe, R, t, cfg, K)[2]
+        if np.count_nonzero(visible) / len(visible) >= VISIBILITY_FRACTION:
+            return R, t
+    raise RetryExhausted(f"pair seed {cfg.seed}: no pose with {VISIBILITY_FRACTION:.0%} shared "
+                         f"visibility in {MAX_REDRAWS} draws")
 
 
 def random_pose(rng, cfg: SceneConfig):
@@ -119,63 +153,45 @@ def random_pose(rng, cfg: SceneConfig):
     Redraws until at least 80% of a probe point set stays visible in the
     second view, so generated scenes keep enough shared field of view.
     """
-    max_angle = np.radians(cfg.max_rotation_deg)
-    for _ in range(MAX_REDRAWS):
-        axis = rng.normal(size=3)
-        while np.linalg.norm(axis) < 1e-9:
-            axis = rng.normal(size=3)
-        angle = rng.uniform(0.0, max_angle) if max_angle > 0 else 0.0
-        R = _axis_angle_rotation(axis, angle) if max_angle > 0 else np.eye(3)
-        t = rng.normal(size=3)
-        while np.linalg.norm(t) < 1e-9:
-            t = rng.normal(size=3)
-        t = t / np.linalg.norm(t)
-        probe, _ = _sample_frustum_points(rng, cfg, 64)
-        _, visible = _project(probe, R, t, cfg)
-        if visible.mean() >= VISIBILITY_FRACTION:
-            return Pose(R, t)
-    raise RetryExhausted(f"no pose with {VISIBILITY_FRACTION:.0%} shared visibility in {MAX_REDRAWS} draws")
+    return Pose(*_draw_pose(rng, cfg, cfg.intrinsics()))
 
 
 def generate_pair(cfg: SceneConfig):
     """One synthetic scene: pose, correspondences, ground-truth E and labels."""
     rng = np.random.default_rng(cfg.seed)
-    pose = random_pose(rng, cfg)
     K = cfg.intrinsics()
+    R, t = _draw_pose(rng, cfg, K)
     n_outliers = int(round(cfg.n * cfg.outlier_ratio))
     n_inliers = cfg.n - n_outliers
 
-    pix1 = np.zeros((0, 2))
-    pix2 = np.zeros((0, 2))
+    # pixels u1, v1, u2, v2 as rows: the first n_inliers mutually visible points, then the outliers
+    pix = np.empty((4, cfg.n))
+    found = [np.empty((4, 0))]
+    count = 0
     for _ in range(MAX_REDRAWS):
-        if len(pix1) >= n_inliers:
+        if count >= n_inliers:
             break
-        pts, p1 = _sample_frustum_points(rng, cfg, 2 * n_inliers)
-        p2, visible = _project(pts, pose.rotation, pose.translation, cfg)
-        pix1 = np.vstack([pix1, p1[visible]])
-        pix2 = np.vstack([pix2, p2[visible]])
+        points, u1, v1 = _sample_frustum_points(rng, cfg, K, 2 * n_inliers)
+        u2, v2, visible = _project(points, R, t, cfg, K)
+        found.append(np.array([u1, v1, u2, v2]).compress(visible, axis=1))
+        count += found[-1].shape[1]
     else:
-        raise RetryExhausted("could not place enough mutually visible points")
-    pix1 = pix1[:n_inliers]
-    pix2 = pix2[:n_inliers]
+        raise RetryExhausted(f"pair seed {cfg.seed}: could not place enough mutually visible "
+                             "points")
+    pix[:, :n_inliers] = np.concatenate(found, axis=1)[:, :n_inliers]
     if cfg.pixel_noise > 0:
-        pix1 = pix1 + rng.normal(0.0, cfg.pixel_noise, pix1.shape)
-        pix2 = pix2 + rng.normal(0.0, cfg.pixel_noise, pix2.shape)
+        pix[:2, :n_inliers] += rng.normal(0.0, cfg.pixel_noise, (n_inliers, 2)).T
+        pix[2:, :n_inliers] += rng.normal(0.0, cfg.pixel_noise, (n_inliers, 2)).T
 
-    _, out1 = _sample_frustum_points(rng, cfg, n_outliers)
-    out2 = np.column_stack([
-        rng.uniform(0.0, cfg.image_width, n_outliers),
-        rng.uniform(0.0, cfg.image_height, n_outliers),
-    ])
+    _, pix[0, n_inliers:], pix[1, n_inliers:] = _sample_frustum_points(rng, cfg, K, n_outliers)
+    pix[2, n_inliers:] = rng.uniform(0.0, cfg.image_width, n_outliers)
+    pix[3, n_inliers:] = rng.uniform(0.0, cfg.image_height, n_outliers)
+    centre = np.array([[K.cx], [K.cy], [K.cx], [K.cy]])
+    focal = np.array([[K.fx], [K.fy], [K.fx], [K.fy]])
+    corr = np.take(((pix - centre) / focal).T, rng.permutation(cfg.n), axis=0)
 
-    first = np.vstack([pix1, out1])
-    second = np.vstack([pix2, out2])
-    corr = np.hstack([normalize_keypoints(first, K), normalize_keypoints(second, K)])
-    corr = corr[rng.permutation(cfg.n)]
-
-    e_gt = essential_from_pose(pose.rotation, pose.translation)
-    labels = label_inliers(e_gt, corr)
-    return ScenePair(corr, pose.rotation, pose.translation, e_gt, labels, cfg, cfg.seed)
+    e_gt = essential_from_pose(R, t)
+    return ScenePair(corr, R, t, e_gt, label_inliers(e_gt, corr), cfg, cfg.seed)
 
 
 def generate_dataset(cfg: SceneConfig, pairs, base_seed=None):
@@ -184,19 +200,34 @@ def generate_dataset(cfg: SceneConfig, pairs, base_seed=None):
     return [generate_pair(replace(cfg, seed=base + i)) for i in range(pairs)]
 
 
+# json.dumps's output for every part of a record but the correspondences and the labels
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _label_text(labels):
+    """The 0/1 labels as json.dumps writes their list, without the brackets."""
+    if labels.dtype.kind not in "iu" or labels.ndim != 1 or np.any(labels >> 1):
+        raise ValueError("labels must be a 1-D integer array of 0s and 1s")
+    text = np.full(2 * len(labels), ord(","), dtype=np.uint8)
+    text[::2] = labels
+    text[::2] += ord("0")
+    return text[:-1].tobytes().decode("ascii")
+
+
 def pair_to_line(pair: ScenePair):
     """One JSON record; correspondences are base64 of their little-endian float64 bytes in
-    row-major order, the other reals their shortest repr; both read back exactly."""
-    return json.dumps({
-        "n": len(pair.correspondences),
-        "seed": pair.seed,
-        "config": asdict(pair.config),
-        "correspondences": base64.b64encode(pair.correspondences.astype("<f8").tobytes()).decode(),
-        "e_gt": pair.essential.reshape(-1).tolist(),
-        "r_gt": pair.rotation.reshape(-1).tolist(),
-        "t_gt": pair.translation.reshape(-1).tolist(),
-        "labels": pair.labels.tolist(),
-    }, separators=(",", ":"))
+    row-major order, the other reals their shortest repr; both read back exactly. The
+    record's config states the record's own n and seed."""
+    n = len(pair.correspondences)
+    config = {name: getattr(pair.config, name) for name in _CONFIG_FIELDS}
+    config.update(n=n, seed=pair.seed)
+    head = _encode({"n": n, "seed": pair.seed, "config": config})
+    pose = _encode({"e_gt": pair.essential.reshape(-1).tolist(),
+                    "r_gt": pair.rotation.reshape(-1).tolist(),
+                    "t_gt": pair.translation.reshape(-1).tolist()})
+    corr = base64.b64encode(pair.correspondences.astype("<f8").tobytes()).decode()
+    return (f'{head[:-1]},"correspondences":"{corr}",{pose[1:-1]},'
+            f'"labels":[{_label_text(pair.labels)}]}}')
 
 
 def _json_int(value, name):
@@ -214,15 +245,14 @@ def _json_reals(field, name):
 
 def _scene_config(obj):
     """The record's SceneConfig; an int field takes a JSON integer, a float field a finite number."""
-    kinds = {f.name: f.type for f in fields(SceneConfig)}
-    if not (isinstance(obj, dict) and obj.keys() <= kinds.keys()):
-        raise ValueError(f"config must be an object with keys from {sorted(kinds)}")
+    if not (isinstance(obj, dict) and obj.keys() <= _CONFIG_FIELDS.keys()):
+        raise ValueError(f"config must be an object with keys from {sorted(_CONFIG_FIELDS)}")
     for key, value in obj.items():
-        if kinds[key] is int:
+        if _CONFIG_FIELDS[key] is int:
             _json_int(value, f"config.{key}")
         elif type(value) not in (int, float) or not np.isfinite(value):
             raise ValueError(f"config.{key} must be a finite JSON number, got {value!r}")
-    return SceneConfig(**{k: float(v) if kinds[k] is float else v for k, v in obj.items()})
+    return SceneConfig(**{k: float(v) if _CONFIG_FIELDS[k] is float else v for k, v in obj.items()})
 
 
 def _correspondences(field, n):
@@ -256,8 +286,12 @@ def pair_from_line(line, line_number):
         labels = obj["labels"]
         if not (isinstance(labels, list) and set(map(type, labels)) <= {int} and set(labels) <= {0, 1}):
             raise ValueError("labels must be a list of JSON integers 0 or 1")
-        labels = np.array(labels, dtype=np.int64).reshape(n)
+        labels = np.frombuffer(bytes(labels), np.uint8).astype(np.int64).reshape(n)
         seed = _json_int(obj["seed"], "seed")
+        for key, value in (("n", n), ("seed", seed)):
+            if key in obj["config"] and getattr(cfg, key) != value:
+                raise ValueError(f"config.{key} is {getattr(cfg, key)}, "
+                                 f"the record's {key} is {value}")
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise MalformedRecord(line_number, f"bad field: {err}") from None
     if not np.all(np.isfinite(corr)):
@@ -280,16 +314,24 @@ def write_dataset(pairs, path):
     so a failed write leaves any earlier file as it was."""
     def write(fh):
         for pair in pairs:
-            fh.write(pair_to_line(pair).encode("ascii"))
-            fh.write(b"\n")
+            fh.write(f"{pair_to_line(pair)}\n".encode("ascii"))
 
     write_atomically(path, write, prefix=".dataset-")
 
 
 def read_dataset(path):
+    """The pairs of a dataset file; a line that is not UTF-8 text, or whose record fails
+    `pair_from_line`, is a MalformedRecord naming the line."""
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # an undecodable byte b reads as the lone surrogate U+DC00 + b, which UTF-8 cannot encode
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for i, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as err:
+                    byte = ord(line[err.start]) - 0xDC00
+                    raise MalformedRecord(i, f"byte 0x{byte:02x} is not UTF-8 text") from None
             if line.strip() == "":
                 continue
             pairs.append(pair_from_line(line, i))

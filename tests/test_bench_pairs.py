@@ -142,6 +142,28 @@ def test_main_alternates_sides_merges_runs_and_fails_on_an_incorrect_run(tmp_pat
                                                     "workload": "eval-easy", "met": False}
 
 
+def test_main_prints_the_verdict_of_a_claim_on_its_workload(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, workload, seed, seconds, trace:
+                        canned(10.0, setup=0.2 if checkout == "p" else 0.15 - seed / 1000))
+    out = tmp_path / "BENCH.json"
+    args = ["--parent", "p", "--change", "c", "--out", str(out)]
+    assert bench_pairs.main(args + ["--workload", "eval-easy", "--seeds", "1-10",
+                                    "--claim", "setup_s"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[-3:-1]] == ["eval-easy setup_s",
+                                                               "eval-easy items_per_s"]
+    assert lines[-1] == ("claim setup_s on eval-easy: met (change better in 10/10, "
+                         "median 0.2 -> 0.1445, parent IQR 0.0)")
+    # a run of another workload leaves the claim and prints no verdict
+    assert bench_pairs.main(args + ["--workload", "eval-hard", "--seeds", "1"]) == 0
+    assert "claim" not in capsys.readouterr().out
+
+
+def test_verdict_of_a_claim_without_values():
+    assert bench_pairs.verdict({"metric": "setup_s", "workload": "eval-easy", "met": False}) == (
+        "claim setup_s on eval-easy: not met (a run gave no value)")
+
+
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
 def test_commit_is_the_checkouts_head_or_null(tmp_path):
     checkout, copy = tmp_path / "checkout", tmp_path / "copy"

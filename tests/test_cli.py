@@ -76,6 +76,20 @@ class TestGen:
         err = capsys.readouterr().err
         assert "bogus_key" in err and "line 1" in err
 
+    def test_scene_that_cannot_be_placed_exit_2(self, tmp_path, capsys):
+        """No pose keeps 80% of a half-metre-deep scene in view: one error line naming the
+        pair's seed, no output file."""
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("scene.max_rotation_deg = 180\nscene.depth_min = 0.5\n"
+                       "scene.depth_max = 1.0\n")
+        out = tmp_path / "x.txt"
+        code = main(["gen", "--seed", "204", "--pairs", "1", "--config", str(cfg),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: pair seed 204: no pose with 80% shared visibility in 100 draws"]
+        assert not out.exists()
+
     def test_missing_seed_exits_2(self, workspace, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--config", str(workspace["cfg"]), "--out", str(tmp_path / "x.txt")])

@@ -368,3 +368,83 @@ class TestDatasetRoundTrip:
         path = tmp_path / "data.txt"
         path.write_text(pair_to_line(pairs[0]) + "\n\n" + pair_to_line(pairs[1]) + "\n")
         assert len(read_dataset(path)) == 2
+
+
+class TestRecordChecks:
+    def test_undecodable_byte_names_its_line(self, tmp_path):
+        pairs = generate_dataset(SceneConfig(n=16, seed=0), 2, base_seed=0)
+        path = tmp_path / "data.txt"
+        path.write_bytes(pair_to_line(pairs[0]).encode() + b"\n{\xff\n"
+                         + pair_to_line(pairs[1]).encode() + b"\n")
+        with pytest.raises(MalformedRecord) as exc:
+            read_dataset(path)
+        assert exc.value.line_number == 2 and "line 2" in str(exc.value)
+        assert "0xff" in str(exc.value)
+
+    def test_utf8_text_outside_ascii_still_reads(self, tmp_path):
+        """A key the reader ignores may hold any UTF-8 text."""
+        pair = generate_pair(SceneConfig(n=16, seed=5))
+        record = json.loads(pair_to_line(pair))
+        record["note"] = "café ∂"
+        path = tmp_path / "data.txt"
+        path.write_bytes(json.dumps(record, ensure_ascii=False).encode("utf-8") + b"\n")
+        (got,) = read_dataset(path)
+        assert got.correspondences.tobytes() == pair.correspondences.tobytes()
+
+    @pytest.mark.parametrize("key, value", [("n", 64), ("seed", 99)])
+    def test_config_that_disagrees_with_the_record_rejected(self, tmp_path, key, value):
+        pair = generate_pair(SceneConfig(n=16, outlier_ratio=0.4, pixel_noise=1.0, seed=4))
+        record = json.loads(pair_to_line(pair))
+        record["config"][key] = value
+        assert_rejected(tmp_path, record, f"config.{key} is {value}", f"the record's {key} is")
+
+    def test_config_may_leave_n_and_seed_unstated(self):
+        pair = generate_pair(SceneConfig(n=16, seed=4))
+        record = json.loads(pair_to_line(pair))
+        del record["config"]["n"], record["config"]["seed"]
+        got = pair_from_line(json.dumps(record), 1)
+        assert got.seed == 4 and got.config == replace(pair.config, n=512, seed=0)
+
+    def test_written_config_states_the_records_n_and_seed(self):
+        pair = generate_pair(SceneConfig(n=8, seed=4))
+        corr = np.vstack([pair.correspondences, pair.correspondences])
+        pair = replace(pair, correspondences=corr, labels=np.tile(pair.labels, 2), seed=6)
+        got = pair_from_line(pair_to_line(pair), 1)
+        assert got.config == replace(pair.config, n=16, seed=6)
+
+    @pytest.mark.parametrize("labels", [np.array([0, 1, 2] * 5 + [0]), np.full(16, -1),
+                                        np.ones(16, dtype=bool), np.ones(16)],
+                             ids=["two", "minus-one", "bool", "float"])
+    def test_labels_that_no_record_can_hold_are_not_written(self, labels):
+        pair = replace(generate_pair(SceneConfig(n=16, seed=4)), labels=labels)
+        with pytest.raises(ValueError, match="labels must be"):
+            pair_to_line(pair)
+
+    def test_labels_written_as_json_writes_them(self):
+        for labels in (np.array([0, 1, 1, 0, 1, 0, 0, 0]), np.zeros(8, np.int64),
+                       np.ones(9, np.uint8)):
+            pair = replace(generate_pair(SceneConfig(n=8, seed=1)), labels=labels)
+            record = pair_to_line(pair)
+            assert record.endswith(f'"labels":{json.dumps(labels.tolist(), separators=(",", ":"))}}}')
+
+
+# Datasets that `twoview gen` wrote: a change that alters a generated byte fails here
+PINNED = {
+    "hard": (101, "scene.n = 8\nscene.outlier_ratio = 0.6\nscene.pixel_noise = 1.0\n"),
+    "easy": (202, "scene.n = 8\nscene.outlier_ratio = 0.4\nscene.pixel_noise = 0.5\n"),
+    "noise_free": (303, "scene.n = 8\nscene.outlier_ratio = 0.25\nscene.pixel_noise = 0.0\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_generation_matches_the_pinned_dataset(tmp_path, name):
+    from twoview.cli import main
+
+    seed, text = PINNED[name]
+    cfg, out = tmp_path / "scene.cfg", tmp_path / "pairs.txt"
+    cfg.write_text(text)
+    assert main(["gen", "--seed", str(seed), "--pairs", "3", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    pinned = os.path.join(os.path.dirname(__file__), "data", f"gen_{name}.txt")
+    with open(pinned, "rb") as fh:
+        assert out.read_bytes() == fh.read()
