@@ -173,7 +173,7 @@ def step_seconds(manifest):
 def write_summary(steps, outputs, wall_seconds, steps_run):
     """summary.json; the two `invocation_` fields describe this invocation alone."""
     summary = {"steps": steps, "seeds": list(SEEDS),
-               "invocation_wall_seconds": round(wall_seconds, 3),
+               "invocation_wall_seconds": round(wall_seconds, 6),
                "invocation_steps_run": steps_run,
                "ransac_map5": read_metrics(in_cache("metrics_ransac.csv"))["ransac"]["mAP5"]}
     for variant in VARIANTS:

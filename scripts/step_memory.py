@@ -25,19 +25,22 @@ import resource
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
 from twoview import autodiff as ad  # noqa: E402
 from twoview import training  # noqa: E402
-from twoview.config import TrainParams  # noqa: E402
+from twoview.config import TrainParams, load_run_config  # noqa: E402
 from twoview.losses import LossConfig, LossCounters  # noqa: E402
-from twoview.network import Network, NetworkConfig, desk_config  # noqa: E402
+from twoview.network import Network, NetworkConfig  # noqa: E402
 from twoview.synthdata import SceneConfig, generate_dataset  # noqa: E402
 
 MB = 1e6
+PAPER_CONFIG = os.path.join(ROOT, "configs", "paper.cfg")
 WARMUP, MEASURED = 5, 10
 
 
@@ -97,12 +100,12 @@ def steady_state(net_cfg, pairs):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--net", choices=("desk", "paper"), default="desk",
-                        help="desk_config() or the paper-sized NetworkConfig()")
+                        help="the desk-scale NetworkConfig() or the network of configs/paper.cfg")
     parser.add_argument("--batch", type=int, default=8)
     parser.add_argument("--points", type=int, default=512)
     args = parser.parse_args(argv)
-    make = desk_config if args.net == "desk" else NetworkConfig
-    net_cfg, pairs = make(expected_points=args.points), hard_pairs(args.batch, args.points)
+    base = NetworkConfig() if args.net == "desk" else load_run_config(PAPER_CONFIG).network
+    net_cfg, pairs = replace(base, expected_points=args.points), hard_pairs(args.batch, args.points)
     live, peak, after = step_memory(net_cfg, pairs)
     print(f"{args.net} B={args.batch} N={args.points}: live after forward {live / MB:.1f} MB, "
           f"backward peak {peak / MB:.1f} MB, live after backward {after / MB:.1f} MB")

@@ -3,7 +3,8 @@
 One file may configure scene generation, the network, the losses,
 training, and the RANSAC baseline; keys are namespaced with a section
 prefix (scene., net., loss., train., ransac.) and are the fields of the
-section dataclasses, which also check their ranges. Unknown or repeated
+section dataclasses, whose field defaults are the run defaults (desk
+scale) and which also check their ranges. Unknown or repeated
 keys, lines without `=` and out-of-range values are an error that names
 the key and line. The same format (with bare keys) serializes a network
 configuration next to its checkpoint.
@@ -11,11 +12,11 @@ configuration next to its checkpoint.
 
 import math
 import re
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .autodiff import write_atomically
 from .losses import LossConfig
-from .network import NetworkConfig, desk_config
+from .network import NetworkConfig
 from .ransac import RansacConfig
 from .synthdata import SceneConfig
 
@@ -50,14 +51,9 @@ _SECTIONS = {"scene": ("scene", SceneConfig), "net": ("network", NetworkConfig),
 # section fields no run config sets: seeds come from --seed, and the
 # virtual camera is fixed
 _UNSET_FIELDS = {"seed", "image_width", "image_height", "focal"}
-KNOWN_KEYS = {"preset": str, "scene.pairs": int}
+KNOWN_KEYS = {"scene.pairs": int}
 KNOWN_KEYS.update({f"{prefix}.{f.name}": f.type for prefix, (_, cls) in _SECTIONS.items()
                    for f in fields(cls) if f.name not in _UNSET_FIELDS})
-# preset -> the section defaults it sets over the dataclass defaults
-_PRESETS = {
-    "desk": {"net": asdict(desk_config())},
-    "paper": {"loss": {"warmup": 20000}, "train": {"steps": 500000, "batch_size": 32}},
-}
 
 
 def _parse_value(raw, kind, key, line):
@@ -116,9 +112,8 @@ def _build(cls, values, lines, prefix=""):
 
 @dataclass
 class RunConfig:
-    """Every section a command could need, resolved with preset defaults."""
+    """Every section a command could need, resolved over the section defaults."""
 
-    preset: str
     scene: SceneConfig
     pairs: int
     network: NetworkConfig
@@ -128,7 +123,7 @@ class RunConfig:
 
     def echo(self):
         """Flat dict of the effective configuration (for manifests)."""
-        out = {"preset": self.preset, "scene.pairs": self.pairs}
+        out = {"scene.pairs": self.pairs}
         for prefix, (attr, _) in _SECTIONS.items():
             section = getattr(self, attr)
             for f in fields(section):
@@ -138,22 +133,18 @@ class RunConfig:
 
 
 def resolve_run_config(parsed=None):
-    """Apply the preset then any explicit overrides from a parsed config map."""
+    """Build each section from its dataclass defaults and a parsed config map's overrides."""
     parsed = parsed or {}
     lines = {key: line for key, (_, line) in parsed.items()}
-    preset = parsed.get("preset", ("desk", None))[0]
-    if preset not in _PRESETS:
-        raise ConfigError(f"unknown preset {preset!r}", lines.get("preset"))
     sections = {}
     for prefix, (attr, cls) in _SECTIONS.items():
-        values = dict(_PRESETS[preset].get(prefix, {}))
-        values.update((key[len(prefix) + 1:], value) for key, (value, _) in parsed.items()
-                      if key.startswith(prefix + ".") and key != "scene.pairs")
+        values = {key[len(prefix) + 1:]: value for key, (value, _) in parsed.items()
+                  if key.startswith(prefix + ".") and key != "scene.pairs"}
         sections[attr] = _build(cls, values, lines, prefix + ".")
     pairs = parsed.get("scene.pairs", (100, None))[0]
     if pairs < 1:
         raise ConfigError(f"scene.pairs: must be >= 1, got {pairs}", lines.get("scene.pairs"))
-    return RunConfig(preset, pairs=pairs, **sections)
+    return RunConfig(pairs=pairs, **sections)
 
 
 def load_run_config(path=None):

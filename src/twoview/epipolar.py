@@ -104,12 +104,6 @@ def symmetric_epipolar_distances(E, C):
     return out
 
 
-def normalize_keypoints(pixels, K: CameraIntrinsics):
-    """Map pixel coordinates (u, v) to normalized coordinates via the intrinsics."""
-    p = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
-    return np.column_stack([(p[:, 0] - K.cx) / K.fx, (p[:, 1] - K.cy) / K.fy])
-
-
 def label_inliers(E, C, threshold=INLIER_THRESHOLD):
     """Weak inlier labels: 1 where the symmetric epipolar distance beats the threshold.
 

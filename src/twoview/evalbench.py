@@ -62,7 +62,6 @@ class MetricsReport:
     fscore: float
     pairs: int
     failures: int
-    prf_flagged: bool = False
 
 
 def pose_map(errors, max_threshold_deg):
@@ -207,7 +206,7 @@ def aggregate(result: MethodResult, pairs):
     errors = [(o.rotation_error_deg, o.translation_error_deg) for o in result.outcomes]
     # pose_map raises EmptyEvaluation for no outcomes, before np.concatenate would fail
     map5, map10, map20 = (pose_map(errors, t) for t in (5, 10, 20))
-    precision, recall, f, flagged = classification_prf(
+    precision, recall, f, _ = classification_prf(
         np.concatenate([o.predicted_mask.reshape(-1) for o in result.outcomes]),
         np.concatenate([p.labels.reshape(-1) for p in pairs]))
     return MetricsReport(
@@ -220,7 +219,6 @@ def aggregate(result: MethodResult, pairs):
         fscore=f,
         pairs=len(pairs),
         failures=sum(1 for o in result.outcomes if o.failed),
-        prf_flagged=flagged,
     )
 
 

@@ -124,7 +124,8 @@ def total_loss(z, labels, essential, solved, e_gts, corr, cfg: LossConfig, itera
     essential is the (K, 3, 3) stack of the samples whose solver pass
     succeeded, `solved` their indices, or None when no sample solved. The
     essential term switches on after `cfg.warmup` iterations and is the mean
-    over those samples, for `geometry` over those that have an inlier.
+    over those samples, for `geometry` over those that have an inlier. This
+    is the one owner of that schedule: the network solves on every forward.
     """
     cls = classification_loss(z, labels, balanced=cfg.balanced, counters=counters)
     if iteration < cfg.warmup or cfg.alpha == 0.0 or essential is None:

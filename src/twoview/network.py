@@ -9,7 +9,7 @@ w = tanh(relu(z)), and a regressed essential matrix per sample through
 the differentiable weighted eight-point solver.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,16 +21,18 @@ from .epipolar import symmetric_epipolar_distances
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    channels: int = 128
-    clusters: int = 500
-    blocks_before_pool: int = 6
-    blocks_after_unpool: int = 6
-    level2_blocks: int = 6
+    """Desk-scale field defaults, sized for CPU training; configs/paper.cfg is the paper's."""
+
+    channels: int = 32
+    clusters: int = 128
+    blocks_before_pool: int = 2
+    blocks_after_unpool: int = 2
+    level2_blocks: int = 2
     unpool_variant: str = "order_aware"   # "order_aware" | "plain"
     level2_kind: str = "order_aware"      # "order_aware" | "pointcn"
     use_pool: bool = True                 # False: plain PointCN baseline
     iterative: bool = False
-    expected_points: int = 2000           # needed by the plain unpool head (D -> N)
+    expected_points: int = 512            # needed by the plain unpool head (D -> N)
 
     def __post_init__(self):
         if self.unpool_variant not in ("order_aware", "plain"):
@@ -44,16 +46,8 @@ class NetworkConfig:
 
 
 def desk_config(**overrides):
-    """Small configuration sized for CPU training runs."""
-    base = NetworkConfig(
-        channels=32,
-        clusters=128,
-        blocks_before_pool=2,
-        blocks_after_unpool=2,
-        level2_blocks=2,
-        expected_points=512,
-    )
-    return replace(base, **overrides)
+    """The desk-scale NetworkConfig, with any field overridden."""
+    return NetworkConfig(**overrides)
 
 
 def _init_weight(rng, d_in, d_out):
@@ -358,11 +352,11 @@ class Network:
         else:
             self.stage = _Stage(self.store, "net", config, 4, rng)
 
-    def forward(self, corr, mode="eval", solve=True):
+    def forward(self, corr, mode="eval"):
         """Run the network on a (B, N, 4) correspondence batch.
 
-        With solve=False the per-sample essential solve is skipped (used
-        during loss warmup, where only the logits are needed).
+        Every forward solves each sample's essential; whether the loss uses
+        it (the warm-up schedule) is `losses.total_loss`'s to decide.
         """
         corr = np.ascontiguousarray(corr, dtype=np.float64)
         if corr.ndim != 3 or corr.shape[2] != 4:
@@ -370,20 +364,17 @@ class Network:
         if corr.shape[1] < 8:
             raise ShapeMismatch("need at least 8 correspondences per sample")
         if not self.config.iterative:
-            return self._run_stage(self.stage, corr, Tensor(corr), mode, solve)
-        out1 = self._run_stage(self.stage1, corr, Tensor(corr), mode, True)
+            return self._run_stage(self.stage, corr, Tensor(corr), mode)
+        out1 = self._run_stage(self.stage1, corr, Tensor(corr), mode)
         extra = self._stage2_channels(corr, out1)
-        out2 = self._run_stage(self.stage2, corr, Tensor(extra), mode, solve)
+        out2 = self._run_stage(self.stage2, corr, Tensor(extra), mode)
         out2.stage1 = out1
         return out2
 
-    def _run_stage(self, stage, corr, inputs, mode, solve=True):
+    def _run_stage(self, stage, corr, inputs, mode):
         z, pool_assign, unpool_assign = stage(inputs, mode)
         w = ad.tanh(ad.relu(z))
-        if solve:
-            essential, solved, failures = _solve_batch(corr, w)
-        else:
-            essential, solved, failures = None, [], ["skipped"] * corr.shape[0]
+        essential, solved, failures = _solve_batch(corr, w)
         return PredictionOutput(z, w, essential, solved, failures, pool_assign, unpool_assign)
 
     def _stage2_channels(self, corr, out1):

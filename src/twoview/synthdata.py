@@ -296,8 +296,10 @@ def pair_from_line(line, line_number):
         raise MalformedRecord(line_number, f"bad field: {err}") from None
     if not np.all(np.isfinite(corr)):
         raise MalformedRecord(line_number, "correspondences contain non-finite coordinates")
-    recomputed = essential_from_pose(r_gt, t_gt)
-    if not np.max(np.abs(recomputed - e_gt)) <= 1e-12:  # a NaN in the pose fails too
+    with np.errstate(over="ignore", invalid="ignore"):  # a pose near the float range
+        recomputed = essential_from_pose(r_gt, t_gt)
+        mismatch = np.max(np.abs(recomputed - e_gt))
+    if not mismatch <= 1e-12:  # a NaN or an infinity in the pose fails too
         raise MalformedRecord(line_number, "stored e_gt does not match essential_from_pose(r_gt, t_gt)")
     try:
         with np.errstate(over="raise", invalid="raise"):

@@ -75,8 +75,7 @@ def _gradients(net, corr, labels, egts, loss_cfg, iteration, counters):
     Nothing of the step's graph outlives the call, so validation and the
     next forward run with only one step's memory in use.
     """
-    needs_essential = loss_cfg.alpha > 0 and iteration >= loss_cfg.warmup
-    out = net.forward(corr, mode="train", solve=needs_essential)
+    out = net.forward(corr, mode="train")
     loss = total_loss(out.logits, labels, out.essential, out.solved, egts, corr, loss_cfg,
                       iteration, counters)
     if out.stage1 is not None:

@@ -117,6 +117,17 @@ class TestTrain:
         assert code == 0
         assert int(read_checkpoint_arrays(out)["__step__"]) == 15
 
+    def test_preset_line_exit_2(self, workspace, tmp_path, capsys):
+        """There is no preset: the section defaults are the desk run, paper.cfg the full one."""
+        cfg = tmp_path / "preset.cfg"
+        cfg.write_text("scene.n = 48\npreset = paper\n")
+        out = tmp_path / "out.bin"
+        code = main(["train", "--seed", "0", "--config", str(cfg), "--dataset",
+                     str(workspace["data"]), "--out", str(out), "--steps", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == ["error: line 2: unknown key 'preset'"]
+        assert not out.exists()
+
     def test_resume_without_sidecar_exit_4(self, workspace, tmp_path, capsys):
         """As eval and compare do, train --resume names the missing .netconfig sidecar."""
         import shutil

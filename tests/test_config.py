@@ -56,9 +56,8 @@ class TestParse:
             parse_config_file(p)
 
 
-# the effective configuration of the built-in desk preset, as echoed into manifests
+# the effective configuration of the section defaults, as echoed into manifests
 DESK_ECHO = {
-    "preset": "desk",
     "scene.n": 512, "scene.outlier_ratio": 0.4, "scene.pixel_noise": 0.5, "scene.depth_min": 4.0,
     "scene.depth_max": 10.0, "scene.max_rotation_deg": 30.0, "scene.image_width": 640,
     "scene.image_height": 480, "scene.focal": 500.0, "scene.pairs": 100,
@@ -77,7 +76,7 @@ SHIPPED_ECHO = {
     "desk.cfg": DESK_ECHO,
     "hard.cfg": {**DESK_ECHO, "scene.outlier_ratio": 0.6, "scene.pixel_noise": 1.0,
                  "loss.kind": "geometry", "loss.alpha": 0.5, "train.log_every": 200},
-    "paper.cfg": {**DESK_ECHO, "preset": "paper", "scene.n": 2000, "net.channels": 128,
+    "paper.cfg": {**DESK_ECHO, "scene.n": 2000, "net.channels": 128,
                   "net.clusters": 500, "net.blocks_before_pool": 6, "net.blocks_after_unpool": 6,
                   "net.level2_blocks": 6, "net.expected_points": 2000, "loss.warmup": 20000,
                   "train.steps": 500000, "train.batch_size": 32},
@@ -96,8 +95,10 @@ class TestDeskConfigFile:
         assert set(keys) == set(KNOWN_KEYS)
 
     def test_loads_as_desk_preset(self):
+        """desk.cfg states the section defaults."""
         run = load_run_config(self.PATH)
-        assert run.network == desk_config()
+        assert run == load_run_config(None)
+        assert run.network == NetworkConfig() == desk_config()
 
     @pytest.mark.parametrize("name", sorted(SHIPPED_ECHO, key=str))
     def test_shipped_configs_resolve_unchanged(self, name):
@@ -111,34 +112,39 @@ class TestDeskConfigFile:
 class TestResolve:
     def test_defaults_without_file(self):
         run = load_run_config(None)
-        assert run.preset == "desk"
-        assert run.network == desk_config()
+        assert run.network == NetworkConfig() == desk_config()
         assert run.train.steps == 10000
 
-    def test_paper_preset(self, tmp_path):
-        p = tmp_path / "c.cfg"
-        p.write_text("preset = paper\n")
-        run = load_run_config(p)
-        assert run.network == NetworkConfig()
-        assert run.loss.warmup == 20000
-        assert run.train.batch_size == 32
+    def test_paper_preset(self):
+        """configs/paper.cfg states every value `preset = paper` used to set."""
+        run = load_run_config(os.path.join(CONFIGS, "paper.cfg"))
+        assert run.network == NetworkConfig(channels=128, clusters=500, blocks_before_pool=6,
+                                            blocks_after_unpool=6, level2_blocks=6,
+                                            expected_points=2000)
+        assert (run.loss.warmup, run.train.steps, run.train.batch_size) == (20000, 500000, 32)
 
     def test_overrides_apply_over_preset(self, tmp_path):
+        """Keys override the section defaults and leave the other fields at theirs."""
         p = tmp_path / "c.cfg"
-        p.write_text("preset = desk\nnet.channels = 16\ntrain.steps = 50\nscene.pairs = 7\n")
+        p.write_text("net.channels = 16\ntrain.steps = 50\nscene.pairs = 7\n")
         run = load_run_config(p)
-        assert run.network.channels == 16
-        assert run.train.steps == 50
+        assert run.network == NetworkConfig(channels=16)
+        assert run.train == TrainParams(steps=50)
         assert run.pairs == 7
 
-    def test_unknown_preset(self):
-        with pytest.raises(ConfigError):
-            resolve_run_config({"preset": ("galaxy", 1)})
+    def test_unknown_preset(self, tmp_path):
+        """`preset` is an unknown key, whatever its value."""
+        p = tmp_path / "c.cfg"
+        for value in ("desk", "paper", "galaxy"):
+            p.write_text(f"scene.n = 64\npreset = {value}\n")
+            with pytest.raises(ConfigError, match="line 2: unknown key 'preset'") as exc:
+                load_run_config(p)
+            assert exc.value.line == 2
 
     def test_echo_is_flat(self):
         echo = load_run_config(None).echo()
         assert echo["net.channels"] == 32
-        assert all("." in k or k == "preset" for k in echo)
+        assert all("." in k for k in echo)
 
     def test_train_params_validation(self):
         with pytest.raises(ValueError):

@@ -97,20 +97,7 @@ class TestSymmetricEpipolarDistance:
             assert abs(d1 - d2) <= 1e-12 * max(d1, 1.0)
 
 
-class TestNormalizeKeypoints:
-    def test_principal_point(self):
-        K = ep.CameraIntrinsics(500, 500, 320, 240)
-        assert np.allclose(ep.normalize_keypoints([(320, 240)], K), [[0, 0]])
-
-    def test_identity_intrinsics(self):
-        K = ep.CameraIntrinsics(1, 1, 0, 0)
-        pts = np.array([[1.0, 2.0], [-3.0, 0.5]])
-        assert np.allclose(ep.normalize_keypoints(pts, K), pts)
-
-    def test_definition(self):
-        K = ep.CameraIntrinsics(500, 250, 320, 240)
-        assert np.allclose(ep.normalize_keypoints([(320 + 500, 240 + 2 * 250)], K), [[1, 2]])
-
+class TestCameraIntrinsics:
     def test_bad_focal_rejected(self):
         with pytest.raises(ValueError):
             ep.CameraIntrinsics(0, 500, 320, 240)

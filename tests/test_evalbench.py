@@ -112,7 +112,6 @@ class TestClassificationPRF:
         report = aggregate(result, pairs)
         assert (report.precision, report.recall) == (50.0, pytest.approx(200.0 / 3))
         assert report.fscore == pytest.approx(2 * 50.0 * (200.0 / 3) / (50.0 + 200.0 / 3))
-        assert not report.prf_flagged
 
 
 class TestCompareMethods:

@@ -7,6 +7,7 @@ import pytest
 from twoview import autodiff as ad
 from twoview import network
 from twoview.autodiff import ParameterStore, ShapeMismatch, Tensor
+from twoview.config import load_run_config
 from twoview.network import (
     BatchNorm,
     DiffPool,
@@ -24,6 +25,8 @@ from twoview.network import (
 from twoview.synthdata import SceneConfig, generate_dataset, generate_pair
 
 B, N, M, D = 2, 16, 4, 8
+PAPER_CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs",
+                            "paper.cfg")
 
 
 def tiny_config(**over):
@@ -449,7 +452,7 @@ class TestLeanStep:
             return counted(F, eps)
 
         monkeypatch.setattr(network, "context_norm", context_norm)
-        Network(tiny_config(), seed=3).forward(rand((B, N, 4), seed=92), mode="train", solve=False)
+        Network(tiny_config(), seed=3).forward(rand((B, N, 4), seed=92), mode="train")
         # every other unit folds its context norm into its own node
         assert calls == [(B, N, D)]
 
@@ -745,13 +748,14 @@ class TestIterative:
 
 class TestConfig:
     def test_paper_defaults(self):
-        cfg = NetworkConfig()
+        cfg = load_run_config(PAPER_CONFIG).network
         assert cfg.channels == 128 and cfg.clusters == 500
         assert cfg.blocks_before_pool + cfg.blocks_after_unpool == 12
         assert cfg.level2_blocks == 6
 
     def test_desk_defaults(self):
-        cfg = desk_config()
+        cfg = NetworkConfig()
+        assert cfg == desk_config()
         assert cfg.channels == 32 and cfg.clusters == 128
         assert cfg.blocks_before_pool == cfg.blocks_after_unpool == 2
 

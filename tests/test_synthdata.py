@@ -398,6 +398,16 @@ class TestRecordChecks:
         record["config"][key] = value
         assert_rejected(tmp_path, record, f"config.{key} is {value}", f"the record's {key} is")
 
+    @pytest.mark.parametrize("t_gt", [[1e308, 1e308, 0.5], [1e308, -1e308, 1e308]],
+                             ids=["two-huge", "three-huge"])
+    def test_pose_near_the_float_range_rejected_without_warnings(self, tmp_path, t_gt):
+        """The pose check overflows quietly; the mismatch it yields rejects the record."""
+        record = json.loads(pair_to_line(generate_pair(SceneConfig(n=16, seed=4))))
+        record["t_gt"] = t_gt
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_rejected(tmp_path, record, "stored e_gt does not match")
+
     def test_config_may_leave_n_and_seed_unstated(self):
         pair = generate_pair(SceneConfig(n=16, seed=4))
         record = json.loads(pair_to_line(pair))
