@@ -130,67 +130,59 @@ _W = np.array([
 ])
 
 
-def decompose_essential(E):
-    """Four (R, t) candidates of an essential matrix, rotations proper."""
+def _decomposition(E):
+    """The two proper rotations and the unit translation that E decomposes into."""
     E = np.asarray(E, dtype=np.float64).reshape(3, 3)
     U, s, Vt = np.linalg.svd(E)
     if s[0] < RANK_EPS and s[1] < RANK_EPS:
         raise RankDeficient("two largest singular values both below 1e-12")
     if np.linalg.det(U) < 0:
-        U = U.copy()
         U[:, 2] *= -1.0
     if np.linalg.det(Vt) < 0:
-        Vt = Vt.copy()
         Vt[2, :] *= -1.0
-    R1 = U @ _W @ Vt
-    R2 = U @ _W.T @ Vt
-    t = U[:, 2] / np.linalg.norm(U[:, 2])
-    return [Pose(R1, t), Pose(R1, -t), Pose(R2, t), Pose(R2, -t)]
-
-
-def _depths(pose: Pose, C):
-    """Per-point depths (z1, z2) from linear two-ray triangulation."""
-    C = as_correspondences(C)
-    x1 = np.column_stack([C[:, 0], C[:, 1], np.ones(len(C))])
-    x2 = np.column_stack([C[:, 2], C[:, 3], np.ones(len(C))])
-    a = x1 @ pose.rotation.T  # row i = R @ x1_i
-    b = x2
-    # least squares for z1*a - z2*b = -t, per point (2x2 normal equations)
-    aa = np.einsum("ij,ij->i", a, a)
-    bb = np.einsum("ij,ij->i", b, b)
-    ab = np.einsum("ij,ij->i", a, b)
-    at = a @ pose.translation
-    bt = b @ pose.translation
-    det = aa * bb - ab * ab
-    safe = np.abs(det) > 1e-12
-    z1 = np.zeros(len(C))
-    z2 = np.zeros(len(C))
-    z1[safe] = (-at[safe] * bb[safe] + ab[safe] * bt[safe]) / det[safe]
-    z2[safe] = (ab[safe] * -at[safe] + aa[safe] * bt[safe]) / det[safe]
-    z1[~safe] = -1.0  # parallel rays never count as in front
-    z2[~safe] = -1.0
-    return z1, z2
+    return U @ _W @ Vt, U @ _W.T @ Vt, U[:, 2] / np.linalg.norm(U[:, 2])
 
 
 def recover_pose(E, C, weights):
-    """Pick the decomposition candidate with the largest weighted in-front count."""
+    """The candidate (R1, t), (R1, -t), (R2, t) or (R2, -t) of E with the largest weighted
+    count of points in front of both cameras; of equal counts the earlier candidate wins.
+
+    Each rotation is triangulated once: the depths under -t are exactly the negated depths
+    under t, so one triangulation scores both signs. Parallel rays count for neither.
+    """
     C = as_correspondences(C)
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
     if len(w) != len(C):
         raise ValueError(f"weights length {len(w)} != correspondence count {len(C)}")
     if not np.any(w > 0):
         raise NoValidCandidate("no correspondence carries positive weight")
+    R1, R2, t = _decomposition(E)
+    x1 = np.column_stack([C[:, 0], C[:, 1], np.ones(len(C))])
+    b = np.column_stack([C[:, 2], C[:, 3], np.ones(len(C))])
+    bb = np.einsum("ij,ij->i", b, b)
+    bt = b @ t
     best = None
     best_score = 0.0
-    for pose in decompose_essential(E):
-        z1, z2 = _depths(pose, C)
-        score = float(np.sum(w * ((z1 > 0) & (z2 > 0))))
-        if score > best_score:
-            best_score = score
-            best = pose
+    for R in (R1, R2):
+        a = x1 @ R.T  # row i = R @ x1_i
+        # least squares for z1*a - z2*b = -t, per point (2x2 normal equations)
+        aa = np.einsum("ij,ij->i", a, a)
+        ab = np.einsum("ij,ij->i", a, b)
+        at = a @ t
+        det = aa * bb - ab * ab
+        safe = np.abs(det) > 1e-12
+        z1 = (-at[safe] * bb[safe] + ab[safe] * bt[safe]) / det[safe]
+        z2 = (ab[safe] * -at[safe] + aa[safe] * bt[safe]) / det[safe]
+        for trans, in_front in ((t, (z1 > 0) & (z2 > 0)), (-t, (z1 < 0) & (z2 < 0))):
+            front = np.zeros(len(C), dtype=bool)  # parallel rays are in front of neither
+            front[safe] = in_front
+            score = float(np.sum(w * front))
+            if score > best_score:
+                best_score = score
+                best = (R, trans)
     if best is None:
         raise NoValidCandidate("every candidate leaves all weighted points behind a camera")
-    return best
+    return Pose(*best)
 
 
 def rotation_angle_deg(Ra, Rb):

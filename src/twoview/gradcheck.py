@@ -247,10 +247,7 @@ def _loss_cases(rng):
     labels = (rng.uniform(size=(2, 16)) < 0.5).astype(np.int64)
     labels[:, 0] = 1
     labels[:, 1] = 0
-    cases.append(("classification_loss(balanced)", z0,
-                  lambda t: classification_loss(t, labels, balanced=True)))
-    cases.append(("classification_loss(unbalanced)", z0,
-                  lambda t: classification_loss(t, labels, balanced=False)))
+    cases.append(("classification_loss(balanced)", z0, lambda t: classification_loss(t, labels)))
 
     pair = _toy_scene(seed=11)
     e_gt = pair.essential

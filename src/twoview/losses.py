@@ -26,7 +26,6 @@ class LossConfig:
     alpha: float = None         # None resolves to 0.1 (l2) or 0.5 (geometry)
     warmup: int = 500           # iterations with the essential term disabled
     clamp: float = 0.1          # geometry loss saturation
-    balanced: bool = True       # class-balanced cross entropy
 
     def __post_init__(self):
         if self.kind not in ("l2", "geometry"):
@@ -41,13 +40,13 @@ class LossConfig:
             raise ValueError("clamp must be positive")
 
 
-def classification_loss(z, labels, balanced=True, counters: LossCounters = None):
-    """Binary cross entropy on (B, N) logits, averaged over the batch.
+def classification_loss(z, labels, counters: LossCounters = None):
+    """Class-balanced binary cross entropy on (B, N) logits, averaged over the batch.
 
-    With `balanced` the positive and negative terms are averaged within
-    their class first, so heavy outlier imbalance does not drown the
-    inlier signal. Samples with an empty class are skipped (and counted);
-    a batch with no usable sample raises DegenerateLabels.
+    The positive and negative terms are averaged within their class first,
+    so heavy outlier imbalance does not drown the inlier signal. Samples
+    with an empty class are skipped (and counted); a batch with no usable
+    sample raises DegenerateLabels.
     """
     z = ad.as_tensor(z)
     labels = np.asarray(labels)
@@ -55,7 +54,6 @@ def classification_loss(z, labels, balanced=True, counters: LossCounters = None)
         raise ValueError(f"expected (B, N) logits and labels of the same shape, "
                          f"got {z.shape} and {labels.shape}")
     s = (labels > 0).astype(np.float64)
-    N = s.shape[1]
     n_pos = s.sum(axis=1)
     n_neg = (1.0 - s).sum(axis=1)
     valid = (n_pos > 0) & (n_neg > 0)
@@ -66,12 +64,8 @@ def classification_loss(z, labels, balanced=True, counters: LossCounters = None)
     nv = float(np.count_nonzero(valid))
     # per-element weights folding the class balance and batch mean into one sum;
     # a skipped sample divides by inf, which gives its row exact zeros
-    if balanced:
-        pos_den, neg_den = 2.0 * n_pos * nv, 2.0 * n_neg * nv
-    else:
-        pos_den = neg_den = N * nv
-    wpos = s / np.where(valid, pos_den, np.inf)[:, None]
-    wneg = (1.0 - s) / np.where(valid, neg_den, np.inf)[:, None]
+    wpos = s / np.where(valid, 2.0 * n_pos * nv, np.inf)[:, None]
+    wneg = (1.0 - s) / np.where(valid, 2.0 * n_neg * nv, np.inf)[:, None]
     # softplus(-z) = -log(sigmoid(z)) for the positives, softplus(z) for the negatives
     loss = ad.reduce_sum(ad.softplus(-z) * wpos) + ad.reduce_sum(ad.softplus(z) * wneg)
     return loss
@@ -127,7 +121,7 @@ def total_loss(z, labels, essential, solved, e_gts, corr, cfg: LossConfig, itera
     over those samples, for `geometry` over those that have an inlier. This
     is the one owner of that schedule: the network solves on every forward.
     """
-    cls = classification_loss(z, labels, balanced=cfg.balanced, counters=counters)
+    cls = classification_loss(z, labels, counters=counters)
     if iteration < cfg.warmup or cfg.alpha == 0.0 or essential is None:
         return cls
     labels = np.asarray(labels)[solved]

@@ -24,6 +24,7 @@ from .autodiff import write_atomically
 from .epipolar import (
     CameraIntrinsics,
     Pose,
+    ZeroTranslation,
     essential_from_pose,
     label_inliers,
     skew,
@@ -297,10 +298,17 @@ def pair_from_line(line, line_number):
     if not np.all(np.isfinite(corr)):
         raise MalformedRecord(line_number, "correspondences contain non-finite coordinates")
     with np.errstate(over="ignore", invalid="ignore"):  # a pose near the float range
-        recomputed = essential_from_pose(r_gt, t_gt)
-        mismatch = np.max(np.abs(recomputed - e_gt))
-    if not mismatch <= 1e-12:  # a NaN or an infinity in the pose fails too
-        raise MalformedRecord(line_number, "stored e_gt does not match essential_from_pose(r_gt, t_gt)")
+        try:
+            mismatch = np.max(np.abs(essential_from_pose(r_gt, t_gt) - e_gt))
+        except ZeroTranslation as err:
+            raise MalformedRecord(line_number, f"bad pose: {err}") from None
+        if not mismatch <= 1e-12:  # a NaN or an infinity in the pose fails too
+            raise MalformedRecord(line_number,
+                                  "stored e_gt does not match essential_from_pose(r_gt, t_gt)")
+        try:
+            Pose(r_gt, t_gt)  # e_gt is scale-free, so a scaled r_gt or t_gt matches it too
+        except ValueError as err:
+            raise MalformedRecord(line_number, f"bad pose: {err}") from None
     try:
         with np.errstate(over="raise", invalid="raise"):
             inliers = label_inliers(e_gt, corr)

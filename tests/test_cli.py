@@ -240,6 +240,25 @@ class TestEval:
         assert code == 2
         assert "error: line 2: correspondence coordinates overflow" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, scale, words", [("t_gt", 0.0, "translation norm below 1e-12"),
+                                                   ("r_gt", 2.0, "rotation is not proper"),
+                                                   ("t_gt", 2.0, "translation is not unit norm")],
+                             ids=["zero-t", "scaled-r", "scaled-t"])
+    def test_bad_pose_record_exit_2(self, workspace, tmp_path, capsys, key, scale, words):
+        """A pose that e_gt matches only up to scale names its line in one error line."""
+        lines = workspace["data"].read_text().splitlines()
+        record = json.loads(lines[2])
+        record[key] = [scale * v for v in record[key]]
+        lines[2] = json.dumps(record)
+        data = tmp_path / "bad_pose.txt"
+        data.write_text("\n".join(lines) + "\n")
+        code = main(["eval", "--seed", "3", "--config", str(workspace["cfg"]),
+                     "--dataset", str(data), "--method", "ransac",
+                     "--out", str(tmp_path / "m.csv")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: line 3: bad pose: ") and words in err[0]
+
     @staticmethod
     def eval_net(workspace, tmp_path, ckpt):
         return main(["eval", "--seed", "3", "--config", str(workspace["cfg"]),

@@ -66,7 +66,6 @@ DESK_ECHO = {
     "net.level2_kind": "order_aware", "net.use_pool": True, "net.iterative": False,
     "net.expected_points": 512,
     "loss.kind": "l2", "loss.alpha": 0.1, "loss.warmup": 500, "loss.clamp": 0.1,
-    "loss.balanced": True,
     "train.steps": 10000, "train.batch_size": 8, "train.lr": 1e-4, "train.log_every": 100,
     "train.val_pairs": 20,
     "ransac.threshold": 1e-4, "ransac.max_iterations": 2000, "ransac.confidence": 0.999,
@@ -78,7 +77,8 @@ SHIPPED_ECHO = {
                  "loss.kind": "geometry", "loss.alpha": 0.5, "train.log_every": 200},
     "paper.cfg": {**DESK_ECHO, "scene.n": 2000, "net.channels": 128,
                   "net.clusters": 500, "net.blocks_before_pool": 6, "net.blocks_after_unpool": 6,
-                  "net.level2_blocks": 6, "net.expected_points": 2000, "loss.warmup": 20000,
+                  "net.level2_blocks": 6, "net.expected_points": 2000, "loss.kind": "geometry",
+                  "loss.alpha": 0.5, "loss.warmup": 20000,
                   "train.steps": 500000, "train.batch_size": 32},
 }
 
@@ -140,6 +140,14 @@ class TestResolve:
             with pytest.raises(ConfigError, match="line 2: unknown key 'preset'") as exc:
                 load_run_config(p)
             assert exc.value.line == 2
+
+    def test_loss_balanced_is_unknown(self, tmp_path):
+        """The class-balanced loss is the only loss: `loss.balanced` is an unknown key."""
+        p = tmp_path / "c.cfg"
+        for value in ("true", "false"):
+            p.write_text(f"scene.n = 64\nloss.balanced = {value}\n")
+            with pytest.raises(ConfigError, match="line 2: unknown key 'loss.balanced'"):
+                load_run_config(p)
 
     def test_echo_is_flat(self):
         echo = load_run_config(None).echo()

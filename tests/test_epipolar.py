@@ -152,11 +152,11 @@ class TestProjectToEssential:
         Mn = M / np.linalg.norm(M)
         E_star = ep.project_to_essential(M)
         base = np.linalg.norm(Mn - E_star)
-        pose = ep.decompose_essential(E_star)[0]
+        R, _, t = ep._decomposition(E_star)
         for _ in range(200):
             dR = random_rotation(rng, max_angle=rng.uniform(1e-4, 0.3))
-            dt = pose.translation + rng.normal(scale=0.1, size=3)
-            E_p = ep.essential_from_pose(dR @ pose.rotation, dt / np.linalg.norm(dt))
+            dt = t + rng.normal(scale=0.1, size=3)
+            E_p = ep.essential_from_pose(dR @ R, dt / np.linalg.norm(dt))
             assert base <= min(np.linalg.norm(Mn - E_p), np.linalg.norm(Mn + E_p)) + 1e-12
 
     def test_rank_deficient_rejected(self):
@@ -165,38 +165,182 @@ class TestProjectToEssential:
 
 
 class TestDecomposeEssential:
+    """E's two rotations and unit translation (`_decomposition`), which give the four
+    candidates (R1, t), (R1, -t), (R2, t), (R2, -t) of the cheirality vote."""
+
     def test_round_trip(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             R = random_rotation(rng)
             t = rng.normal(size=3)
             t /= np.linalg.norm(t)
-            E = ep.essential_from_pose(R, t)
+            R1, R2, t_c = ep._decomposition(ep.essential_from_pose(R, t))
             best = min(
-                max(np.radians(ep.rotation_angle_deg(c.rotation, R)),
-                    np.radians(ep.translation_angle_deg(c.translation, t)))
-                for c in ep.decompose_essential(E))
+                max(np.radians(ep.rotation_angle_deg(Rc, R)),
+                    np.radians(ep.translation_angle_deg(tc, t)))
+                for Rc in (R1, R2) for tc in (t_c, -t_c))
             assert best < 1e-6
 
     def test_sign_symmetry(self):
-        rng = np.random.default_rng(8)
-        E = ep.essential_from_pose(random_rotation(rng), rng.normal(size=3))
-        a = ep.decompose_essential(E)
-        b = ep.decompose_essential(-E)
-        for ca in a:
-            assert any(
-                np.allclose(ca.rotation, cb.rotation, atol=1e-9)
-                and np.allclose(ca.translation, cb.translation, atol=1e-9)
-                for cb in b)
+        """recover_pose(E) and recover_pose(-E) return the same pose on noise-free scenes."""
+        for seed in range(10):
+            pair = generate_pair(SceneConfig(n=64, outlier_ratio=0.0, pixel_noise=0.0, seed=seed))
+            a = ep.recover_pose(pair.essential, pair.correspondences, np.ones(64))
+            b = ep.recover_pose(-pair.essential, pair.correspondences, np.ones(64))
+            assert np.allclose(a.rotation, b.rotation, atol=1e-9)
+            assert np.allclose(a.translation, b.translation, atol=1e-9)
 
     def test_candidates_valid(self):
+        """recover_pose validates only the winner, so every candidate must pass Pose's check."""
         rng = np.random.default_rng(9)
-        E = ep.essential_from_pose(random_rotation(rng), rng.normal(size=3))
-        candidates = ep.decompose_essential(E)
-        assert len(candidates) == 4
-        for c in candidates:
-            assert abs(np.linalg.norm(c.translation) - 1.0) < 1e-9
-            assert abs(np.linalg.det(c.rotation) - 1.0) < 1e-9
+        for _ in range(10):
+            M = rng.normal(size=(3, 3))
+            for E in (ep.essential_from_pose(random_rotation(rng), rng.normal(size=3)), M, -M):
+                R1, R2, t = ep._decomposition(E)
+                for R in (R1, R2):
+                    for trans in (t, -t):
+                        ep.Pose(R, trans)
+
+
+def reference_candidates(E):
+    """The four (R, t) candidates of E as validated poses: the vote's old first step."""
+    E = np.asarray(E, dtype=np.float64).reshape(3, 3)
+    U, s, Vt = np.linalg.svd(E)
+    if s[0] < ep.RANK_EPS and s[1] < ep.RANK_EPS:
+        raise ep.RankDeficient("two largest singular values both below 1e-12")
+    if np.linalg.det(U) < 0:
+        U = U.copy()
+        U[:, 2] *= -1.0
+    if np.linalg.det(Vt) < 0:
+        Vt = Vt.copy()
+        Vt[2, :] *= -1.0
+    R1 = U @ ep._W @ Vt
+    R2 = U @ ep._W.T @ Vt
+    t = U[:, 2] / np.linalg.norm(U[:, 2])
+    return [ep.Pose(R1, t), ep.Pose(R1, -t), ep.Pose(R2, t), ep.Pose(R2, -t)]
+
+
+def reference_depths(pose, C):
+    """Per-point depths (z1, z2) of one candidate by linear two-ray triangulation."""
+    C = ep.as_correspondences(C)
+    x1 = np.column_stack([C[:, 0], C[:, 1], np.ones(len(C))])
+    x2 = np.column_stack([C[:, 2], C[:, 3], np.ones(len(C))])
+    a = x1 @ pose.rotation.T
+    b = x2
+    aa = np.einsum("ij,ij->i", a, a)
+    bb = np.einsum("ij,ij->i", b, b)
+    ab = np.einsum("ij,ij->i", a, b)
+    at = a @ pose.translation
+    bt = b @ pose.translation
+    det = aa * bb - ab * ab
+    safe = np.abs(det) > 1e-12
+    z1 = np.zeros(len(C))
+    z2 = np.zeros(len(C))
+    z1[safe] = (-at[safe] * bb[safe] + ab[safe] * bt[safe]) / det[safe]
+    z2[safe] = (ab[safe] * -at[safe] + aa[safe] * bt[safe]) / det[safe]
+    z1[~safe] = -1.0
+    z2[~safe] = -1.0
+    return z1, z2
+
+
+def reference_recover_pose(E, C, weights):
+    """The four-candidate cheirality vote, one triangulation per candidate: the reference for
+    recover_pose. Returns the winner and its index in the candidate order."""
+    C = ep.as_correspondences(C)
+    w = np.asarray(weights, dtype=np.float64).reshape(-1)
+    if len(w) != len(C):
+        raise ValueError(f"weights length {len(w)} != correspondence count {len(C)}")
+    if not np.any(w > 0):
+        raise ep.NoValidCandidate("no correspondence carries positive weight")
+    best = None
+    best_score = 0.0
+    for index, pose in enumerate(reference_candidates(E)):
+        z1, z2 = reference_depths(pose, C)
+        score = float(np.sum(w * ((z1 > 0) & (z2 > 0))))
+        if score > best_score:
+            best_score = score
+            best = (pose, index)
+    if best is None:
+        raise ep.NoValidCandidate("every candidate leaves all weighted points behind a camera")
+    return best
+
+
+def scene_cases(regime, count):
+    """True, perturbed and negated E, each with label, uniform and random 0/1 weights."""
+    outliers, noise = {"hard": (0.6, 1.0), "easy": (0.4, 0.5)}[regime]
+    for seed in range(count):
+        pair = generate_pair(SceneConfig(n=128, outlier_ratio=outliers, pixel_noise=noise,
+                                         seed=70000 + seed))
+        rng = np.random.default_rng(seed)
+        C = pair.correspondences
+        perturbed = pair.essential + rng.normal(scale=0.05, size=(3, 3))
+        for E in (pair.essential, perturbed, -pair.essential):
+            yield E, C, pair.labels.astype(float)
+            yield E, C, np.ones(len(C))
+            yield E, C, (rng.uniform(size=len(C)) < 0.5).astype(float)
+
+
+def edge_cases(family, count):
+    rng = np.random.default_rng({"random_matrix": 1, "eight_rows": 2, "identical_views": 3,
+                                 "sparse_weights": 4}[family])
+    for _ in range(count):
+        if family == "random_matrix":  # not essential, on arbitrary rows
+            n = int(rng.integers(1, 40))
+            yield rng.normal(size=(3, 3)), rng.normal(size=(n, 4)), rng.uniform(size=n)
+        elif family == "eight_rows":
+            pair = generate_pair(SceneConfig(n=8, seed=int(rng.integers(1 << 30))))
+            yield pair.essential, pair.correspondences, rng.uniform(size=8)
+        elif family == "identical_views":  # x2 = x1: rays parallel wherever R fixes the row
+            x = rng.normal(size=(int(rng.integers(1, 20)), 2))
+            x[rng.uniform(size=len(x)) < 0.5] = 0.0
+            R = np.eye(3) if rng.uniform() < 0.5 else random_rotation(rng, 0.1)
+            t = [0.0, 0.0, 1.0] if rng.uniform() < 0.5 else rng.normal(size=3)
+            yield ep.essential_from_pose(R, t), np.hstack([x, x]), np.ones(len(x))
+        else:  # a few positive weights among zeros and negatives
+            pair = generate_pair(SceneConfig(n=32, outlier_ratio=0.5,
+                                             seed=int(rng.integers(1 << 30))))
+            w = np.where(rng.uniform(size=32) < 0.1, rng.uniform(size=32), 0.0)
+            w[rng.uniform(size=32) < 0.1] = -1.0
+            yield pair.essential, pair.correspondences, w
+
+
+def outcome(fn, E, C, w):
+    try:
+        pose = fn(E, C, w)
+    except (ValueError, RuntimeError) as err:
+        return type(err)
+    return pose
+
+
+# family -> (cases, the outcomes that must occur among them): 576 scene and 2000 edge cases
+FAMILIES = {
+    "hard": (lambda: scene_cases("hard", 32), {0, 1, 2, 3}),
+    "easy": (lambda: scene_cases("easy", 32), {0, 1, 2, 3}),
+    "random_matrix": (lambda: edge_cases("random_matrix", 500), {0, 1, 2, 3}),
+    "eight_rows": (lambda: edge_cases("eight_rows", 500), {0, 1, 2, 3}),
+    "identical_views": (lambda: edge_cases("identical_views", 500), {ep.NoValidCandidate}),
+    "sparse_weights": (lambda: edge_cases("sparse_weights", 500), {ep.NoValidCandidate}),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_recover_pose_matches_four_candidate_vote(family):
+    """recover_pose returns the reference's R and t bit for bit, or raises the same class."""
+    cases, expected = FAMILIES[family]
+    seen = set()
+    for i, (E, C, w) in enumerate(cases()):
+        ref = outcome(reference_recover_pose, E, C, w)
+        got = outcome(ep.recover_pose, E, C, w)
+        if isinstance(ref, type):
+            assert got is ref, f"case {i}: expected {ref.__name__}, got {got!r}"
+            seen.add(ref)
+            continue
+        pose, index = ref
+        assert isinstance(got, ep.Pose), f"case {i}: raised {got.__name__}"
+        assert np.array_equal(got.rotation, pose.rotation), f"case {i}"
+        assert np.array_equal(got.translation, pose.translation), f"case {i}"
+        seen.add(index)
+    assert expected <= seen, seen
 
 
 class TestRecoverPose:
@@ -206,6 +350,15 @@ class TestRecoverPose:
             est = ep.recover_pose(pair.essential, pair.correspondences, np.ones(64))
             rot, trans = ep.pose_angular_errors(est, pair.pose())
             assert rot < 1e-6 and trans < 1e-6
+
+    def test_negated_translation_wins(self):
+        """A scene whose true translation is the decomposition's -t."""
+        pair = generate_pair(SceneConfig(n=64, outlier_ratio=0.0, pixel_noise=0.0, seed=2))
+        _, _, t = ep._decomposition(pair.essential)
+        est = ep.recover_pose(pair.essential, pair.correspondences, np.ones(64))
+        assert np.array_equal(est.translation, -t)
+        rot, trans = ep.pose_angular_errors(est, pair.pose())
+        assert rot < 1e-6 and trans < 1e-6
 
     def test_outliers_with_zero_weight_ignored(self):
         pair = generate_pair(SceneConfig(n=128, outlier_ratio=0.5, pixel_noise=0.0, seed=11))
@@ -218,6 +371,11 @@ class TestRecoverPose:
         # triangulation puts the point in front of no candidate
         with pytest.raises(ep.NoValidCandidate):
             ep.recover_pose(E_Z, np.array([[0.5, 0.5, 0.5, 0.5]]), np.ones(1))
+
+    def test_all_rays_parallel(self):
+        """Every row at the epipoles: both rotations fix the ray, so no row has a depth."""
+        with pytest.raises(ep.NoValidCandidate):
+            ep.recover_pose(E_Z, np.zeros((8, 4)), np.ones(8))
 
     def test_zero_weights_rejected(self):
         with pytest.raises(ep.NoValidCandidate):

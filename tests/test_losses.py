@@ -38,16 +38,6 @@ class TestClassificationLoss:
         loss = classification_loss(Tensor(np.zeros((1, 6))), labels)
         assert abs(float(loss.data) - np.log(2.0)) < 1e-9
 
-    def test_unbalanced_matches_plain_bce(self):
-        rng = np.random.default_rng(0)
-        z = rng.normal(size=(1, 10))
-        labels = (rng.uniform(size=(1, 10)) < 0.3).astype(int)
-        labels[0, 0], labels[0, 1] = 1, 0
-        loss = float(classification_loss(Tensor(z), labels, balanced=False).data)
-        s = labels.astype(float)
-        ref = np.mean(np.logaddexp(0, -z) * s + np.logaddexp(0, z) * (1 - s))
-        assert abs(loss - ref) < 1e-12
-
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         labels = (rng.uniform(size=(2, 12)) < 0.5).astype(int)
@@ -69,22 +59,16 @@ class TestClassificationLoss:
         with pytest.raises(ValueError, match=r"\(B, N\)"):
             classification_loss(Tensor(np.zeros(4)), np.array([1, 0, 1, 0]))
 
-    @pytest.mark.parametrize("balanced", [True, False])
-    def test_matches_per_sample_loop_bit_for_bit(self, balanced):
+    def test_matches_per_sample_loop_bit_for_bit(self):
         def loop_weights(labels):
             s = (labels > 0).astype(np.float64)
-            B, N = s.shape
             n_pos, n_neg = s.sum(axis=1), (1.0 - s).sum(axis=1)
             valid = (n_pos > 0) & (n_neg > 0)
             nv = float(np.count_nonzero(valid))
             wpos, wneg = np.zeros_like(s), np.zeros_like(s)
             for b in np.flatnonzero(valid):
-                if balanced:
-                    wpos[b] = s[b] / (2.0 * n_pos[b] * nv)
-                    wneg[b] = (1.0 - s[b]) / (2.0 * n_neg[b] * nv)
-                else:
-                    wpos[b] = s[b] / (N * nv)
-                    wneg[b] = (1.0 - s[b]) / (N * nv)
+                wpos[b] = s[b] / (2.0 * n_pos[b] * nv)
+                wneg[b] = (1.0 - s[b]) / (2.0 * n_neg[b] * nv)
             return wpos, wneg
 
         rng = np.random.default_rng(3)
@@ -94,7 +78,7 @@ class TestClassificationLoss:
             labels[0, :2] = (1, 0)  # one usable sample; the others may lack a class
             z0 = rng.normal(size=(B, N))
             z, z_ref = Tensor(z0.copy(), requires_grad=True), Tensor(z0.copy(), requires_grad=True)
-            loss = classification_loss(z, labels, balanced=balanced)
+            loss = classification_loss(z, labels)
             wpos, wneg = loop_weights(labels)
             ref = (ad.reduce_sum(ad.softplus(-z_ref) * wpos)
                    + ad.reduce_sum(ad.softplus(z_ref) * wneg))
@@ -332,7 +316,7 @@ def reference_total(z, labels, essentials, e_gts, corr, cfg):
     ess = terms[0]
     for t in terms[1:]:
         ess = ess + t
-    return classification_loss(z, labels, balanced=cfg.balanced) + (cfg.alpha / len(terms)) * ess
+    return classification_loss(z, labels) + (cfg.alpha / len(terms)) * ess
 
 
 class TestBatchedTermAgainstPerSampleLoop:

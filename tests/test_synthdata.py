@@ -370,6 +370,12 @@ class TestDatasetRoundTrip:
         assert len(read_dataset(path)) == 2
 
 
+# (field, factor, error words): records whose pose essential_from_pose cannot check alone
+BAD_POSES = [("t_gt", 0.0, "translation norm below 1e-12"),
+             ("r_gt", 2.0, "rotation is not proper orthogonal"),
+             ("t_gt", 2.0, "translation is not unit norm")]
+
+
 class TestRecordChecks:
     def test_undecodable_byte_names_its_line(self, tmp_path):
         pairs = generate_dataset(SceneConfig(n=16, seed=0), 2, base_seed=0)
@@ -407,6 +413,13 @@ class TestRecordChecks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert_rejected(tmp_path, record, "stored e_gt does not match")
+
+    @pytest.mark.parametrize("key, scale, words", BAD_POSES, ids=["zero-t", "scaled-r", "scaled-t"])
+    def test_pose_that_matches_e_gt_only_up_to_scale_rejected(self, tmp_path, key, scale, words):
+        """e_gt is normalised, so it cannot tell a scaled r_gt or t_gt, nor a zero t_gt."""
+        record = json.loads(pair_to_line(generate_pair(SceneConfig(n=16, seed=4))))
+        record[key] = [scale * v for v in record[key]]
+        assert_rejected(tmp_path, record, "bad pose", words)
 
     def test_config_may_leave_n_and_seed_unstated(self):
         pair = generate_pair(SceneConfig(n=16, seed=4))
