@@ -171,12 +171,12 @@ def recover_pose(E, C, weights):
         at = a @ t
         det = aa * bb - ab * ab
         safe = np.abs(det) > 1e-12
-        z1 = (-at[safe] * bb[safe] + ab[safe] * bt[safe]) / det[safe]
-        z2 = (ab[safe] * -at[safe] + aa[safe] * bt[safe]) / det[safe]
+        z1 = np.zeros(len(C))
+        z2 = np.zeros(len(C))
+        z1[safe] = (-at[safe] * bb[safe] + ab[safe] * bt[safe]) / det[safe]
+        z2[safe] = (ab[safe] * -at[safe] + aa[safe] * bt[safe]) / det[safe]
         for trans, in_front in ((t, (z1 > 0) & (z2 > 0)), (-t, (z1 < 0) & (z2 < 0))):
-            front = np.zeros(len(C), dtype=bool)  # parallel rays are in front of neither
-            front[safe] = in_front
-            score = float(np.sum(w * front))
+            score = float(np.sum(w * in_front))
             if score > best_score:
                 best_score = score
                 best = (R, trans)
