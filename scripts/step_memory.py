@@ -54,7 +54,6 @@ def step_memory(net_cfg, pairs):
     """(live after forward, backward peak, live after backward) in bytes for one step."""
     corr = np.stack([p.correspondences for p in pairs])
     labels = np.stack([p.labels for p in pairs])
-    egts = np.stack([p.essential for p in pairs])
     net = Network(net_cfg, seed=0)
     seen = []
     backward = ad.backward
@@ -68,8 +67,7 @@ def step_memory(net_cfg, pairs):
     ad.backward = measured_backward
     tracemalloc.start()
     try:
-        training._gradients(net, corr, labels, egts, LossConfig(kind="geometry", warmup=0), 0,
-                            LossCounters())
+        training._gradients(net, corr, labels, LossConfig(warmup=0), 0, LossCounters())
         after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -88,7 +86,7 @@ def steady_state(net_cfg, pairs):
 
     training._gradients = marked
     try:
-        training.run_training(pairs, net_cfg, LossConfig(kind="geometry", warmup=0),
+        training.run_training(pairs, net_cfg, LossConfig(warmup=0),
                               TrainParams(steps=WARMUP + MEASURED + 1, batch_size=len(pairs),
                                           log_every=10**6, val_pairs=1), seed=0)
     finally:

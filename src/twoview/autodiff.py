@@ -10,7 +10,7 @@ and a Node holds the gradient, the backward closure and the parent
   takes a gradient (div always keeps its divisor);
 - add, sub, neg, reshape, concat, transpose_last2 and reduce_sum keep
   only shapes;
-- relu, minimum_const, tanh, sqrt, softmax and normalize keep their own
+- relu, minimum_const, tanh, softmax and normalize keep their own
   output (normalize also its scale), softplus its input and output;
 - bn_relu_linear keeps its ReLU output, its input's and weight's data and
   the per-channel statistics; cn_bn_relu_linear, one whole PointCN unit,
@@ -51,7 +51,7 @@ class NotFinite(FloatingPointError):
     """A NaN or Inf reached a place where it could be lost, or was created.
 
     Only a few places check: leaves (inputs and parameters) when they are
-    built, ops that can create a non-finite value (div, sqrt, custom) on
+    built, ops that can create a non-finite value (div, custom) on
     their output, ops that can hide one (relu, tanh, softplus,
     minimum_const, softmax, the pre-activation of bn_relu_linear and of
     cn_bn_relu_linear) on their input, and backward() on the loss. Every
@@ -346,19 +346,6 @@ def softplus(a):
         na.accum(g * np.exp(a_data - out), owned=True)
 
     return _make(out, (a,), "softplus", bwd)
-
-
-def sqrt(a):
-    a = as_tensor(a)
-    with np.errstate(invalid="ignore"):  # NotFinite handles negatives
-        out = np.sqrt(a.data)
-    _check_finite(out, "sqrt")
-    na = a.node
-
-    def bwd(g):
-        na.accum(g / (2.0 * out), owned=True)
-
-    return _make(out, (a,), "sqrt", bwd)
 
 
 def minimum_const(a, cap):

@@ -49,9 +49,12 @@ class Pose:
         t = np.asarray(self.translation, dtype=np.float64)
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
-        if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-9 or abs(np.linalg.det(R) - 1.0) > 1e-9:
+        # each check is written so that a NaN fails it, as an infinity does
+        with np.errstate(invalid="ignore", over="ignore"):
+            orthogonal = np.max(np.abs(R.T @ R - np.eye(3))) <= 1e-9
+        if not (orthogonal and abs(np.linalg.det(R) - 1.0) <= 1e-9):
             raise ValueError("rotation is not proper orthogonal within 1e-9")
-        if abs(np.linalg.norm(t) - 1.0) > 1e-9:
+        if not abs(np.linalg.norm(t) - 1.0) <= 1e-9:
             raise ValueError("translation is not unit norm within 1e-9")
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from . import eightpoint
 from .autodiff import ParameterStore
-from .losses import LossConfig, classification_loss, essential_l2_loss, geometry_loss, total_loss
+from .losses import LossConfig, classification_loss, geometry_loss, total_loss
 from .network import (
     BatchNorm,
     DiffPool,
@@ -65,7 +65,7 @@ def _op_cases(rng):
     case("relu", _away_from(rng, (3, 4), 0.0, 0.1), lambda t: ad.reduce_sum(ad.relu(t) * p34))
     case("tanh", rng.normal(size=(3, 4)), lambda t: ad.reduce_sum(ad.tanh(t) * p34))
     case("softplus", rng.normal(size=(3, 4)), lambda t: ad.reduce_sum(ad.softplus(t) * p34))
-    case("sqrt", rng.uniform(0.5, 2.0, size=(3, 4)), lambda t: ad.reduce_sum(ad.sqrt(t) * p34))
+    rng.uniform(0.5, 2.0, size=(3, 4))  # the probe of the retired sqrt row, kept for its draws
     case("minimum_const", _away_from(rng, (3, 4), 0.5, 0.1),
          lambda t: ad.reduce_sum(ad.minimum_const(t, 0.5) * p34))
     m42 = rng.normal(size=(4, 2))
@@ -250,12 +250,8 @@ def _loss_cases(rng):
     cases.append(("classification_loss(balanced)", z0, lambda t: classification_loss(t, labels)))
 
     pair = _toy_scene(seed=11)
-    e_gt = pair.essential
-    e_probe = e_gt + 0.3 * rng.normal(size=(3, 3))
-    e_probe /= np.linalg.norm(e_probe)
-    cases.append(("essential_l2_loss", e_probe[None], lambda t: ad.reduce_sum(essential_l2_loss(t, e_gt))))
-
-    e_near = e_gt + 1e-3 * rng.normal(size=(3, 3))
+    rng.normal(size=(3, 3))  # the probe offset of the retired essential_l2_loss row
+    e_near = pair.essential + 1e-3 * rng.normal(size=(3, 3))
     e_near /= np.linalg.norm(e_near)
     cases.append(("geometry_loss", e_near[None], lambda t: ad.reduce_sum(
         geometry_loss(t, pair.correspondences[None], pair.labels[None], clamp=0.1))))
@@ -263,26 +259,21 @@ def _loss_cases(rng):
 
 
 def _full_network_cases(rng):
-    """Whole-graph probes: parameter gradients through the solver and both losses."""
-    cfg = desk_config(**TOY_NETWORK)
+    """Whole-graph probe: a parameter gradient through the solver and the loss."""
     pair = _toy_scene(seed=21, n=16, noise=0.2, outliers=0.25)
     corr = pair.correspondences[None]
     labels = pair.labels[None]
-    egts = pair.essential[None]
-    cases = []
-    for kind in ("l2", "geometry"):
-        loss_cfg = LossConfig(kind=kind, warmup=0)
-        # train mode normalises with batch statistics, so one network serves every probe
-        net = Network(cfg, seed=9)
+    loss_cfg = LossConfig(warmup=0)
+    # train mode normalises with batch statistics, so the probe needs no running state
+    net = Network(desk_config(**TOY_NETWORK), seed=9)
 
-        def loss(net=net, loss_cfg=loss_cfg):
-            out = net.forward(corr, mode="train")
-            return total_loss(out.logits, labels, out.essential, out.solved, egts, corr, loss_cfg, 0)
+    def loss():
+        out = net.forward(corr, mode="train")
+        return total_loss(out.logits, labels, out.essential, out.solved, corr, loss_cfg, 0)
 
-        head = net.stage.head
-        cases.append((f"full_forward+{kind}_loss(head weight)", head.weight.data.copy(),
-                      _probe_attr(head, "weight", loss)))
-    return cases
+    head = net.stage.head
+    return [("full_forward+geometry_loss(head weight)", head.weight.data.copy(),
+             _probe_attr(head, "weight", loss))]
 
 
 def _solver_cases(rng):

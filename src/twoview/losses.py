@@ -22,16 +22,14 @@ class LossCounters:
 
 @dataclass
 class LossConfig:
-    kind: str = "l2"            # "l2" | "geometry"
-    alpha: float = None         # None resolves to 0.1 (l2) or 0.5 (geometry)
+    kind: str = "geometry"      # the only essential term: the clamped epipolar distance
+    alpha: float = 0.5          # weight of the essential term
     warmup: int = 500           # iterations with the essential term disabled
     clamp: float = 0.1          # geometry loss saturation
 
     def __post_init__(self):
-        if self.kind not in ("l2", "geometry"):
+        if self.kind != "geometry":
             raise ValueError(f"unknown essential loss kind {self.kind!r}")
-        if self.alpha is None:
-            self.alpha = 0.1 if self.kind == "l2" else 0.5
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
         if self.warmup < 0:
@@ -71,19 +69,6 @@ def classification_loss(z, labels, counters: LossCounters = None):
     return loss
 
 
-def essential_l2_loss(e_hat, e_gt):
-    """K per-sample min over sign of the Frobenius distance between unit-norm essentials.
-
-    The eager values pick each sample's sign; backward follows the chosen side.
-    """
-    e_hat = ad.as_tensor(e_hat)
-    e_gt = np.asarray(e_gt, dtype=np.float64).reshape(e_hat.shape)
-    d_minus = np.linalg.norm(e_hat.data - e_gt, axis=(1, 2))
-    d_plus = np.linalg.norm(e_hat.data + e_gt, axis=(1, 2))
-    diff = e_hat - e_gt * np.where(d_minus <= d_plus, 1.0, -1.0)[:, None, None]
-    return ad.sqrt(ad.reduce_sum(diff * diff, axis=(1, 2)))
-
-
 def geometry_loss(e_hat, corr, labels, clamp=0.1):
     """K per-sample means of the clamped symmetric epipolar distance of the ground-truth inliers.
 
@@ -111,25 +96,22 @@ def geometry_loss(e_hat, corr, labels, clamp=0.1):
     return ad.reduce_sum(dist * (inlier / n_in[:, None]), axis=1)
 
 
-def total_loss(z, labels, essential, solved, e_gts, corr, cfg: LossConfig, iteration,
+def total_loss(z, labels, essential, solved, corr, cfg: LossConfig, iteration,
                counters: LossCounters = None):
     """Classification loss plus the alpha-scheduled essential term.
 
     essential is the (K, 3, 3) stack of the samples whose solver pass
     succeeded, `solved` their indices, or None when no sample solved. The
     essential term switches on after `cfg.warmup` iterations and is the mean
-    over those samples, for `geometry` over those that have an inlier. This
-    is the one owner of that schedule: the network solves on every forward.
+    geometry loss over those samples that have an inlier. This is the one
+    owner of that schedule: the network solves on every forward.
     """
     cls = classification_loss(z, labels, counters=counters)
     if iteration < cfg.warmup or cfg.alpha == 0.0 or essential is None:
         return cls
     labels = np.asarray(labels)[solved]
-    if cfg.kind == "l2":
-        terms, count = essential_l2_loss(essential, np.asarray(e_gts)[solved]), len(solved)
-    else:
-        terms = geometry_loss(essential, np.asarray(corr)[solved], labels, cfg.clamp)
-        count = np.count_nonzero(np.any(labels > 0, axis=1))
-        if count == 0:
-            return cls
+    terms = geometry_loss(essential, np.asarray(corr)[solved], labels, cfg.clamp)
+    count = np.count_nonzero(np.any(labels > 0, axis=1))
+    if count == 0:
+        return cls
     return cls + (cfg.alpha / count) * ad.reduce_sum(terms)

@@ -17,6 +17,7 @@ or the text written. tests/data/gen_*.txt pin this.
 import base64
 import json
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -90,8 +91,14 @@ class ScenePair:
     config: SceneConfig
     seed: int
 
-    def pose(self):
+    @cached_property
+    def _pose(self):
         return Pose(self.rotation, self.translation)
+
+    def pose(self):
+        """The validated Pose of rotation and translation, built once: on first use, or by
+        the reader, which checks it anyway."""
+        return self._pose
 
 
 def _axis_angle_rotation(unit_axis, angle):
@@ -132,7 +139,11 @@ def _project(points, R, t, cfg: SceneConfig, K):
 
 
 def _draw_pose(rng, cfg: SceneConfig, K):
-    """random_pose's rotation and translation, unchecked."""
+    """Random rotation (axis-angle, bounded) plus a unit-sphere translation, as (R, t), unchecked.
+
+    Redraws until at least 80% of a probe point set stays visible in the
+    second view, so generated scenes keep enough shared field of view.
+    """
     max_angle = np.radians(cfg.max_rotation_deg)
     for _ in range(MAX_REDRAWS):
         axis, axis_norm = _direction(rng)
@@ -146,15 +157,6 @@ def _draw_pose(rng, cfg: SceneConfig, K):
             return R, t
     raise RetryExhausted(f"pair seed {cfg.seed}: no pose with {VISIBILITY_FRACTION:.0%} shared "
                          f"visibility in {MAX_REDRAWS} draws")
-
-
-def random_pose(rng, cfg: SceneConfig):
-    """Random rotation (axis-angle, bounded) plus a unit-sphere translation.
-
-    Redraws until at least 80% of a probe point set stays visible in the
-    second view, so generated scenes keep enough shared field of view.
-    """
-    return Pose(*_draw_pose(rng, cfg, cfg.intrinsics()))
 
 
 def generate_pair(cfg: SceneConfig):
@@ -306,7 +308,7 @@ def pair_from_line(line, line_number):
             raise MalformedRecord(line_number,
                                   "stored e_gt does not match essential_from_pose(r_gt, t_gt)")
         try:
-            Pose(r_gt, t_gt)  # e_gt is scale-free, so a scaled r_gt or t_gt matches it too
+            pose = Pose(r_gt, t_gt)  # e_gt is scale-free, so a scaled r_gt or t_gt matches it too
         except ValueError as err:
             raise MalformedRecord(line_number, f"bad pose: {err}") from None
     try:
@@ -316,7 +318,9 @@ def pair_from_line(line, line_number):
         raise MalformedRecord(line_number, "correspondence coordinates overflow") from None
     if not np.array_equal(inliers, labels):
         raise MalformedRecord(line_number, "stored labels do not match recomputed inlier labels")
-    return ScenePair(corr, r_gt, t_gt, e_gt, labels, cfg, seed)
+    pair = ScenePair(corr, r_gt, t_gt, e_gt, labels, cfg, seed)
+    pair._pose = pose  # already validated here, so pair.pose() does not check it again
+    return pair
 
 
 def write_dataset(pairs, path):

@@ -69,18 +69,18 @@ def _keep_heap():
     mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
-def _gradients(net, corr, labels, egts, loss_cfg, iteration, counters):
+def _gradients(net, corr, labels, loss_cfg, iteration, counters):
     """Forward, loss and backward of one step into the parameters' .grad; returns the loss.
 
     Nothing of the step's graph outlives the call, so validation and the
     next forward run with only one step's memory in use.
     """
     out = net.forward(corr, mode="train")
-    loss = total_loss(out.logits, labels, out.essential, out.solved, egts, corr, loss_cfg,
-                      iteration, counters)
+    loss = total_loss(out.logits, labels, out.essential, out.solved, corr, loss_cfg, iteration,
+                      counters)
     if out.stage1 is not None:
         loss = loss + total_loss(out.stage1.logits, labels, out.stage1.essential, out.stage1.solved,
-                                 egts, corr, loss_cfg, iteration, counters)
+                                 corr, loss_cfg, iteration, counters)
     del out  # its assignments then die with their softmax backward, not at the end of the step
     net.store.zero_grad()
     ad.backward(loss)
@@ -109,7 +109,6 @@ def run_training(pairs, net_cfg: NetworkConfig, loss_cfg: LossConfig, params: Tr
 
     corr_all = np.stack([p.correspondences for p in pairs])
     labels_all = np.stack([p.labels for p in pairs])
-    egt_all = np.stack([p.essential for p in pairs])
     val_slice = pairs[:min(params.val_pairs, len(pairs))]
 
     rows = []
@@ -120,8 +119,7 @@ def run_training(pairs, net_cfg: NetworkConfig, loss_cfg: LossConfig, params: Tr
         batch_rng = np.random.default_rng([seed, 1, iteration])
         idx = batch_rng.choice(n, size=params.batch_size, replace=n < params.batch_size)
         try:
-            loss = _gradients(net, corr_all[idx], labels_all[idx], egt_all[idx], loss_cfg,
-                              iteration, counters)
+            loss = _gradients(net, corr_all[idx], labels_all[idx], loss_cfg, iteration, counters)
         except ad.NotFinite as err:
             raise TrainingDiverged(iteration, str(err)) from None
         adam_step(net.store, lr=params.lr)

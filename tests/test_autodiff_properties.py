@@ -67,12 +67,12 @@ class TestElementwise:
 
     @PROPERTY
     @given(shape=SHAPES, seed=SEEDS,
-           op=st.sampled_from(["neg", "relu", "tanh", "softplus", "sqrt", "minimum_const"]))
+           op=st.sampled_from(["neg", "relu", "tanh", "softplus", "minimum_const"]))
     def test_unary(self, shape, seed, op):
         rng = np.random.default_rng(seed)
         fn = {"minimum_const": lambda t: ad.minimum_const(t, 0.25)}.get(op, getattr(ad, op))
-        x = {"relu": away_from(rng, shape, 0.0), "minimum_const": away_from(rng, shape, 0.25),
-             "sqrt": rng.uniform(0.5, 2.0, size=shape)}.get(op, rng.normal(size=shape))
+        x = {"relu": away_from(rng, shape, 0.0),
+             "minimum_const": away_from(rng, shape, 0.25)}.get(op, rng.normal(size=shape))
         assert_gradient(projected(fn, shape, rng), x)
 
 

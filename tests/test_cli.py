@@ -128,6 +128,18 @@ class TestTrain:
         assert capsys.readouterr().err.splitlines() == ["error: line 2: unknown key 'preset'"]
         assert not out.exists()
 
+    def test_loss_kind_l2_exit_2(self, workspace, tmp_path, capsys):
+        """The L2 essential loss is gone: a config that asks for it is bad input."""
+        cfg = tmp_path / "l2.cfg"
+        cfg.write_text("scene.n = 48\nloss.kind = l2\n")
+        out = tmp_path / "out.bin"
+        code = main(["train", "--seed", "0", "--config", str(cfg), "--dataset",
+                     str(workspace["data"]), "--out", str(out), "--steps", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: line 2: loss.kind: unknown essential loss kind 'l2'"]
+        assert not out.exists()
+
     def test_resume_without_sidecar_exit_4(self, workspace, tmp_path, capsys):
         """As eval and compare do, train --resume names the missing .netconfig sidecar."""
         import shutil

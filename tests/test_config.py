@@ -65,7 +65,7 @@ DESK_ECHO = {
     "net.blocks_after_unpool": 2, "net.level2_blocks": 2, "net.unpool_variant": "order_aware",
     "net.level2_kind": "order_aware", "net.use_pool": True, "net.iterative": False,
     "net.expected_points": 512,
-    "loss.kind": "l2", "loss.alpha": 0.1, "loss.warmup": 500, "loss.clamp": 0.1,
+    "loss.kind": "geometry", "loss.alpha": 0.5, "loss.warmup": 500, "loss.clamp": 0.1,
     "train.steps": 10000, "train.batch_size": 8, "train.lr": 1e-4, "train.log_every": 100,
     "train.val_pairs": 20,
     "ransac.threshold": 1e-4, "ransac.max_iterations": 2000, "ransac.confidence": 0.999,
@@ -74,11 +74,10 @@ SHIPPED_ECHO = {
     None: DESK_ECHO,
     "desk.cfg": DESK_ECHO,
     "hard.cfg": {**DESK_ECHO, "scene.outlier_ratio": 0.6, "scene.pixel_noise": 1.0,
-                 "loss.kind": "geometry", "loss.alpha": 0.5, "train.log_every": 200},
+                 "train.log_every": 200},
     "paper.cfg": {**DESK_ECHO, "scene.n": 2000, "net.channels": 128,
                   "net.clusters": 500, "net.blocks_before_pool": 6, "net.blocks_after_unpool": 6,
-                  "net.level2_blocks": 6, "net.expected_points": 2000, "loss.kind": "geometry",
-                  "loss.alpha": 0.5, "loss.warmup": 20000,
+                  "net.level2_blocks": 6, "net.expected_points": 2000, "loss.warmup": 20000,
                   "train.steps": 500000, "train.batch_size": 32},
 }
 
@@ -148,6 +147,16 @@ class TestResolve:
             p.write_text(f"scene.n = 64\nloss.balanced = {value}\n")
             with pytest.raises(ConfigError, match="line 2: unknown key 'loss.balanced'"):
                 load_run_config(p)
+
+    def test_loss_kind_l2_is_rejected(self, tmp_path):
+        """The geometry term is the only essential term: `loss.kind = l2` names its key and line."""
+        p = tmp_path / "c.cfg"
+        p.write_text("scene.n = 64\nloss.kind = l2\n")
+        with pytest.raises(ConfigError, match="^line 2: loss.kind: unknown essential loss kind 'l2'$") as exc:
+            load_run_config(p)
+        assert exc.value.line == 2
+        p.write_text("loss.kind = geometry\n")
+        assert load_run_config(p) == load_run_config(None)
 
     def test_echo_is_flat(self):
         echo = load_run_config(None).echo()

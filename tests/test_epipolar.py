@@ -382,6 +382,24 @@ class TestRecoverPose:
             ep.recover_pose(E_Z, np.array([[1, 0, 2, 0]], float), np.zeros(1))
 
 
+class TestPose:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rotation_rejected(self, bad):
+        R = np.eye(3)
+        R[1, 2] = bad
+        for rotation in (R, np.full((3, 3), bad)):
+            with pytest.raises(ValueError, match="rotation is not proper orthogonal"):
+                ep.Pose(rotation, [0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="rotation is not proper orthogonal"):
+            ep.Pose(np.full((3, 3), bad), [bad] * 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_translation_rejected(self, bad):
+        for translation in ([bad, 0.0, 1.0], [bad] * 3):
+            with pytest.raises(ValueError, match="translation is not unit norm"):
+                ep.Pose(np.eye(3), translation)
+
+
 class TestPoseAngularErrors:
     def test_identity(self):
         rng = np.random.default_rng(12)

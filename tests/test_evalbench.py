@@ -9,7 +9,7 @@ from twoview import evalbench
 from twoview.autodiff import ShapeMismatch, save_checkpoint
 from twoview.config import write_network_config
 from twoview.eightpoint import SolverBreakdown
-from twoview.epipolar import NoValidCandidate, RankDeficient
+from twoview.epipolar import NoValidCandidate, Pose, RankDeficient
 from twoview.evalbench import (
     EmptyEvaluation,
     MissingCheckpoint,
@@ -25,7 +25,7 @@ from twoview.evalbench import (
 )
 from twoview.network import Network, desk_config
 from twoview.ransac import InsufficientCorrespondences, NoModelFound, RansacConfig
-from twoview.synthdata import SceneConfig, generate_dataset, generate_pair
+from twoview.synthdata import SceneConfig, generate_dataset, generate_pair, read_dataset, write_dataset
 
 
 def easy_pairs(count=6, n=64, seed=0):
@@ -345,6 +345,50 @@ class TestRansacPairOutcome:
         base = RansacConfig(threshold=2e-4, max_iterations=300, confidence=0.99, seed=99)
         evaluate_method(easy_pairs(count=3), "ransac", base, seed=5)
         assert seen == [replace(base, seed=5 + i) for i in range(3)]
+
+
+@pytest.fixture
+def pose_checks(monkeypatch):
+    """The rotation array of every Pose that passes validation from here on."""
+    checked = []
+    post_init = Pose.__post_init__
+
+    def counted(self):
+        post_init(self)
+        checked.append(self.rotation)
+
+    monkeypatch.setattr(Pose, "__post_init__", counted)
+    return checked
+
+
+class TestPoseValidatedOnce:
+    """A pair's ground-truth pose is validated once, however many methods score it."""
+
+    @staticmethod
+    def checks_per_pair(checked, pairs):
+        return [sum(rotation is pair.rotation for rotation in checked) for pair in pairs]
+
+    @staticmethod
+    def evaluate_every_method(pairs):
+        net = tiny_net()
+        results = [evaluate_method(pairs, method, RansacConfig(max_iterations=200), net=net)
+                   for method in ("ransac", "net", "net+ransac")]
+        assert not any(o.failed for o in results[0].outcomes)  # each pair's pose was scored
+
+    def test_read_record_is_validated_by_the_reader_alone(self, tmp_path, pose_checks):
+        path = tmp_path / "data.txt"
+        write_dataset(easy_pairs(4), path)
+        assert pose_checks == []  # generation validates no pose
+        pairs = read_dataset(path)
+        assert self.checks_per_pair(pose_checks, pairs) == [1] * 4
+        self.evaluate_every_method(pairs)
+        assert self.checks_per_pair(pose_checks, pairs) == [1] * 4
+
+    def test_generated_pair_is_validated_on_first_use(self, pose_checks):
+        pairs = easy_pairs(4)
+        assert pose_checks == []
+        self.evaluate_every_method(pairs)
+        assert self.checks_per_pair(pose_checks, pairs) == [1] * 4
 
 
 class TestLoadNetwork:

@@ -8,7 +8,6 @@ from twoview.losses import (
     LossConfig,
     LossCounters,
     classification_loss,
-    essential_l2_loss,
     geometry_loss,
     total_loss,
 )
@@ -88,48 +87,9 @@ class TestClassificationLoss:
             assert np.array_equal(z.grad, z_ref.grad)
 
 
-def one_l2(e_hat, e_gt):
-    """essential_l2_loss of a one-sample batch (K = 1)."""
-    return essential_l2_loss(ad.reshape(e_hat, (1, 3, 3)), np.reshape(e_gt, (1, 3, 3)))
-
-
 def one_geometry(e_hat, rows, clamp=0.1):
     """geometry_loss of a one-sample batch (K = 1) whose rows are all inliers."""
     return geometry_loss(ad.reshape(e_hat, (1, 3, 3)), rows[None], np.ones((1, len(rows))), clamp)
-
-
-class TestEssentialL2Loss:
-    def test_equal_is_zero(self):
-        pair = scene()
-        assert one_l2(Tensor(pair.essential), pair.essential).data[0] == 0.0
-
-    def test_sign_flip_is_zero(self):
-        pair = scene()
-        assert one_l2(Tensor(-pair.essential), pair.essential).data[0] == 0.0
-
-    def test_orthogonal_unit_matrices(self):
-        a = np.zeros((3, 3))
-        a[0, 0] = 1.0
-        b = np.zeros((3, 3))
-        b[1, 1] = 1.0
-        loss = one_l2(Tensor(a), b).data[0]
-        assert abs(loss - np.sqrt(2.0)) < 1e-12
-
-    def test_sign_symmetry_exact(self):
-        rng = np.random.default_rng(2)
-        e_hat = rng.normal(size=(3, 3))
-        e_hat /= np.linalg.norm(e_hat)
-        pair = scene(seed=3)
-        e = pair.essential
-        values = {one_l2(Tensor(s1 * e_hat), s2 * e).data[0] for s1 in (1, -1) for s2 in (1, -1)}
-        assert len(values) == 1
-
-    def test_gradient(self):
-        rng = np.random.default_rng(4)
-        pair = scene(seed=5)
-        probe = pair.essential + 0.3 * rng.normal(size=(3, 3))
-        probe /= np.linalg.norm(probe)
-        assert gradient_error(lambda t: ad.reduce_sum(one_l2(t, pair.essential)), probe) < 1e-4
 
 
 class TestGeometryLoss:
@@ -189,38 +149,38 @@ class TestTotalLoss:
         pair = scene(seed=seed)
         corr = pair.correspondences[None]
         labels = pair.labels[None]
-        egts = pair.essential[None]
         rng = np.random.default_rng(seed)
         z = Tensor(rng.normal(size=(1, len(pair.correspondences))), requires_grad=True)
         e = pair.essential + 0.1 * rng.normal(size=(3, 3))
         e_hat = Tensor(e[None] * (1.0 / np.linalg.norm(e)))  # the (K, 3, 3) stack, K = 1
-        return pair, corr, labels, egts, z, e_hat
+        return pair, corr, labels, z, e_hat
 
     def test_warmup_is_pure_classification(self):
-        pair, corr, labels, egts, z, e_hat = self.build()
-        cfg = LossConfig(kind="l2", warmup=100)
-        total = total_loss(z, labels, e_hat, [0], egts, corr, cfg, iteration=0)
+        pair, corr, labels, z, e_hat = self.build()
+        cfg = LossConfig(warmup=100)
+        total = total_loss(z, labels, e_hat, [0], corr, cfg, iteration=0)
         cls = classification_loss(z, labels)
         assert float(total.data) == float(cls.data)
 
     def test_after_warmup_adds_scaled_term(self):
-        pair, corr, labels, egts, z, e_hat = self.build()
-        cfg = LossConfig(kind="l2", warmup=100)
-        total = total_loss(z, labels, e_hat, [0], egts, corr, cfg, iteration=100)
+        pair, corr, labels, z, e_hat = self.build()
+        cfg = LossConfig(warmup=100)
+        total = total_loss(z, labels, e_hat, [0], corr, cfg, iteration=100)
         cls = float(classification_loss(z, labels).data)
-        ess = one_l2(e_hat, egts[0]).data[0]
-        assert float(total.data) == pytest.approx(cls + 0.1 * ess, rel=1e-12)
+        ess = geometry_loss(e_hat, corr, labels).data[0]
+        assert ess > 0.0
+        assert float(total.data) == pytest.approx(cls + 0.5 * ess, rel=1e-12)
 
     def test_alpha_zero_reduces_to_classification(self):
-        pair, corr, labels, egts, z, e_hat = self.build()
-        cfg = LossConfig(kind="l2", alpha=0.0, warmup=0)
-        total = total_loss(z, labels, e_hat, [0], egts, corr, cfg, iteration=10_000)
+        pair, corr, labels, z, e_hat = self.build()
+        cfg = LossConfig(alpha=0.0, warmup=0)
+        total = total_loss(z, labels, e_hat, [0], corr, cfg, iteration=10_000)
         assert float(total.data) == float(classification_loss(z, labels).data)
 
     def test_failed_solves_skipped(self):
-        pair, corr, labels, egts, z, _ = self.build()
-        cfg = LossConfig(kind="l2", warmup=0)
-        total = total_loss(z, labels, None, [], egts, corr, cfg, iteration=5)
+        pair, corr, labels, z, _ = self.build()
+        cfg = LossConfig(warmup=0)
+        total = total_loss(z, labels, None, [], corr, cfg, iteration=5)
         assert float(total.data) == float(classification_loss(z, labels).data)
 
     def test_geometry_mean_leaves_out_samples_without_inliers(self):
@@ -231,18 +191,19 @@ class TestTotalLoss:
         egts = np.stack([p.essential for p in pairs])
         z = Tensor(np.random.default_rng(17).normal(size=labels.shape))
         e_hat = egts + 0.05 * np.random.default_rng(18).normal(size=(3, 3, 3))
-        cfg = LossConfig(kind="geometry", warmup=0)
-        total = total_loss(z, labels, Tensor(e_hat), [0, 1, 2], egts, corr, cfg, 0)
-        others = total_loss(z, labels, Tensor(e_hat[[0, 2]]), [0, 2], egts, corr, cfg, 0)
+        cfg = LossConfig(warmup=0)
+        total = total_loss(z, labels, Tensor(e_hat), [0, 1, 2], corr, cfg, 0)
+        others = total_loss(z, labels, Tensor(e_hat[[0, 2]]), [0, 2], corr, cfg, 0)
         assert float(total.data) == float(others.data)
         terms = geometry_loss(Tensor(e_hat[[0, 2]]), corr[[0, 2]], labels[[0, 2]]).data
         cls = float(classification_loss(z, labels).data)
         assert float(total.data) == pytest.approx(cls + 0.5 * terms.mean(), rel=1e-15)
 
     def test_geometry_kind_default_alpha(self):
-        assert LossConfig(kind="geometry").alpha == 0.5
-        assert LossConfig(kind="l2").alpha == 0.1
-        assert LossConfig().warmup == 500
+        """The geometry term is the only essential term; alpha is a plain default."""
+        assert (LossConfig().kind, LossConfig().alpha, LossConfig().warmup) == ("geometry", 0.5, 500)
+        with pytest.raises(ValueError, match="unknown essential loss kind 'l2'"):
+            LossConfig(kind="l2")
 
     @staticmethod
     def count_desk_step_nodes(monkeypatch):
@@ -262,8 +223,7 @@ class TestTotalLoss:
         out = Network(desk_config(), seed=0).forward(corr, mode="train")
         assert out.solved == list(range(8))
         forward = list(nodes)
-        total_loss(out.logits, labels, out.essential, out.solved, np.stack([p.essential for p in pairs]),
-                   corr, LossConfig(kind="geometry", warmup=0), 0)
+        total_loss(out.logits, labels, out.essential, out.solved, corr, LossConfig(warmup=0), 0)
         return forward, nodes[len(forward):]
 
     def test_desk_step_loss_builds_at_most_35_nodes(self, monkeypatch):
@@ -276,14 +236,6 @@ class TestTotalLoss:
         forward, loss = self.count_desk_step_nodes(monkeypatch)
         assert forward.count("weighted_eightpoint") == 1
         assert len(forward) + len(loss) <= 87, forward + loss
-
-
-def reference_l2(e_hat, e_gt):
-    """The per-sample essential_l2_loss that the batched term replaced."""
-    e_gt = np.asarray(e_gt, dtype=np.float64).reshape(3, 3)
-    d_minus = ad.sqrt(ad.reduce_sum((e_hat - e_gt) * (e_hat - e_gt)))
-    d_plus = ad.sqrt(ad.reduce_sum((e_hat + e_gt) * (e_hat + e_gt)))
-    return d_minus if float(d_minus.data) <= float(d_plus.data) else d_plus
 
 
 def reference_geometry(e_hat, C, clamp):
@@ -303,15 +255,11 @@ def reference_geometry(e_hat, C, clamp):
     return ad.reduce_sum(dist) * (1.0 / n)
 
 
-def reference_total(z, labels, essentials, e_gts, corr, cfg):
+def reference_total(z, labels, essentials, corr, cfg):
     """total_loss past warm-up as a loop that builds one essential term per sample."""
     terms = []
     for b, e_hat in enumerate(essentials):
-        if e_hat is None:
-            continue
-        if cfg.kind == "l2":
-            terms.append(reference_l2(e_hat, e_gts[b]))
-        elif np.any(labels[b] > 0):
+        if e_hat is not None and np.any(labels[b] > 0):
             terms.append(reference_geometry(e_hat, corr[b][labels[b] > 0], cfg.clamp))
     ess = terms[0]
     for t in terms[1:]:
@@ -337,28 +285,27 @@ class TestBatchedTermAgainstPerSampleLoop:
         labels[5] = 0
         corr[3, 0], labels[3, 0] = epipole_row(e_hats[3]), 1
         z = rng.normal(size=labels.shape)
-        return z, labels, e_hats, e_gts, corr
+        return z, labels, e_hats, corr
 
-    @pytest.mark.parametrize("kind", ["l2", "geometry"])
-    def test_matches_the_loop(self, kind):
-        z0, labels, e_hats, e_gts, corr = self.batch()
+    def test_matches_the_loop(self):
+        z0, labels, e_hats, corr = self.batch()
         dist = [symmetric_epipolar_distances(e_hats[b], corr[b][labels[b] > 0]) for b in (0, 1, 3)]
         assert all((d > 0.1).any() and (d < 0.1).any() for d in dist)  # rows on both sides of the clamp
         assert np.isinf(dist[2][0]) and np.isfinite(dist[2][1:]).all()
-        cfg = LossConfig(kind=kind, warmup=0)
+        cfg = LossConfig(warmup=0)
         solved = [0, 1, 3, 4, 5, 6, 7]  # sample 2 did not solve
         z = Tensor(z0.copy(), requires_grad=True)
         stack = Tensor(e_hats[solved], requires_grad=True)
-        loss = total_loss(z, labels, stack, solved, e_gts, corr, cfg, 0)
+        loss = total_loss(z, labels, stack, solved, corr, cfg, 0)
         z_ref = Tensor(z0.copy(), requires_grad=True)
         essentials = [None if b == 2 else Tensor(e.copy(), requires_grad=True) for b, e in enumerate(e_hats)]
-        ref = reference_total(z_ref, labels, essentials, e_gts, corr, cfg)
+        ref = reference_total(z_ref, labels, essentials, corr, cfg)
         ad.backward(loss)
         ad.backward(ref)
         assert abs(float(loss.data) - float(ref.data)) <= 1e-15 * abs(float(ref.data))
         assert np.array_equal(z.grad, z_ref.grad)
         for k, b in enumerate(solved):
-            if kind == "geometry" and b == 5:  # no inlier: the loop leaves it out, the stack adds 0
+            if b == 5:  # no inlier: the loop leaves it out, the stack adds 0
                 assert essentials[b].grad is None and not np.any(stack.grad[k])
             else:
                 ref_grad = essentials[b].grad

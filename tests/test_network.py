@@ -253,7 +253,6 @@ class TestFusedUnit:
                  for s in (50, 51)]
         corr = np.stack([p.correspondences for p in pairs])
         labels = np.stack([p.labels for p in pairs])
-        egts = np.stack([p.essential for p in pairs])
         gaps = []
         solve = eightpoint.weighted_eightpoint_with_context
 
@@ -278,7 +277,7 @@ class TestFusedUnit:
                 elif name.endswith(".running_var"):
                     net.store[name].data[...] = rng.uniform(0.5, 2.0, net.store[name].shape)
             out = net.forward(corr, mode=mode)
-            loss = total_loss(out.logits, labels, out.essential, out.solved, egts, corr,
+            loss = total_loss(out.logits, labels, out.essential, out.solved, corr,
                               LossConfig(kind="geometry", warmup=0), 0)
             ad.backward(loss)
             results.append((net.store, out.logits.data))
@@ -303,8 +302,8 @@ class TestFusedUnit:
         net = Network(cfg, seed=10)
         for _ in range(3):
             out = net.forward(corr, mode="train")
-            loss = total_loss(out.logits, pair.labels[None], out.essential, out.solved,
-                              pair.essential[None], corr, LossConfig(kind="geometry", warmup=0), 0)
+            loss = total_loss(out.logits, pair.labels[None], out.essential, out.solved, corr,
+                              LossConfig(kind="geometry", warmup=0), 0)
             net.store.zero_grad()
             ad.backward(loss)
             adam_step(net.store, lr=1e-2)
@@ -395,8 +394,7 @@ class TestLeanStep:
         net = Network(desk_config(), seed=12)
         out = net.forward(corr, mode=mode)
         loss = total_loss(out.logits, np.stack([p.labels for p in pairs]), out.essential, out.solved,
-                          np.stack([p.essential for p in pairs]), corr,
-                          LossConfig(kind="geometry", warmup=0), 0)
+                          corr, LossConfig(kind="geometry", warmup=0), 0)
         ad.backward(loss)
         return net.store, out, float(loss.data)
 
@@ -709,11 +707,8 @@ class TestNetworkForward:
         out = net.forward(corr, mode="train")
         assert out.essential is None and out.solved == []
         assert out.failures == ["InsufficientSupport"] * 2 and out.essentials == [None, None]
-        for kind in ("l2", "geometry"):
-            loss = total_loss(out.logits, labels, out.essential, out.solved,
-                              np.stack([p.essential for p in pairs]), corr,
-                              LossConfig(kind=kind, warmup=0), 0)
-            assert float(loss.data) == float(classification_loss(out.logits, labels).data)
+        loss = total_loss(out.logits, labels, out.essential, out.solved, corr, LossConfig(warmup=0), 0)
+        assert float(loss.data) == float(classification_loss(out.logits, labels).data)
 
 
 class TestIterative:
@@ -734,8 +729,8 @@ class TestIterative:
         pair = generate_pair(SceneConfig(n=N, outlier_ratio=0.25, pixel_noise=0.5, seed=9))
         corr = pair.correspondences[None]
         out = net.forward(corr, mode="train")
-        loss = total_loss(out.logits, pair.labels[None], out.essential, out.solved,
-                          pair.essential[None], corr, LossConfig(warmup=0), iteration=10)
+        loss = total_loss(out.logits, pair.labels[None], out.essential, out.solved, corr,
+                          LossConfig(warmup=0), iteration=10)
         net.store.zero_grad()
         ad.backward(loss)
         for name in net.store.trainable_names():

@@ -10,16 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from twoview.epipolar import label_inliers, symmetric_epipolar_distances
+from twoview.epipolar import Pose, label_inliers, symmetric_epipolar_distances
 from twoview.synthdata import (
     MalformedRecord,
     SceneConfig,
     ScenePair,
+    _draw_pose,
     generate_dataset,
     generate_pair,
     pair_from_line,
     pair_to_line,
-    random_pose,
     read_dataset,
     write_dataset,
 )
@@ -53,29 +53,34 @@ class TestSceneConfig:
             SceneConfig(depth_min=5, depth_max=4)
 
 
+def drawn_pose(seed, cfg):
+    """The generator's pose draw from a fresh generator, as a validated Pose."""
+    return Pose(*_draw_pose(np.random.default_rng(seed), cfg, cfg.intrinsics()))
+
+
 class TestRandomPose:
     def test_zero_rotation_gives_identity(self):
         cfg = SceneConfig(max_rotation_deg=0.0, seed=0)
-        pose = random_pose(np.random.default_rng(0), cfg)
+        pose = drawn_pose(0, cfg)
         assert np.array_equal(pose.rotation, np.eye(3))
 
     def test_unit_translation(self):
         cfg = SceneConfig(seed=0)
         for seed in range(10):
-            pose = random_pose(np.random.default_rng(seed), cfg)
+            pose = drawn_pose(seed, cfg)
             assert abs(np.linalg.norm(pose.translation) - 1.0) < 1e-9
 
     def test_deterministic(self):
         cfg = SceneConfig(seed=0)
-        a = random_pose(np.random.default_rng(42), cfg)
-        b = random_pose(np.random.default_rng(42), cfg)
+        a = drawn_pose(42, cfg)
+        b = drawn_pose(42, cfg)
         assert np.array_equal(a.rotation, b.rotation)
         assert np.array_equal(a.translation, b.translation)
 
     def test_rotation_bounded(self):
         cfg = SceneConfig(max_rotation_deg=10.0, seed=0)
         for seed in range(10):
-            pose = random_pose(np.random.default_rng(seed), cfg)
+            pose = drawn_pose(seed, cfg)
             angle = np.degrees(np.arccos(np.clip((np.trace(pose.rotation) - 1) / 2, -1, 1)))
             assert angle <= 10.0 + 1e-9
 
@@ -85,7 +90,7 @@ class TestRandomPose:
         # a 0.7-degree field of view cannot keep a unit baseline in frame
         cfg = SceneConfig(focal=50000.0, seed=0)
         with pytest.raises(RetryExhausted):
-            random_pose(np.random.default_rng(0), cfg)
+            drawn_pose(0, cfg)
 
 
 class TestGeneratePair:
