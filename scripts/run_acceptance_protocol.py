@@ -99,8 +99,8 @@ def protocol_steps(steps):
     training = [step("train", in_cache(f"model_{v}_s{s}.bin"), "--seed", s,
                      "--config", in_cache(f"{v}.cfg"), "--dataset", train, steps=steps)
                 for v, s in runs]
-    evaluation = [step("eval", in_cache("metrics_ransac.csv"), "--seed", EVAL_SEED,
-                       "--config", REGIME, "--dataset", heldout, "--method", "ransac")]
+    evaluation = [step("compare", in_cache("metrics_ransac.csv"), "--seed", EVAL_SEED,
+                       "--config", REGIME, "--dataset", heldout, "--methods", "ransac")]
     evaluation += [step("compare", in_cache(f"metrics_{v}_s{s}.csv"), "--seed", EVAL_SEED,
                         "--config", in_cache(f"{v}.cfg"), "--dataset", heldout,
                         "--methods", "net,net+ransac",

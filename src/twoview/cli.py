@@ -1,4 +1,4 @@
-"""Command-line interface: gen, train, eval, compare, responses, gradcheck.
+"""Command-line interface: gen, train, compare, responses, gradcheck.
 
 Every command requires an explicit --seed; determinism is part of the
 contract. Exit codes: 0 success, 2 configuration/usage error, a corrupt
@@ -109,22 +109,18 @@ def _now():
 def cmd_gen(args):
     started = _now()
     run = load_run_config(args.config)
-    pairs_count = args.pairs if args.pairs is not None else run.pairs
     scene = replace(run.scene, seed=args.seed)
-    pairs = generate_dataset(scene, pairs_count, base_seed=args.seed)
+    pairs = generate_dataset(scene, args.pairs, base_seed=args.seed)
     write_dataset(pairs, args.out)
-    echo = run.echo()
-    echo["scene.pairs"] = pairs_count
-    write_manifest(args.out + ".manifest.json", "gen", vars(args), echo, started, [args.out])
+    write_manifest(args.out + ".manifest.json", "gen", vars(args), run.echo(), started, [args.out])
     print(f"wrote {len(pairs)} pairs to {args.out}")
     return EXIT_OK
 
 
 def cmd_train(args):
     started = _now()
-    run = load_run_config(args.config)
+    run = load_run_config(args.config, checkpoint_config(args.resume) if args.resume else None)
     pairs = read_dataset(args.dataset)
-    net_cfg = checkpoint_config(args.resume) if args.resume else run.network
     params = run.train if args.steps is None else replace(run.train, steps=args.steps)
 
     log_path = args.out + ".trainlog.csv"
@@ -137,7 +133,7 @@ def cmd_train(args):
             log_fh.flush()
             print(f"step {row.step}: loss {row.loss:.6f}, val mAP5 {row.val_map5:.2f}")
 
-        net, rows, counters = run_training(pairs, net_cfg, run.loss, params,
+        net, rows, counters = run_training(pairs, run.network, run.loss, params,
                                            seed=args.seed, resume=args.resume, log_cb=log_cb)
     save_checkpoint(net.store, args.out)
     write_network_config(net.config, args.out + ".netconfig")
@@ -151,22 +147,21 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def cmd_evaluate(args):
-    """`eval` (one method) and `compare` (several): one metrics row per method."""
+def cmd_compare(args):
+    """`compare`: one metrics row per method."""
     started = _now()
     run = load_run_config(args.config)
     pairs = read_dataset(args.dataset)
-    methods = args.methods if args.command == "compare" else [args.method]
-    learned = [m for m in methods if m != "ransac"]
+    learned = [m for m in args.methods if m != "ransac"]
     net = None
     if learned:
         if not args.checkpoint:
             raise MissingCheckpoint(f"method {learned[0]!r} requires --checkpoint")
         net = load_network(args.checkpoint)
     ransac_cfg = replace(run.ransac, seed=args.seed)
-    reports = compare_methods(pairs, methods, ransac_cfg, net, seed=args.seed)
+    reports = compare_methods(pairs, args.methods, ransac_cfg, net, seed=args.seed)
     write_metrics_csv(reports, args.out)
-    write_manifest(args.out + ".manifest.json", args.command, vars(args), run.echo(), started,
+    write_manifest(args.out + ".manifest.json", "compare", vars(args), run.echo(), started,
                    [args.out])
     for r in reports:
         print(f"{r.method}: mAP5 {r.map5:.2f} mAP10 {r.map10:.2f} mAP20 {r.map20:.2f} "
@@ -230,7 +225,7 @@ def build_parser():
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     add_common(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--pairs", type=_positive_int, default=None)
+    p.add_argument("--pairs", type=_positive_int, default=100, help="number of pairs")
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("train", help="train a network")
@@ -241,19 +236,14 @@ def build_parser():
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
     p.set_defaults(fn=cmd_train)
 
-    for name, help_text in (("eval", "evaluate one method on a dataset"),
-                            ("compare", "benchmark several methods side by side")):
-        p = sub.add_parser(name, help=help_text)
-        add_common(p)
-        p.add_argument("--dataset", required=True)
-        if name == "eval":
-            p.add_argument("--method", required=True, choices=METHODS)
-        else:
-            p.add_argument("--methods", required=True, type=_method_list,
-                           help="comma list from ransac,net,net+ransac, one row each in this order")
-        p.add_argument("--checkpoint", default=None, help="network for net and net+ransac")
-        p.add_argument("--out", required=True)
-        p.set_defaults(fn=cmd_evaluate)
+    p = sub.add_parser("compare", help="evaluate one or more methods side by side")
+    add_common(p)
+    p.add_argument("--dataset", required=True)
+    p.add_argument("--methods", required=True, type=_method_list,
+                   help="comma list from ransac,net,net+ransac, one row each in this order")
+    p.add_argument("--checkpoint", default=None, help="network for net and net+ransac")
+    p.add_argument("--out", required=True)
+    p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("responses", help="export top-k unpool assignment responses")
     add_common(p, needs_config=False)

@@ -12,7 +12,7 @@ configuration next to its checkpoint.
 
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .autodiff import write_atomically
 from .losses import LossConfig
@@ -51,9 +51,8 @@ _SECTIONS = {"scene": ("scene", SceneConfig), "net": ("network", NetworkConfig),
 # section fields no run config sets: seeds come from --seed, and the
 # virtual camera is fixed
 _UNSET_FIELDS = {"seed", "image_width", "image_height", "focal"}
-KNOWN_KEYS = {"scene.pairs": int}
-KNOWN_KEYS.update({f"{prefix}.{f.name}": f.type for prefix, (_, cls) in _SECTIONS.items()
-                   for f in fields(cls) if f.name not in _UNSET_FIELDS})
+KNOWN_KEYS = {f"{prefix}.{f.name}": f.type for prefix, (_, cls) in _SECTIONS.items()
+              for f in fields(cls) if f.name not in _UNSET_FIELDS}
 
 
 def _parse_value(raw, kind, key, line):
@@ -98,15 +97,18 @@ def parse_config_file(path, kinds=KNOWN_KEYS):
 def _build(cls, values, lines, prefix=""):
     """cls(**values); a failed range check becomes a ConfigError on the key it names.
 
-    The section dataclasses name the offending field in each message; the
-    first field named is reported, with its line when it came from a file.
+    The section dataclasses name the offending field in each message. The
+    first field named that the file sets is reported with its line (a check
+    across two fields fails on the one that was set); if the file sets none,
+    the first field named is.
     """
     try:
         return cls(**values)
     except ValueError as err:
-        named = [(m.start(), f.name) for f in fields(cls)
-                 if (m := re.search(rf"\b{f.name}\b", str(err)))]
-        key = prefix + min(named)[1] if named else cls.__name__
+        named = sorted((m.start(), prefix + f.name) for f in fields(cls)
+                       if (m := re.search(rf"\b{f.name}\b", str(err))))
+        keys = [key for _, key in named] or [cls.__name__]
+        key = next((key for key in keys if key in lines), keys[0])
         raise ConfigError(f"{key}: {err}", lines.get(key)) from None
 
 
@@ -115,7 +117,6 @@ class RunConfig:
     """Every section a command could need, resolved over the section defaults."""
 
     scene: SceneConfig
-    pairs: int
     network: NetworkConfig
     loss: LossConfig
     train: TrainParams
@@ -123,7 +124,7 @@ class RunConfig:
 
     def echo(self):
         """Flat dict of the effective configuration (for manifests)."""
-        out = {"scene.pairs": self.pairs}
+        out = {}
         for prefix, (attr, _) in _SECTIONS.items():
             section = getattr(self, attr)
             for f in fields(section):
@@ -132,23 +133,27 @@ class RunConfig:
         return out
 
 
-def resolve_run_config(parsed=None):
-    """Build each section from its dataclass defaults and a parsed config map's overrides."""
-    parsed = parsed or {}
+def load_run_config(path=None, network=None):
+    """Each section from its dataclass defaults and the overrides in `path`, if any.
+
+    `network` is the config of a checkpoint being resumed: it replaces the
+    net section, and a `net.*` key set to another value is an error.
+    """
+    parsed = parse_config_file(path) if path else {}
     lines = {key: line for key, (_, line) in parsed.items()}
     sections = {}
     for prefix, (attr, cls) in _SECTIONS.items():
         values = {key[len(prefix) + 1:]: value for key, (value, _) in parsed.items()
-                  if key.startswith(prefix + ".") and key != "scene.pairs"}
+                  if key.startswith(prefix + ".")}
         sections[attr] = _build(cls, values, lines, prefix + ".")
-    pairs = parsed.get("scene.pairs", (100, None))[0]
-    if pairs < 1:
-        raise ConfigError(f"scene.pairs: must be >= 1, got {pairs}", lines.get("scene.pairs"))
-    return RunConfig(pairs=pairs, **sections)
-
-
-def load_run_config(path=None):
-    return resolve_run_config(parse_config_file(path) if path else None)
+    run = RunConfig(**sections)
+    if network is None:
+        return run
+    for key, (value, line) in parsed.items():
+        if key.startswith("net.") and value != (resumed := getattr(network, key[len("net."):])):
+            raise ConfigError(f"{key}: {value!r} differs from the resumed checkpoint's {resumed!r}",
+                              line)
+    return replace(run, network=network)
 
 
 _SIDECAR_KEYS = {f.name: f.type for f in fields(NetworkConfig)}

@@ -258,7 +258,7 @@ def _loss_cases(rng):
     return cases
 
 
-def _full_network_cases(rng):
+def _full_network_cases():
     """Whole-graph probe: a parameter gradient through the solver and the loss."""
     pair = _toy_scene(seed=21, n=16, noise=0.2, outliers=0.25)
     corr = pair.correspondences[None]
@@ -293,7 +293,7 @@ def run_gradcheck(seed=0):
     A case whose function writes into its probe fails with an infinite error.
     """
     rng = np.random.default_rng(seed)
-    cases = (_op_cases(rng) + _block_cases(rng) + _loss_cases(rng) + _full_network_cases(rng)
+    cases = (_op_cases(rng) + _block_cases(rng) + _loss_cases(rng) + _full_network_cases()
              + _solver_cases(rng))
     rows = []
     for name, x, fn in cases:

@@ -14,6 +14,6 @@ def gradcheck_rows(monkeypatch):
         for builder in [name for name in vars(gradcheck) if name.endswith("_cases")]:
             build = getattr(gradcheck, builder)
             monkeypatch.setattr(gradcheck, builder,
-                                lambda rng, build=build: [case for case in build(rng) if keep(case[0])])
+                                lambda *rng, build=build: [case for case in build(*rng) if keep(case[0])])
 
     return restrict

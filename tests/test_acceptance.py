@@ -305,7 +305,7 @@ def test_criterion_8_determinism_and_round_trips(tmp_path):
     from twoview.cli import main
 
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("scene.n = 64\nscene.pairs = 5\nnet.channels = 8\nnet.clusters = 4\n"
+    cfg.write_text("scene.n = 64\nnet.channels = 8\nnet.clusters = 4\n"
                    "net.blocks_before_pool = 1\nnet.blocks_after_unpool = 1\n"
                    "net.level2_blocks = 1\nnet.expected_points = 64\n"
                    "loss.warmup = 2\ntrain.batch_size = 2\ntrain.val_pairs = 2\n"
@@ -313,8 +313,8 @@ def test_criterion_8_determinism_and_round_trips(tmp_path):
 
     # dataset write/read is bit-exact and seed-deterministic
     d1, d2 = tmp_path / "d1.txt", tmp_path / "d2.txt"
-    assert main(["gen", "--seed", "21", "--config", str(cfg), "--out", str(d1)]) == 0
-    assert main(["gen", "--seed", "21", "--config", str(cfg), "--out", str(d2)]) == 0
+    assert main(["gen", "--seed", "21", "--config", str(cfg), "--out", str(d1), "--pairs", "5"]) == 0
+    assert main(["gen", "--seed", "21", "--config", str(cfg), "--out", str(d2), "--pairs", "5"]) == 0
     dataset_ok = d1.read_bytes() == d2.read_bytes()
     pairs = read_dataset(d1)
     round_trip_ok = all(np.array_equal(p.correspondences, q.correspondences)
@@ -331,8 +331,8 @@ def test_criterion_8_determinism_and_round_trips(tmp_path):
     # identical seeds reproduce identical metrics.csv
     m1, m2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
     for out in (m1, m2):
-        assert main(["eval", "--seed", "5", "--config", str(cfg), "--dataset", str(d1),
-                     "--method", "net+ransac", "--checkpoint", str(c1),
+        assert main(["compare", "--seed", "5", "--config", str(cfg), "--dataset", str(d1),
+                     "--methods", "net+ransac", "--checkpoint", str(c1),
                      "--out", str(out)]) == 0
     metrics_ok = m1.read_bytes() == m2.read_bytes()
 

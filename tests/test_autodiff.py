@@ -348,7 +348,7 @@ class TestGradcheckRows:
     def solver_cases_only(self, monkeypatch):
         """run_gradcheck with only the solver's case builder, so a run takes milliseconds."""
         for name in ("_op_cases", "_block_cases", "_loss_cases", "_full_network_cases"):
-            monkeypatch.setattr(gradcheck, name, lambda rng: [])
+            monkeypatch.setattr(gradcheck, name, lambda *rng: [])
 
     def test_eigendecomposition_row_follows_the_seed(self):
         (row0,), (row1,) = (run_gradcheck(seed)[0] for seed in (0, 1))

@@ -2,13 +2,14 @@ import json
 import os
 import resource
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from twoview.cli import main
 from twoview.autodiff import read_checkpoint_arrays
+from twoview.config import read_network_config
 from twoview.synthdata import pair_to_line, read_dataset
 
 
@@ -21,7 +22,6 @@ def workspace(tmp_path_factory):
         "scene.n = 48\n"
         "scene.outlier_ratio = 0.25\n"
         "scene.pixel_noise = 0.5\n"
-        "scene.pairs = 6\n"
         "net.channels = 8\n"
         "net.clusters = 4\n"
         "net.blocks_before_pool = 1\n"
@@ -33,7 +33,7 @@ def workspace(tmp_path_factory):
         "train.val_pairs = 2\n"
         "train.log_every = 5\n")
     data = root / "data.txt"
-    code = main(["gen", "--seed", "11", "--config", str(cfg), "--out", str(data)])
+    code = main(["gen", "--seed", "11", "--config", str(cfg), "--out", str(data), "--pairs", "6"])
     assert code == 0
     ckpt = root / "model.bin"
     code = main(["train", "--seed", "1", "--config", str(cfg), "--dataset", str(data),
@@ -90,6 +90,23 @@ class TestGen:
             "error: pair seed 204: no pose with 80% shared visibility in 100 draws"]
         assert not out.exists()
 
+    def test_scene_pairs_is_an_unknown_key(self, tmp_path, capsys):
+        """The pair count is gen's --pairs, not a config key."""
+        cfg = tmp_path / "pairs.cfg"
+        cfg.write_text("scene.n = 16\nscene.pairs = 24\n")
+        out = tmp_path / "x.txt"
+        assert main(["gen", "--seed", "1", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: line 2: unknown key 'scene.pairs'"]
+        assert not out.exists()
+
+    def test_default_is_100_pairs(self, tmp_path):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("scene.n = 16\n")
+        out = tmp_path / "x.txt"
+        assert main(["gen", "--seed", "1", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(read_dataset(out)) == 100
+        assert json.loads((tmp_path / "x.txt.manifest.json").read_text())["argv"]["pairs"] == 100
+
     def test_missing_seed_exits_2(self, workspace, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--config", str(workspace["cfg"]), "--out", str(tmp_path / "x.txt")])
@@ -141,7 +158,7 @@ class TestTrain:
         assert not out.exists()
 
     def test_resume_without_sidecar_exit_4(self, workspace, tmp_path, capsys):
-        """As eval and compare do, train --resume names the missing .netconfig sidecar."""
+        """As compare does, train --resume names the missing .netconfig sidecar."""
         import shutil
 
         ckpt = tmp_path / "bare.bin"
@@ -151,6 +168,38 @@ class TestTrain:
                      "--steps", "1", "--resume", str(ckpt)])
         assert code == 4
         assert f"error: network config not found: {ckpt}.netconfig" in capsys.readouterr().err.splitlines()
+
+    def test_resume_echoes_the_checkpoint_network(self, workspace, tmp_path):
+        """A resumed run under a config without net.* keys records the network it trained."""
+        text = workspace["cfg"].read_text()
+        iterative, plain = tmp_path / "iter.cfg", tmp_path / "plain.cfg"
+        iterative.write_text(text + "net.iterative = true\n")
+        plain.write_text("".join(line + "\n" for line in text.splitlines()
+                                 if not line.startswith("net.")))
+        base = ["train", "--seed", "2", "--dataset", str(workspace["data"]), "--steps", "2"]
+        first, second = tmp_path / "m1.bin", tmp_path / "m2.bin"
+        assert main(base + ["--config", str(iterative), "--out", str(first)]) == 0
+        assert main(base + ["--config", str(plain), "--out", str(second),
+                            "--resume", str(first)]) == 0
+        trained = read_network_config(f"{first}.netconfig")
+        assert trained.iterative and read_network_config(f"{second}.netconfig") == trained
+        echo = json.loads((tmp_path / "m2.bin.manifest.json").read_text())["config"]
+        assert {k[len("net."):]: v for k, v in echo.items() if k.startswith("net.")} == asdict(trained)
+
+    def test_resume_with_another_net_value_exit_2(self, workspace, tmp_path, capsys):
+        """A net.* key at a value the resumed checkpoint lacks names its line; no step runs."""
+        lines = workspace["cfg"].read_text().splitlines()
+        line = lines.index("net.channels = 8") + 1
+        lines[line - 1] = "net.channels = 16"
+        cfg = tmp_path / "wider.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.bin"
+        code = main(["train", "--seed", "2", "--config", str(cfg), "--dataset", str(workspace["data"]),
+                     "--out", str(out), "--steps", "1", "--resume", str(workspace["ckpt"])])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: line {line}: net.channels: 16 differs from the resumed checkpoint's 8"]
+        assert not out.exists() and not (tmp_path / "out.bin.trainlog.csv").exists()
 
     def test_resume_matches_uninterrupted_run(self, workspace, tmp_path):
         """N steps then --resume for M more give the checkpoint and log rows of N + M steps."""
@@ -175,10 +224,12 @@ class TestTrain:
 
 
 class TestEval:
+    """One method evaluated by `compare --methods m`."""
+
     def test_ransac_method_needs_no_checkpoint(self, workspace, tmp_path):
         out = tmp_path / "metrics.csv"
-        code = main(["eval", "--seed", "3", "--config", str(workspace["cfg"]),
-                     "--dataset", str(workspace["data"]), "--method", "ransac",
+        code = main(["compare", "--seed", "3", "--config", str(workspace["cfg"]),
+                     "--dataset", str(workspace["data"]), "--methods", "ransac",
                      "--out", str(out)])
         assert code == 0
         lines = out.read_text().splitlines()
@@ -186,14 +237,14 @@ class TestEval:
         assert lines[1].startswith("ransac,")
 
     def test_net_without_checkpoint_exit_4(self, workspace, tmp_path):
-        code = main(["eval", "--seed", "3", "--config", str(workspace["cfg"]),
-                     "--dataset", str(workspace["data"]), "--method", "net",
+        code = main(["compare", "--seed", "3", "--config", str(workspace["cfg"]),
+                     "--dataset", str(workspace["data"]), "--methods", "net",
                      "--out", str(tmp_path / "m.csv")])
         assert code == 4
 
     def test_net_with_bad_checkpoint_path_exit_4(self, workspace, tmp_path):
-        code = main(["eval", "--seed", "3", "--config", str(workspace["cfg"]),
-                     "--dataset", str(workspace["data"]), "--method", "net",
+        code = main(["compare", "--seed", "3", "--config", str(workspace["cfg"]),
+                     "--dataset", str(workspace["data"]), "--methods", "net",
                      "--checkpoint", str(tmp_path / "missing.bin"),
                      "--out", str(tmp_path / "m.csv")])
         assert code == 4
@@ -205,8 +256,8 @@ class TestEval:
         ckpt = tmp_path / "cut.bin"
         ckpt.write_bytes(workspace["ckpt"].read_bytes()[:cut])
         shutil.copy(str(workspace["ckpt"]) + ".netconfig", str(ckpt) + ".netconfig")
-        code = main(["eval", "--seed", "3", "--config", str(workspace["cfg"]),
-                     "--dataset", str(workspace["data"]), "--method", "net",
+        code = main(["compare", "--seed", "3", "--config", str(workspace["cfg"]),
+                     "--dataset", str(workspace["data"]), "--methods", "net",
                      "--checkpoint", str(ckpt), "--out", str(tmp_path / "m.csv")])
         assert code == 2
         assert "cut.bin" in capsys.readouterr().err
@@ -218,8 +269,8 @@ class TestEval:
         shutil.copy(workspace["ckpt"], ckpt)
         sidecar = workspace["ckpt"].with_name(workspace["ckpt"].name + ".netconfig").read_text()
         (tmp_path / "legacy.bin.netconfig").write_text(sidecar + "block_order=norm_first\n")
-        code = main(["eval", "--seed", "3", "--config", str(workspace["cfg"]),
-                     "--dataset", str(workspace["data"]), "--method", "net",
+        code = main(["compare", "--seed", "3", "--config", str(workspace["cfg"]),
+                     "--dataset", str(workspace["data"]), "--methods", "net",
                      "--checkpoint", str(ckpt), "--out", str(tmp_path / "m.csv")])
         assert code == 2
         err = capsys.readouterr().err
@@ -246,8 +297,8 @@ class TestEval:
         data.write_text("".join(pair_to_line(pair) + "\n" for pair in pairs))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["eval", "--seed", "3", "--config", str(workspace["cfg"]),
-                         "--dataset", str(data), "--method", "ransac",
+            code = main(["compare", "--seed", "3", "--config", str(workspace["cfg"]),
+                         "--dataset", str(data), "--methods", "ransac",
                          "--out", str(tmp_path / "m.csv")])
         assert code == 2
         assert "error: line 2: correspondence coordinates overflow" in capsys.readouterr().err
@@ -264,8 +315,8 @@ class TestEval:
         lines[2] = json.dumps(record)
         data = tmp_path / "bad_pose.txt"
         data.write_text("\n".join(lines) + "\n")
-        code = main(["eval", "--seed", "3", "--config", str(workspace["cfg"]),
-                     "--dataset", str(data), "--method", "ransac",
+        code = main(["compare", "--seed", "3", "--config", str(workspace["cfg"]),
+                     "--dataset", str(data), "--methods", "ransac",
                      "--out", str(tmp_path / "m.csv")])
         assert code == 2
         err = capsys.readouterr().err.splitlines()
@@ -273,8 +324,8 @@ class TestEval:
 
     @staticmethod
     def eval_net(workspace, tmp_path, ckpt):
-        return main(["eval", "--seed", "3", "--config", str(workspace["cfg"]),
-                     "--dataset", str(workspace["data"]), "--method", "net",
+        return main(["compare", "--seed", "3", "--config", str(workspace["cfg"]),
+                     "--dataset", str(workspace["data"]), "--methods", "net",
                      "--checkpoint", str(ckpt), "--out", str(tmp_path / "m.csv")])
 
     def test_flipped_byte_in_record_data_exit_2(self, workspace, tmp_path, capsys):
@@ -310,8 +361,8 @@ class TestEval:
         outs = []
         for name in ("m1.csv", "m2.csv"):
             out = tmp_path / name
-            code = main(["eval", "--seed", "3", "--config", str(workspace["cfg"]),
-                         "--dataset", str(workspace["data"]), "--method", "net",
+            code = main(["compare", "--seed", "3", "--config", str(workspace["cfg"]),
+                         "--dataset", str(workspace["data"]), "--methods", "net",
                          "--checkpoint", str(workspace["ckpt"]), "--out", str(out)])
             assert code == 0
             outs.append(out.read_bytes())
@@ -349,6 +400,15 @@ class TestCompare:
                                                          methods):
         self.assert_usage_error(workspace, tmp_path, capsys, methods)
 
+    def test_eval_is_not_a_command(self, workspace, tmp_path):
+        """`compare --methods m` is the one evaluation command."""
+        out = tmp_path / "m.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--seed", "3", "--dataset", str(workspace["data"]), "--method", "ransac",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_learned_method_without_checkpoint_exit_4(self, workspace, tmp_path):
         out = tmp_path / "c.csv"
         code = main(["compare", "--seed", "4", "--config", str(workspace["cfg"]),
@@ -358,6 +418,7 @@ class TestCompare:
         assert not out.exists()
 
     def test_rows_equal_one_eval_per_method(self, workspace, tmp_path, capsys):
+        """Each row of a several-method compare is the row of that method compared alone."""
         common = ["--seed", "4", "--config", str(workspace["cfg"]),
                   "--dataset", str(workspace["data"]), "--checkpoint", str(workspace["ckpt"])]
         methods = ["net+ransac", "ransac", "net"]
@@ -367,12 +428,11 @@ class TestCompare:
         rows = (tmp_path / "c.csv").read_text().splitlines()
         for i, method in enumerate(methods):
             out = tmp_path / f"{i}.csv"
-            assert main(["eval", *common, "--method", method, "--out", str(out)]) == 0
+            assert main(["compare", *common, "--methods", method, "--out", str(out)]) == 0
             assert capsys.readouterr().out.splitlines() == [compared[i]]
             assert out.read_text().splitlines() == [rows[0], rows[1 + i]]
-        manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
-        assert manifest["command"] == "compare"
-        assert json.loads((tmp_path / "0.csv.manifest.json").read_text())["command"] == "eval"
+        for name in ("c.csv", "0.csv"):
+            assert json.loads((tmp_path / f"{name}.manifest.json").read_text())["command"] == "compare"
 
 
 class TestManifest:
@@ -397,8 +457,8 @@ class TestManifest:
     def test_records_the_process_minor_faults(self, workspace, tmp_path):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         out = tmp_path / "r.csv"
-        assert main(["eval", "--seed", "4", "--config", str(workspace["cfg"]),
-                     "--dataset", str(workspace["data"]), "--method", "ransac",
+        assert main(["compare", "--seed", "4", "--config", str(workspace["cfg"]),
+                     "--dataset", str(workspace["data"]), "--methods", "ransac",
                      "--out", str(out)]) == 0
         faults = json.loads((tmp_path / "r.csv.manifest.json").read_text())["minor_faults"]
         assert isinstance(faults, int)
@@ -456,12 +516,12 @@ class TestBadConfigValues:
         ("train", "train.log_every = 0"),
         ("train", "train.lr = -1"),
         ("train", "train.val_pairs = -1"),
-        ("eval", "ransac.confidence = 2"),
-        ("eval", "ransac.confidence = nan"),
-        ("eval", "ransac.threshold = inf"),
+        ("compare", "ransac.confidence = 2"),
+        ("compare", "ransac.confidence = nan"),
+        ("compare", "ransac.threshold = inf"),
         ("gen", "scene.pixel_noise = -1"),
         ("gen", "scene.pixel_noise = nan"),
-        ("gen", "scene.pairs = 0"),
+        ("gen", "scene.pairs = 0"),     # not a key: the count is gen's --pairs
         ("gen", "scene.pairs = -3"),
         ("gen", "scene.max_rotation_deg = -400"),
         ("gen", "scene.max_rotation_deg = 180.5"),
@@ -473,7 +533,7 @@ class TestBadConfigValues:
         out = tmp_path / "out"
         args = {"gen": [],
                 "train": ["--dataset", str(workspace["data"]), "--steps", "2"],
-                "eval": ["--dataset", str(workspace["data"]), "--method", "ransac"]}[command]
+                "compare": ["--dataset", str(workspace["data"]), "--methods", "ransac"]}[command]
         code = main([command, "--seed", "0", "--config", str(bad), "--out", str(out)] + args)
         assert code == 2
         err = capsys.readouterr().err

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import os
 import re
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twoview.config import (
     KNOWN_KEYS,
@@ -10,9 +15,9 @@ from twoview.config import (
     load_run_config,
     parse_config_file,
     read_network_config,
-    resolve_run_config,
     write_network_config,
 )
+from twoview.cli import main
 from twoview.network import NetworkConfig, desk_config
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
@@ -60,7 +65,7 @@ class TestParse:
 DESK_ECHO = {
     "scene.n": 512, "scene.outlier_ratio": 0.4, "scene.pixel_noise": 0.5, "scene.depth_min": 4.0,
     "scene.depth_max": 10.0, "scene.max_rotation_deg": 30.0, "scene.image_width": 640,
-    "scene.image_height": 480, "scene.focal": 500.0, "scene.pairs": 100,
+    "scene.image_height": 480, "scene.focal": 500.0,
     "net.channels": 32, "net.clusters": 128, "net.blocks_before_pool": 2,
     "net.blocks_after_unpool": 2, "net.level2_blocks": 2, "net.unpool_variant": "order_aware",
     "net.level2_kind": "order_aware", "net.use_pool": True, "net.iterative": False,
@@ -125,11 +130,10 @@ class TestResolve:
     def test_overrides_apply_over_preset(self, tmp_path):
         """Keys override the section defaults and leave the other fields at theirs."""
         p = tmp_path / "c.cfg"
-        p.write_text("net.channels = 16\ntrain.steps = 50\nscene.pairs = 7\n")
+        p.write_text("net.channels = 16\ntrain.steps = 50\n")
         run = load_run_config(p)
         assert run.network == NetworkConfig(channels=16)
         assert run.train == TrainParams(steps=50)
-        assert run.pairs == 7
 
     def test_unknown_preset(self, tmp_path):
         """`preset` is an unknown key, whatever its value."""
@@ -166,6 +170,17 @@ class TestResolve:
     def test_train_params_validation(self):
         with pytest.raises(ValueError):
             TrainParams(steps=0)
+
+    def test_two_field_check_names_the_key_set(self, tmp_path):
+        """depth_min < depth_max fails on whichever of the two the file sets."""
+        p = tmp_path / "c.cfg"
+        p.write_text("scene.n = 64\nscene.depth_max = 0\n")
+        with pytest.raises(ConfigError, match="^line 2: scene.depth_max: ") as exc:
+            load_run_config(p)
+        assert exc.value.line == 2
+        p.write_text("scene.depth_max = 3\nscene.depth_min = 5\n")
+        with pytest.raises(ConfigError, match="^line 2: scene.depth_min: "):
+            load_run_config(p)
 
     def test_range_error_names_key_and_line(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -278,3 +293,55 @@ class TestNetworkKeys:
         assert {key: kind.__name__ for key, kind in KNOWN_KEYS.items()} == {
             key: type(value).__name__ for key, value in DESK_ECHO.items()
             if key not in ("scene.image_width", "scene.image_height", "scene.focal")}
+
+
+# a small valid run config: int, float, bool and str keys, and depth_max, which is checked
+# against depth_min
+SMALL_CONFIG = ("scene.n = 16", "scene.outlier_ratio = 0.25", "scene.depth_max = 10.0",
+                "net.use_pool = true", "net.unpool_variant = plain", "train.lr = 1e-4")
+
+
+@st.composite
+def mutated_configs(draw):
+    """SMALL_CONFIG with one to three syntax edits: no `=`, a repeated line, a renamed key
+    or a replaced value. No edit scales a magnitude, so every dataset stays tiny."""
+    lines = list(SMALL_CONFIG)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        key, equals, value = lines[i].partition("=")
+        edit = draw(st.sampled_from(["drop_equals", "repeat", "rename", "set_value"]))
+        if edit == "drop_equals":
+            lines[i] = key + value
+        elif edit == "repeat":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif edit == "rename":
+            new = draw(st.sampled_from(["scene.pairs", "scene.n", "scene.bogus", "preset", "",
+                                        "net.scene.n"]))
+            lines[i] = f"{new} {equals}{value}"
+        else:
+            new = draw(st.sampled_from(["nan", "inf", "-inf", "-1", "0", "pony", ""]))
+            lines[i] = f"{key}{equals} {new}"
+    return lines
+
+
+class TestRunConfigFuzz:
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(mutated_configs())
+    @example(list(SMALL_CONFIG))
+    @example([*SMALL_CONFIG[:2], "scene.depth_max = 0", *SMALL_CONFIG[3:]])  # a check of two fields
+    def test_gen_exits_0_or_names_one_line(self, lines):
+        """`gen` on a mutated config writes its pairs, or exits 2 with one `error: line N:`."""
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = os.path.join(tmp, "run.cfg"), os.path.join(tmp, "data.txt")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["gen", "--seed", "1", "--pairs", "2", "--config", cfg, "--out", out])
+            err = err.getvalue().splitlines()
+            if code == 0:
+                assert err == [] and os.path.exists(out)
+            else:
+                assert code == 2 and len(err) == 1 and not os.path.exists(out), err
+                named = re.match(r"error: line (\d+): ", err[0])
+                assert named and 1 <= int(named.group(1)) <= len(lines), err

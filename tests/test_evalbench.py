@@ -25,7 +25,7 @@ from twoview.evalbench import (
 )
 from twoview.network import Network, desk_config
 from twoview.ransac import InsufficientCorrespondences, NoModelFound, RansacConfig
-from twoview.synthdata import SceneConfig, generate_dataset, generate_pair, read_dataset, write_dataset
+from twoview.synthdata import SceneConfig, generate_dataset, read_dataset, write_dataset
 
 
 def easy_pairs(count=6, n=64, seed=0):

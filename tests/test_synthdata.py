@@ -14,7 +14,6 @@ from twoview.epipolar import Pose, label_inliers, symmetric_epipolar_distances
 from twoview.synthdata import (
     MalformedRecord,
     SceneConfig,
-    ScenePair,
     _draw_pose,
     generate_dataset,
     generate_pair,
