@@ -12,15 +12,17 @@ and a Node holds the gradient, the backward closure and the parent
   only shapes;
 - relu, minimum_const, tanh, softmax and normalize keep their own
   output (normalize also its scale), softplus its input and output;
-- bn_relu_linear keeps its ReLU output, its input's and weight's data and
-  the per-channel statistics; cn_bn_relu_linear, one whole PointCN unit,
-  keeps its ReLU output, its centred input (never the input itself), its
-  weight's data and per-sample and per-channel scales. Both unit ops take
-  running statistics or their own batch ones, and return (out, moments).
+- bn_relu_linear keeps its input's and weight's data and the per-channel
+  statistics; cn_bn_relu_linear, one whole PointCN unit, keeps its
+  centred input (never the input itself), its weight's data and
+  per-sample and per-channel scales. Neither keeps its ReLU output: the
+  backward rebuilds it a sample at a time from what the closure holds,
+  bit for bit as the forward made it. Both unit ops take running
+  statistics or their own batch ones, and return (out, moments).
 
 So a training forward frees every value that no backward reads as soon as
 its tensor goes, such as a unit's output once the next context norm has
-read it. Ops that only see constant inputs, or run under no_grad, build
+read it, and every unit's ReLU output once its product is taken. Ops that only see constant inputs, or run under no_grad, build
 no node, so evaluation without gradients carries no bookkeeping cost. The
 module also provides the gradient checker (one finite-difference reference
 and one rule for probes at a kink), the Adam optimizer, and the binary
@@ -545,39 +547,50 @@ def _check_unit_shapes(op, x, gamma, beta, weight, bias):
 
 
 def _relu_linear(a, weight, bias, op, bound=np.inf):
-    """(r, out): r = relu(a), taken in a's buffer, and out = r @ weight (+ bias).
+    """relu(a) @ weight (+ bias), with the ReLU taken in a's buffer.
 
     bound is a ceiling on |a| that the caller worked out; below 1e300, a is
     finite and the check for a -inf, which the ReLU would hide, is skipped.
     """
     if not bound < 1e300:  # also when bound is NaN
         _check_finite(a, op, "pre-activation")
-    r = np.maximum(a, 0.0, out=a)
-    out = np.matmul(r, weight.data)  # one GEMM per sample (see _relu_linear_backward)
+    out = np.matmul(np.maximum(a, 0.0, out=a), weight.data)  # one GEMM per sample (see _relu_linear_grads)
     if bias is not None:
         out += bias.data
-    return r, out
+    return out
 
 
-def _relu_linear_backward(g, r, w_data, nw, nbias):
-    """Give the weight and bias their gradients from g; returns the pre-activation's gradient.
+def _relu_linear_grads(g, w_data, nw, nbias, relu_into):
+    """Give the weight and bias their gradients from g; returns (the pre-activation's gradient, scratch).
 
-    The forward product and the weight gradient take one GEMM per sample:
-    at a desk unit's 512 x 32 @ 32 x 32 they measured about 40% faster
-    under OpenBLAS than one GEMM over all B * N rows, and no slower at the
-    heads' 512 x 32 @ 32 x 128. The input gradient's GEMM measured the same
-    either way and stays one.
+    The ReLU output is not kept: relu_into(i, r_b) rebuilds sample i's into
+    the (N, D) scratch r_b, from the same arrays and by the same operations
+    as the forward, so every gradient keeps its bits. The scratch then
+    masks that sample's rows of the input gradient, and the caller may
+    reuse it. The forward product and the weight gradient take one GEMM per
+    sample: at a desk unit's 512 x 32 @ 32 x 32 they measured about 40%
+    faster under OpenBLAS than one GEMM over all B * N rows, and no slower
+    at the heads' 512 x 32 @ 32 x 128. The input gradient's GEMM measured
+    the same either way and stays one.
     """
+    b, n, _ = g.shape
     g2 = g.reshape(-1, g.shape[-1])
-    if nw is not None:
-        g_w = r[0].T @ g[0]
-        for r_b, g_b in zip(r[1:], g[1:]):
-            g_w += r_b.T @ g_b
-        nw.accum(g_w, owned=True)
     if nbias is not None:
         nbias.accum(np.ones(g2.shape[0]) @ g2, owned=True)  # a GEMV sums faster than einsum
-    ga = (g2 @ w_data.T).reshape(r.shape)
-    return np.multiply(ga, r > 0.0, out=ga)  # ReLU mask; r > 0 exactly where a > 0
+    ga = (g2 @ w_data.T).reshape(b, n, w_data.shape[0])
+    r_b = np.empty(ga.shape[1:])
+    g_w = None
+    for i in range(b):
+        relu_into(i, r_b)
+        if nw is not None:
+            if g_w is None:
+                g_w = r_b.T @ g[i]
+            else:
+                g_w += r_b.T @ g[i]
+        np.multiply(ga[i], r_b > 0.0, out=ga[i])  # ReLU mask; r > 0 exactly where a > 0
+    if nw is not None:
+        nw.accum(g_w, owned=True)
+    return ga, r_b
 
 
 def bn_relu_linear(h, gamma, beta, weight, bias, running=None, bn_eps=1e-5):
@@ -601,16 +614,22 @@ def bn_relu_linear(h, gamma, beta, weight, bias, running=None, bn_eps=1e-5):
         mean, var = np.array(running[0], dtype=np.float64), running[1]
     inv = 1.0 / np.sqrt(var + bn_eps)
     s = inv * gamma.data
+    shift = beta.data - mean * s
     a = h.data * s
-    a += beta.data - mean * s
-    r, out = _relu_linear(a, weight, bias, "bn_relu_linear")
-    # the closure keeps r, h's data and weight's data, not out
+    a += shift
+    out = _relu_linear(a, weight, bias, "bn_relu_linear")
+    # the closure keeps h's data and weight's data, never the ReLU output or out
     nh, ngamma, nbeta, nw = h.node, gamma.node, beta.node, weight.node
     nbias = None if bias is None else bias.node
     h_data, w_data = h.data, weight.data
 
+    def relu_into(i, r_b):
+        np.multiply(h_data[i], s, out=r_b)
+        r_b += shift
+        np.maximum(r_b, 0.0, out=r_b)
+
     def bwd(g):
-        ga = _relu_linear_backward(g, r, w_data, nw, nbias)
+        ga, scratch = _relu_linear_grads(g, w_data, nw, nbias, relu_into)
         g_beta = np.einsum("bnd->d", ga)
         g_gamma = inv * (np.einsum("bnd,bnd->d", ga, h_data) - mean * g_beta)
         if nbeta is not None:
@@ -621,7 +640,8 @@ def bn_relu_linear(h, gamma, beta, weight, bias, running=None, bn_eps=1e-5):
             ga *= s
             if running is None:
                 c = s * inv * g_gamma * inv_n
-                ga -= np.multiply(h_data, c, out=r)  # r is dead: the graph runs backward once
+                for i in range(ga.shape[0]):
+                    ga[i] -= np.multiply(h_data[i], c, out=scratch)
                 ga += mean * c - s * g_beta * inv_n
             nh.accum(ga, owned=True)
 
@@ -661,18 +681,26 @@ def cn_bn_relu_linear(x, gamma, beta, weight, bias, running=None, bn_eps=1e-5, c
     inv = 1.0 / np.sqrt(bn_var + bn_eps)
     s = inv * gamma.data
     shift = beta.data - mean * s
-    a = np.einsum("bnd,bd->bnd", xc, c * s)
+    A = c * s
+    a = np.einsum("bnd,bd->bnd", xc, A)
     a += shift
-    # |xc| <= sqrt(n * var) at every point, so this bounds |a| without a pass over it
-    bound = np.max(np.sqrt(var * n) * np.abs(c * s) + np.abs(shift))
-    r, out = _relu_linear(a, weight, bias, "cn_bn_relu_linear", bound)
-    # the closure keeps r, xc, weight's data and the (B, D) scale c, never x
+    # |xc| <= sqrt(n * var) at every point, so this bounds |a| without a pass over it; an
+    # overflow makes it inf or NaN, and _relu_linear then checks a itself
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.max(np.sqrt(var * n) * np.abs(A) + np.abs(shift))
+    out = _relu_linear(a, weight, bias, "cn_bn_relu_linear", bound)
+    # the closure keeps xc, weight's data and the (B, D) scales c and A, never x or the ReLU output
     nx, ngamma, nbeta, nw = x.node, gamma.node, beta.node, weight.node
     nbias = None if bias is None else bias.node
     w_data = weight.data
 
+    def relu_into(i, r_b):
+        np.einsum("nd,d->nd", xc[i], A[i], out=r_b)
+        r_b += shift
+        np.maximum(r_b, 0.0, out=r_b)
+
     def bwd(g):
-        ga = _relu_linear_backward(g, r, w_data, nw, nbias)
+        ga, scratch = _relu_linear_grads(g, w_data, nw, nbias, relu_into)
         s1 = np.ones(n) @ ga
         s2 = np.einsum("bnd,bnd->bd", ga, xc)
         g_beta = s1.sum(axis=0)
@@ -685,12 +713,12 @@ def cn_bn_relu_linear(x, gamma, beta, weight, bias, running=None, bn_eps=1e-5, c
             # g_x = A ga + q xc - A s1 / n for A = c s: cn's backward of s ga, plus, with batch
             # statistics, the path through bn's variance mean_b(var c^2), whose slope in var is
             # cn_eps c^4 / B
-            A = c * s
             k = s * inv * g_gamma * (1.0 / (b * n)) if running is None else 0.0
             c2 = c * c
             q = -c2 * (k * cn_eps * c2 + s * c * s2 * (1.0 / n))
             ga *= A[:, None]
-            ga += np.einsum("bnd,bd->bnd", xc, q, out=r)  # r is dead: the graph runs backward once
+            for i in range(b):
+                ga[i] += np.einsum("nd,d->nd", xc[i], q[i], out=scratch)
             ga -= (A * s1 * (1.0 / n))[:, None]
             nx.accum(ga, owned=True)
 
@@ -960,7 +988,10 @@ def write_atomically(path, write, prefix, text=False):
 
 
 def read_checkpoint_arrays(path):
-    """Raw name -> array contents of a checkpoint file; CorruptCheckpoint if it fails to parse or check."""
+    """Raw name -> array contents of a checkpoint file; CorruptCheckpoint if it fails to parse or check.
+
+    Besides the CRC, each record must have a name no other record has and only finite entries.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _MAGIC:
@@ -987,13 +1018,27 @@ def read_checkpoint_arrays(path):
             size = math.prod(shape)
             if off + 8 * size > end:
                 raise CorruptCheckpoint(f"{path}: record {name!r} runs past the end of the file")
-            arr = np.frombuffer(blob, dtype="<f8", count=size, offset=off).reshape(shape)
+            arr = np.frombuffer(blob, dtype="<f8", count=size, offset=off)
+            try:
+                arr = arr.reshape(shape)
+            except ValueError as err:  # more dimensions than numpy takes
+                raise CorruptCheckpoint(f"{path}: record {name!r} has rank {rank} ({err})") from None
             off += 8 * size
+            if name in out:
+                raise CorruptCheckpoint(f"{path}: record {name!r} appears twice")
             out[name] = arr.astype(np.float64)
     except (struct.error, UnicodeDecodeError) as err:
         raise CorruptCheckpoint(f"{path}: truncated or garbled ({err})") from None
     if off != end:
         raise CorruptCheckpoint(f"{path}: {end - off} trailing bytes")
+    # one reduction per record: the sum is non-finite iff some entry is, or it overflowed
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(arr.sum() for arr in out.values())
+    if not math.isfinite(total):
+        for name, arr in out.items():
+            bad = np.count_nonzero(~np.isfinite(arr))
+            if bad:
+                raise CorruptCheckpoint(f"{path}: record {name!r} holds {bad} non-finite entries")
     return out
 
 
@@ -1001,23 +1046,32 @@ def load_checkpoint(store: ParameterStore, path):
     """Restore a checkpoint into a store of the same structure.
 
     A store entry the file lacks, a record of another shape or one the store does not take is
-    corrupt.
+    corrupt, and so is a negative second moment or a step count that is not a whole number >= 0.
     """
     arrays = read_checkpoint_arrays(path)
+
+    def take(name, target):
+        arr = arrays.pop(name)
+        if arr.shape != target.shape:
+            raise CorruptCheckpoint(f"{path}: shape {arr.shape} != expected {target.shape} for {name!r}")
+        target[...] = arr
+
     for name in store.names():
         if name not in arrays:
             raise CorruptCheckpoint(f"{path}: missing entry {name!r}")
-        arr = arrays.pop(name)
-        if arr.shape != store[name].data.shape:
-            raise CorruptCheckpoint(f"{path}: shape {arr.shape} != expected {store[name].data.shape} "
-                                    f"for {name!r}")
-        store[name].data[...] = arr
+        take(name, store[name].data)
     for name in store.trainable_names():
         for key, moment in ((_ADAM_M + name, store._m[name]), (_ADAM_V + name, store._v[name])):
             if key in arrays:
-                moment[...] = arrays.pop(key)
+                take(key, moment)
+    for name, v in store._v.items():
+        if v.size and v.min() < 0.0:
+            raise CorruptCheckpoint(f"{path}: record {_ADAM_V + name!r} holds a negative second moment")
     if _STEP_KEY in arrays:
-        store.step = int(arrays.pop(_STEP_KEY))
+        step = arrays.pop(_STEP_KEY)
+        if step.shape != () or step < 0 or step != math.floor(step):
+            raise CorruptCheckpoint(f"{path}: record {_STEP_KEY!r} is not a step count")
+        store.step = int(step)
     if arrays:
         raise CorruptCheckpoint(f"{path}: record {next(iter(arrays))!r} is not part of this network "
                                 f"({len(arrays)} such records)")

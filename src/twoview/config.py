@@ -40,8 +40,8 @@ class TrainParams:
         for key in ("steps", "batch_size", "log_every", "val_pairs"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
-        if not self.lr > 0:
-            raise ValueError("lr must be positive")
+        if not 0.0 < self.lr < math.inf:  # a NaN fails this, as an infinity does
+            raise ValueError("lr must be positive and finite")
 
 
 # run-config key prefix -> (RunConfig attribute, section dataclass)

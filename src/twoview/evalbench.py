@@ -108,7 +108,7 @@ def checkpoint_config(checkpoint_path):
 def load_network(checkpoint_path):
     """Rebuild a network from a checkpoint and its `.netconfig` sidecar."""
     net = Network(checkpoint_config(checkpoint_path), seed=0)
-    ad.load_checkpoint(net.store, checkpoint_path)
+    net.load(checkpoint_path)
     return net
 
 

@@ -1,5 +1,6 @@
 """Training objectives: weakly supervised classification plus an essential-matrix term."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +31,13 @@ class LossConfig:
     def __post_init__(self):
         if self.kind != "geometry":
             raise ValueError(f"unknown essential loss kind {self.kind!r}")
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
+        # each check is written so that a NaN fails it, as an infinity does
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be non-negative and finite")
         if self.warmup < 0:
             raise ValueError("warmup must be >= 0")
-        if self.clamp <= 0:
-            raise ValueError("clamp must be positive")
+        if not 0.0 < self.clamp < math.inf:
+            raise ValueError("clamp must be positive and finite")
 
 
 def classification_loss(z, labels, counters: LossCounters = None):

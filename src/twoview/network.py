@@ -352,6 +352,17 @@ class Network:
         else:
             self.stage = _Stage(self.store, "net", config, 4, rng)
 
+    def load(self, path):
+        """Restore a checkpoint into this network's store.
+
+        Besides what `load_checkpoint` rejects, a negative running variance
+        is a CorruptCheckpoint: no batch of features has one.
+        """
+        ad.load_checkpoint(self.store, path)
+        for name in self.store.names():
+            if name.endswith(".running_var") and np.any(self.store[name].data < 0.0):
+                raise ad.CorruptCheckpoint(f"{path}: record {name!r} holds a negative variance")
+
     def forward(self, corr, mode="eval"):
         """Run the network on a (B, N, 4) correspondence batch.
 

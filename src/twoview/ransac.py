@@ -51,8 +51,9 @@ class RansacConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
+        # each check is written so that a NaN fails it, as an infinity does
+        if not 0.0 < self.threshold < math.inf:
+            raise ValueError("threshold must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not 0.0 < self.confidence < 1.0:

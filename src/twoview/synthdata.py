@@ -16,6 +16,7 @@ or the text written. tests/data/gen_*.txt pin this.
 
 import base64
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
@@ -65,10 +66,11 @@ class SceneConfig:
             raise ValueError("n must be >= 8 correspondences per pair")
         if not 0.0 <= self.outlier_ratio < 1.0:
             raise ValueError("outlier_ratio must be in [0, 1)")
-        if not self.pixel_noise >= 0.0:
-            raise ValueError("pixel_noise must be >= 0")
-        if not 0 < self.depth_min < self.depth_max:
-            raise ValueError("depth_min and depth_max must satisfy 0 < depth_min < depth_max")
+        # each check is written so that a NaN fails it, as an infinity does
+        if not 0.0 <= self.pixel_noise < math.inf:
+            raise ValueError("pixel_noise must be >= 0 and finite")
+        if not 0 < self.depth_min < self.depth_max < math.inf:
+            raise ValueError("depth_min and depth_max must satisfy 0 < depth_min < depth_max < inf")
         if not 0.0 <= self.max_rotation_deg <= 180.0:
             raise ValueError("max_rotation_deg must be in [0, 180]")
 

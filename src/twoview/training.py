@@ -105,7 +105,7 @@ def run_training(pairs, net_cfg: NetworkConfig, loss_cfg: LossConfig, params: Tr
     _keep_heap()
     net = Network(net_cfg, seed=seed)
     if resume is not None:
-        ad.load_checkpoint(net.store, resume)
+        net.load(resume)
 
     corr_all = np.stack([p.correspondences for p in pairs])
     labels_all = np.stack([p.labels for p in pairs])

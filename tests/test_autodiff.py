@@ -1,7 +1,10 @@
+import io
 import math
 import os
+import re
 import struct
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -629,6 +632,64 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.bin"
         save_checkpoint(store, path)
         with pytest.raises(CorruptCheckpoint, match="'extra.weight'"):
+            load_checkpoint(self.build(), path)
+
+    @staticmethod
+    def write_records(path, records):
+        """A format-2 file of the (name, array) records, with a valid CRC."""
+        buf = io.BytesIO()
+        buf.write(ad._MAGIC + struct.pack("<IQ", ad._VERSION, len(records)))
+        for name, arr in records:
+            ad._write_record(buf, name, np.asarray(arr, dtype=np.float64))
+        path.write_bytes(buf.getvalue() + struct.pack("<I", zlib.crc32(buf.getvalue())))
+
+    def test_repeated_record_name_rejected(self, tmp_path):
+        """A CRC-valid file that repeats a name would otherwise load only its later copy."""
+        path = tmp_path / "twice.bin"
+        self.write_records(path, [("w", np.ones(2)), ("w", np.zeros(2))])
+        with pytest.raises(CorruptCheckpoint, match="twice.bin: record 'w' appears twice"):
+            read_checkpoint_arrays(path)
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_record_whose_sum_overflows_loads(self, tmp_path):
+        path = tmp_path / "big.bin"
+        self.write_records(path, [("w", [1e308, 1e308]), ("v", [-1e308, -1e308])])
+        arrays = read_checkpoint_arrays(path)
+        assert arrays["w"].tolist() == [1e308, 1e308] and arrays["v"].tolist() == [-1e308, -1e308]
+
+    def test_rank_beyond_numpy_rejected(self, tmp_path):
+        """An empty record of rank 65 fits the file, but numpy takes at most 64 dimensions."""
+        path = tmp_path / "rank.bin"
+        body = (ad._MAGIC + struct.pack("<IQ", ad._VERSION, 1)
+                + struct.pack("<I1sI65Q", 1, b"w", 65, *[0] * 65))
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(CorruptCheckpoint, match="rank.bin: record 'w' has rank 65"):
+            read_checkpoint_arrays(path)
+
+    @pytest.mark.parametrize("name, value, words", [
+        ("layer.bias", np.nan, "record 'layer.bias' holds 1 non-finite entries"),
+        ("layer.running_mean", -np.inf, "record 'layer.running_mean' holds 1 non-finite entries"),
+        ("__adam_m__/layer.weight", np.inf, "record '__adam_m__/layer.weight' holds 1 non-finite"),
+        ("__adam_v__/layer.weight", -1.0, "record '__adam_v__/layer.weight' holds a negative second"),
+        ("__step__", 2.5, "record '__step__' is not a step count"),
+        ("__step__", -1.0, "record '__step__' is not a step count"),
+    ])
+    def test_impossible_value_rejected(self, tmp_path, name, value, words):
+        store = self.build()
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(store, path)
+        records = dict(read_checkpoint_arrays(path))
+        records[name] = records[name].copy()
+        records[name].flat[0] = value
+        self.write_records(path, list(records.items()))
+        with pytest.raises(CorruptCheckpoint, match=re.escape(words)):
+            load_checkpoint(self.build(seed=1), path)
+
+    def test_step_of_another_shape_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        self.write_records(path, [(n, self.build()[n].data) for n in self.build().names()]
+                           + [("__step__", np.ones(2))])
+        with pytest.raises(CorruptCheckpoint, match="'__step__' is not a step count"):
             load_checkpoint(self.build(), path)
 
     def test_missing_entry_rejected(self, tmp_path):

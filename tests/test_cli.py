@@ -1,11 +1,19 @@
+import contextlib
+import io
 import json
+import math
 import os
 import resource
+import struct
+import tempfile
 import warnings
+import zlib
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twoview.cli import main
 from twoview.autodiff import read_checkpoint_arrays
@@ -551,38 +559,75 @@ class TestBadConfigValues:
         assert not out.exists()
 
 
+def poisoned_checkpoint(workspace, tmp_path, name, value):
+    """A copy of the workspace checkpoint, and its sidecar, with entry [0, ...] of `name` set to value."""
+    import shutil
+
+    from twoview.autodiff import save_checkpoint
+    from twoview.evalbench import load_network
+
+    poisoned = tmp_path / "poisoned.bin"
+    net = load_network(str(workspace["ckpt"]))
+    net.store[name].data.flat[0] = value
+    save_checkpoint(net.store, poisoned)
+    shutil.copy(str(workspace["ckpt"]) + ".netconfig", str(poisoned) + ".netconfig")
+    return poisoned
+
+
+class TestNonFiniteCheckpoint:
+    """A checkpoint no training step could have written is corrupt: exit 2 with one error line."""
+
+    @pytest.mark.parametrize("name, value, words", [
+        ("net.embed.weight", np.nan, "holds 1 non-finite entries"),
+        ("net.embed.weight", np.inf, "holds 1 non-finite entries"),
+        ("net.l1a.0.unit1.bn.running_var", -0.5, "holds a negative variance"),
+    ], ids=["nan", "inf", "negative-variance"])
+    @pytest.mark.parametrize("command", ["compare", "train"])
+    def test_exit_2_naming_the_record(self, workspace, tmp_path, capsys, name, value, words, command):
+        poisoned = poisoned_checkpoint(workspace, tmp_path, name, value)
+        common = ["--seed", "1", "--config", str(workspace["cfg"]), "--dataset", str(workspace["data"])]
+        if command == "compare":
+            argv = ["compare", *common, "--methods", "net", "--checkpoint", str(poisoned),
+                    "--out", str(tmp_path / "m.csv")]
+        else:
+            argv = ["train", *common, "--out", str(tmp_path / "t.bin"), "--steps", "1",
+                    "--resume", str(poisoned)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {poisoned}: record {name!r} {words}"]
+        assert not (tmp_path / "m.csv").exists() and not (tmp_path / "t.bin").exists()
+
+
 class TestTrainDivergence:
     @staticmethod
-    def train_from_poisoned(workspace, tmp_path, value):
-        # normalization layers absorb any finite weight scale, so the honest
-        # way to hit the divergence path is a poisoned resume checkpoint
-        import shutil
-
-        from twoview.autodiff import save_checkpoint
-        from twoview.config import read_network_config
+    def train_from_poisoned(workspace, tmp_path, monkeypatch, value):
+        # normalization layers absorb any finite weight scale, and a checkpoint with a
+        # non-finite entry is corrupt, so the way to hit the divergence path is a weight
+        # that turns non-finite after the resume checkpoint loaded
         from twoview.network import Network
 
-        poisoned = tmp_path / "poisoned.bin"
-        cfg = read_network_config(str(workspace["ckpt"]) + ".netconfig")
-        net = Network(cfg, seed=1)
-        net.store["net.embed.weight"].data[0, 0] = value
-        save_checkpoint(net.store, poisoned)
-        shutil.copy(str(workspace["ckpt"]) + ".netconfig", str(poisoned) + ".netconfig")
+        load = Network.load
+
+        def load_then_poison(self, path):
+            load(self, path)
+            self.store["net.embed.weight"].data[0, 0] = value
+
+        monkeypatch.setattr(Network, "load", load_then_poison)
         return main(["train", "--seed", "1", "--config", str(workspace["cfg"]),
                      "--dataset", str(workspace["data"]),
                      "--out", str(tmp_path / "boom.bin"), "--steps", "5",
-                     "--resume", str(poisoned)])
+                     "--resume", str(workspace["ckpt"])])
 
-    def test_nan_weights_exit_3_with_step_diagnostics(self, workspace, tmp_path, capsys):
-        code = self.train_from_poisoned(workspace, tmp_path, np.nan)
+    def test_nan_weights_exit_3_with_step_diagnostics(self, workspace, tmp_path, capsys, monkeypatch):
+        code = self.train_from_poisoned(workspace, tmp_path, monkeypatch, np.nan)
         assert code == 3
         err = capsys.readouterr().err
         assert "diverged" in err and "step" in err
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
-    def test_inf_weights_exit_3(self, workspace, tmp_path, capsys, value):
+    def test_inf_weights_exit_3(self, workspace, tmp_path, capsys, monkeypatch, value):
         with np.errstate(invalid="ignore"):
-            code = self.train_from_poisoned(workspace, tmp_path, value)
+            code = self.train_from_poisoned(workspace, tmp_path, monkeypatch, value)
         assert code == 3
         err = capsys.readouterr().err
         assert "diverged" in err and "non-finite" in err
@@ -617,3 +662,101 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--seed", "0"]) == 5
         rows = capsys.readouterr().out.splitlines()
         assert any(row.split()[0] == "tanh" and row.split()[-1] == "FAIL" for row in rows)
+
+
+def checkpoint_records(blob):
+    """(name offset, name, data offset, entries) of each record of a well-formed checkpoint."""
+    records, off = [], 16
+    for _ in range(struct.unpack_from("<Q", blob, 8)[0]):
+        (nlen,) = struct.unpack_from("<I", blob, off)
+        name = blob[off + 4:off + 4 + nlen].decode("utf-8")
+        (rank,) = struct.unpack_from("<I", blob, off + 4 + nlen)
+        size = math.prod(struct.unpack_from(f"<{rank}Q", blob, off + 8 + nlen))
+        data = off + 8 + nlen + 8 * rank
+        records.append((off + 4, name, data, size))
+        off = data + 8 * size
+    return records
+
+
+RECORD_KINDS = ["weight", "bias", "gamma", "beta", "running_mean", "running_var", "__step__", ""]
+VALUES = [math.nan, math.inf, -math.inf, -1.0, -0.0, 1e-300, 1e300, -1e300]
+
+
+@st.composite
+def checkpoint_edits(draw):
+    """One to three edits of a checkpoint's bytes before its CRC. A record is picked as the k-th
+    (cyclically) whose name ends with a kind, so an edit means the same on any network."""
+    record = st.tuples(st.sampled_from(RECORD_KINDS), st.integers(0, 63))
+    value = st.tuples(st.just("value"), record, st.integers(0, 2 ** 10), st.sampled_from(VALUES))
+    edit = st.one_of(
+        value, value,  # twice as likely: most other edits end in the parser
+        st.tuples(st.just("byte"), st.integers(0, 2 ** 20), st.integers(0, 255)),
+        st.tuples(st.just("twin"), record),  # another record's name of the same length
+        st.tuples(st.just("cut"), st.integers(0, 2 ** 20), st.integers(1, 64)),
+        st.tuples(st.just("insert"), st.integers(0, 2 ** 20), st.binary(min_size=1, max_size=16)))
+    return draw(st.lists(edit, min_size=1, max_size=3))
+
+
+def edited_checkpoint(blob, edits):
+    """blob with the edits applied in order, and a CRC that matches the edited bytes."""
+    records = checkpoint_records(blob)
+    body = bytearray(blob[:-4])
+
+    def pick(kind, k):
+        chosen = [r for r in records if r[1].endswith(kind)]
+        return chosen[k % len(chosen)]
+
+    for what, *args in edits:
+        if what == "byte":
+            body[args[0] % len(body)] = args[1]
+        elif what == "value":
+            (kind, k), entry, value = args
+            _, _, data, size = pick(kind, k)
+            at = data + 8 * (entry % max(size, 1))
+            if size and at + 8 <= len(body):  # an earlier cut can move the record
+                struct.pack_into("<d", body, at, value)
+        elif what == "twin":
+            name_off, name, _, _ = pick(*args[0])
+            twins = [r[1] for r in records if len(r[1]) == len(name) and r[1] != name]
+            if twins:
+                body[name_off:name_off + len(name)] = twins[0].encode("utf-8")
+        elif what == "cut":
+            start = args[0] % len(body)
+            del body[start:start + args[1]]
+        else:
+            start = args[0] % (len(body) + 1)
+            body[start:start] = args[1]
+    return bytes(body) + struct.pack("<I", zlib.crc32(body))
+
+
+class TestCheckpointBytesFuzz:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(checkpoint_edits())
+    @example([("value", ("weight", 0), 0, math.nan)])
+    @example([("value", ("running_var", 1), 2, -1.0)])
+    @example([("twin", ("gamma", 0))])
+    @example([("value", ("weight", 0), 0, 1e300)])  # finite; a unit's bound on |a| overflows
+    def test_compare_exits_0_or_names_one_error(self, workspace, edits):
+        """`compare` on a checkpoint with edited bytes and a valid CRC writes its metrics, or
+        exits 2 with exactly one `error:` line; it never raises."""
+        blob = workspace["ckpt"].read_bytes()
+        sidecar = (workspace["root"] / "model.bin.netconfig").read_text()
+        with tempfile.TemporaryDirectory() as tmp:
+            ckpt, out = os.path.join(tmp, "m.bin"), os.path.join(tmp, "m.csv")
+            with open(ckpt, "wb") as fh:
+                fh.write(edited_checkpoint(blob, edits))
+            with open(ckpt + ".netconfig", "w", encoding="utf-8") as fh:
+                fh.write(sidecar)
+            err = io.StringIO()
+            with (warnings.catch_warnings(), contextlib.redirect_stderr(err),
+                  contextlib.redirect_stdout(io.StringIO())):
+                warnings.simplefilter("error")  # a warning would be one more stderr line
+                code = main(["compare", "--seed", "3", "--config", str(workspace["cfg"]),
+                             "--dataset", str(workspace["data"]), "--methods", "net",
+                             "--checkpoint", ckpt, "--out", out])
+            err = err.getvalue().splitlines()
+            if code == 0:
+                assert err == [] and os.path.exists(out)
+            else:
+                assert code == 2 and len(err) == 1 and err[0].startswith("error: "), err
+                assert not os.path.exists(out)

@@ -18,7 +18,10 @@ from twoview.config import (
     write_network_config,
 )
 from twoview.cli import main
+from twoview.losses import LossConfig
 from twoview.network import NetworkConfig, desk_config
+from twoview.ransac import RansacConfig
+from twoview.synthdata import SceneConfig
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
@@ -170,6 +173,15 @@ class TestResolve:
     def test_train_params_validation(self):
         with pytest.raises(ValueError):
             TrainParams(steps=0)
+
+    @pytest.mark.parametrize("cls, key", [(RansacConfig, "threshold"), (LossConfig, "alpha"),
+                                          (LossConfig, "clamp"), (TrainParams, "lr"),
+                                          (SceneConfig, "pixel_noise"), (SceneConfig, "depth_max")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_section_rejects_nan_and_inf_from_python(self, cls, key, value):
+        """What a config file cannot set (`_parse_value` rejects it) the Python API cannot either."""
+        with pytest.raises(ValueError, match=key):
+            cls(**{key: value})
 
     def test_two_field_check_names_the_key_set(self, tmp_path):
         """depth_min < depth_max fails on whichever of the two the file sets."""

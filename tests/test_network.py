@@ -455,6 +455,166 @@ class TestLeanStep:
         assert calls == [(B, N, D)]
 
 
+def old_relu_linear_backward(g, r, w_data, nw, nbias):
+    """The unit ops' weight, bias and input gradients from the ReLU output r that the forward kept."""
+    g2 = g.reshape(-1, g.shape[-1])
+    if nw is not None:
+        g_w = r[0].T @ g[0]
+        for r_b, g_b in zip(r[1:], g[1:]):
+            g_w += r_b.T @ g_b
+        nw.accum(g_w, owned=True)
+    if nbias is not None:
+        nbias.accum(np.ones(g2.shape[0]) @ g2, owned=True)
+    ga = (g2 @ w_data.T).reshape(r.shape)
+    return np.multiply(ga, r > 0.0, out=ga)
+
+
+def old_relu_linear(a, weight, bias, op, bound=np.inf):
+    if not bound < 1e300:
+        ad._check_finite(a, op, "pre-activation")
+    r = np.maximum(a, 0.0, out=a)
+    out = np.matmul(r, weight.data)
+    if bias is not None:
+        out += bias.data
+    return r, out
+
+
+def old_bn_relu_linear(h, gamma, beta, weight, bias, running=None, bn_eps=1e-5):
+    """bn_relu_linear as it was when its closure kept the ReLU output."""
+    h, gamma, beta, weight, bias = (t if t is None else ad.as_tensor(t) for t in (h, gamma, beta, weight, bias))
+    ad._check_unit_shapes("bn_relu_linear", h, gamma, beta, weight, bias)
+    if running is None:
+        inv_n = 1.0 / (h.shape[0] * h.shape[1])
+        mean = np.einsum("bnd->d", h.data) * inv_n
+        var = np.einsum("bnd,bnd->d", h.data, h.data) * inv_n - mean * mean
+    else:
+        mean, var = np.array(running[0], dtype=np.float64), running[1]
+    inv = 1.0 / np.sqrt(var + bn_eps)
+    s = inv * gamma.data
+    a = h.data * s
+    a += beta.data - mean * s
+    r, out = old_relu_linear(a, weight, bias, "bn_relu_linear")
+    nh, ngamma, nbeta, nw = h.node, gamma.node, beta.node, weight.node
+    nbias = None if bias is None else bias.node
+    h_data, w_data = h.data, weight.data
+
+    def bwd(g):
+        ga = old_relu_linear_backward(g, r, w_data, nw, nbias)
+        g_beta = np.einsum("bnd->d", ga)
+        g_gamma = inv * (np.einsum("bnd,bnd->d", ga, h_data) - mean * g_beta)
+        if nbeta is not None:
+            nbeta.accum(g_beta, owned=True)
+        if ngamma is not None:
+            ngamma.accum(g_gamma, owned=True)
+        if nh is not None:
+            ga *= s
+            if running is None:
+                c = s * inv * g_gamma * inv_n
+                ga -= np.multiply(h_data, c, out=r)
+                ga += mean * c - s * g_beta * inv_n
+            nh.accum(ga, owned=True)
+
+    moments = (mean, var) if running is None else None
+    return ad._make(out, [t for t in (h, gamma, beta, weight, bias) if t is not None], "bn_relu_linear",
+                    bwd), moments
+
+
+def old_cn_bn_relu_linear(x, gamma, beta, weight, bias, running=None, bn_eps=1e-5, cn_eps=1e-5):
+    """cn_bn_relu_linear as it was when its closure kept the ReLU output."""
+    x, gamma, beta, weight, bias = (t if t is None else ad.as_tensor(t) for t in (x, gamma, beta, weight, bias))
+    ad._check_unit_shapes("cn_bn_relu_linear", x, gamma, beta, weight, bias)
+    b, n, d = x.shape
+    xc = x.data - (np.ones(n) @ x.data)[:, None] * (1.0 / n)
+    var = np.einsum("bnd,bnd->bd", xc, xc) * (1.0 / n)
+    c = 1.0 / np.sqrt(var + cn_eps)
+    if running is None:
+        mean, bn_var = np.zeros(d), np.einsum("bd,bd->d", var, c * c) * (1.0 / b)
+    else:
+        mean, bn_var = np.array(running[0], dtype=np.float64), running[1]
+    inv = 1.0 / np.sqrt(bn_var + bn_eps)
+    s = inv * gamma.data
+    shift = beta.data - mean * s
+    a = np.einsum("bnd,bd->bnd", xc, c * s)
+    a += shift
+    bound = np.max(np.sqrt(var * n) * np.abs(c * s) + np.abs(shift))
+    r, out = old_relu_linear(a, weight, bias, "cn_bn_relu_linear", bound)
+    nx, ngamma, nbeta, nw = x.node, gamma.node, beta.node, weight.node
+    nbias = None if bias is None else bias.node
+    w_data = weight.data
+
+    def bwd(g):
+        ga = old_relu_linear_backward(g, r, w_data, nw, nbias)
+        s1 = np.ones(n) @ ga
+        s2 = np.einsum("bnd,bnd->bd", ga, xc)
+        g_beta = s1.sum(axis=0)
+        g_gamma = inv * (np.einsum("bd,bd->d", c, s2) - mean * g_beta)
+        if nbeta is not None:
+            nbeta.accum(g_beta, owned=True)
+        if ngamma is not None:
+            ngamma.accum(g_gamma, owned=True)
+        if nx is not None:
+            A = c * s
+            k = s * inv * g_gamma * (1.0 / (b * n)) if running is None else 0.0
+            c2 = c * c
+            q = -c2 * (k * cn_eps * c2 + s * c * s2 * (1.0 / n))
+            ga *= A[:, None]
+            ga += np.einsum("bnd,bd->bnd", xc, q, out=r)
+            ga -= (A * s1 * (1.0 / n))[:, None]
+            nx.accum(ga, owned=True)
+
+    moments = (mean, bn_var) if running is None else None
+    return ad._make(out, [t for t in (x, gamma, beta, weight, bias) if t is not None], "cn_bn_relu_linear",
+                    bwd), moments
+
+
+def trained_desk_step(mode, batch=4, n=256):
+    """TestLeanStep's desk step on a network whose batch norms have moved off their initial values.
+
+    At initialization every shift beta - mean * s is 0; random gammas, betas and
+    running statistics make the step read each term of the pre-activation.
+    """
+    from twoview.losses import LossConfig, total_loss
+
+    pairs = [generate_pair(SceneConfig(n=n, outlier_ratio=0.6, pixel_noise=1.0, seed=s))
+             for s in range(60, 60 + batch)]
+    corr = np.stack([p.correspondences for p in pairs])
+    net = Network(desk_config(), seed=12)
+    rng = np.random.default_rng(13)
+    for name in net.store.names():
+        t = net.store[name].data
+        if name.endswith((".gamma", ".running_var")):
+            t[...] = rng.uniform(0.5, 2.0, t.shape)
+        elif name.endswith((".beta", ".running_mean")):
+            t[...] = rng.normal(0.0, 0.3, t.shape)
+    out = net.forward(corr, mode=mode)
+    loss = total_loss(out.logits, np.stack([p.labels for p in pairs]), out.essential, out.solved,
+                      corr, LossConfig(kind="geometry", warmup=0), 0)
+    ad.backward(loss)
+    return net.store, out, float(loss.data)
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_rebuilt_relu_keeps_every_bit(monkeypatch, mode):
+    """A desk step whose unit backwards rebuild their ReLU output, against the closures that kept it.
+
+    The loss, the logits, every parameter gradient and every running statistic match bit for bit.
+    """
+    rebuilt, out, loss = trained_desk_step(mode)
+    monkeypatch.setattr(ad, "bn_relu_linear", old_bn_relu_linear)
+    monkeypatch.setattr(ad, "cn_bn_relu_linear", old_cn_bn_relu_linear)
+    kept, out_kept, loss_kept = trained_desk_step(mode)
+    assert out.solved == out_kept.solved and len(out.solved) > 0  # the step reaches the solver
+    assert loss == loss_kept
+    assert np.array_equal(out.logits.data, out_kept.logits.data)
+    for name in kept.names():
+        assert np.array_equal(rebuilt[name].data, kept[name].data), name
+        if name in kept.trainable_names():
+            assert kept[name].grad is not None
+            assert np.array_equal(rebuilt[name].grad, kept[name].grad), name
+            # the sign of a zero too
+            assert np.array_equal(np.signbit(rebuilt[name].grad), np.signbit(kept[name].grad)), name
+
+
 class TestDiffPool:
     def test_single_cluster_sums_nodes(self):
         store = ParameterStore()

@@ -78,8 +78,9 @@ def test_backward_peak_is_the_forward_and_no_graph_outlives_its_step(monkeypatch
 
 
 def test_train_forward_frees_values_no_backward_reads(monkeypatch):
-    """Unit outputs, residual sums and the pool logits die during the forward; what a backward
-    reads, such as the head's input, stays."""
+    """Unit outputs, residual sums and the pool logits die during the forward, and so does every
+    unit's ReLU output, which its backward rebuilds; what a backward reads, such as the head's
+    input, stays."""
     pairs = generate_dataset(SceneConfig(n=256, outlier_ratio=0.6, pixel_noise=1.0), 4,
                              base_seed=4200)
     corr = np.stack([p.correspondences for p in pairs])
@@ -97,12 +98,23 @@ def test_train_forward_frees_values_no_backward_reads(monkeypatch):
             return out
         return wrapper
 
+    relu_outputs, relu_linear = [], ad._relu_linear
+
+    def watching_relu(a, *args, **kwargs):
+        out = relu_linear(a, *args, **kwargs)
+        relu_outputs.append(weakref.ref(a))  # the ReLU is taken in a's buffer
+        return out
+
     for cls in (network.PointCNUnit, network.PointCNResBlock):
         monkeypatch.setattr(cls, "__call__", watching(cls.__call__))
+    monkeypatch.setattr(ad, "_relu_linear", watching_relu)
     out = net.forward(corr, mode="train")
     assert sorted(refs) == ["head input", "pool logits", "residual sum", "unit output"]
     assert refs.pop("head input")() is not None  # the head's weight gradient reads it
     assert [what for what, ref in refs.items() if ref() is not None] == []
+    # every unit of the trunk and both heads: a cn_bn_relu_linear or bn_relu_linear node each
+    assert len(relu_outputs) == sum(1 for n in net.store.names() if n.endswith(".perc.weight"))
+    assert [i for i, ref in enumerate(relu_outputs) if ref() is not None] == []
     ad.backward(ad.reduce_sum(out.logits * np.linspace(-1.0, 1.0, 256)))
     assert all(net.store[n].grad is not None for n in net.store.trainable_names())
 
